@@ -6,8 +6,6 @@
 //
 //   ./micro_hotloop                      # full run, table to stdout
 //   ./micro_hotloop --json=PATH          # also write machine-readable results
-//   ./micro_hotloop --floor=N            # fail (exit 1) if the aggregate
-//                                        # accesses/sec drops below 0.7 * N
 //   ./micro_hotloop --baseline=B --tolerances=T
 //                                        # fail (exit 1) if the aggregate
 //                                        # drops below the checked-in
@@ -34,7 +32,7 @@
 #include <thread>
 #include <vector>
 
-#include "bench/bench_util.h"
+#include "src/common/env.h"
 #include "src/hv/backend.h"
 #include "src/scenario/diff.h"
 #include "src/hv/pager.h"
@@ -254,12 +252,9 @@ int main(int argc, char** argv) {
   std::string json_path;
   std::string baseline_path;
   std::string tolerances_path;
-  double floor = 0.0;
   for (int i = 1; i < argc; ++i) {
     if (std::strncmp(argv[i], "--json=", 7) == 0) {
       json_path = argv[i] + 7;
-    } else if (std::strncmp(argv[i], "--floor=", 8) == 0) {
-      floor = std::atof(argv[i] + 8);
     } else if (std::strncmp(argv[i], "--baseline=", 11) == 0) {
       baseline_path = argv[i] + 11;
     } else if (std::strncmp(argv[i], "--tolerances=", 13) == 0) {
@@ -281,7 +276,8 @@ int main(int argc, char** argv) {
     }
   }
 
-  const std::uint64_t accesses = zombie::bench::SmokeIters(4'000'000, 200'000);
+  // ZOMBIE_BENCH_SMOKE=1 (the bench_smoke label) shrinks the access budget.
+  const std::uint64_t accesses = zombie::SmokeEnvEnabled() ? 200'000 : 4'000'000;
   const std::vector<PolicyKind> policies = {PolicyKind::kFifo, PolicyKind::kClock,
                                             PolicyKind::kMixed};
   const std::vector<std::string> patterns = {"scan", "zipf", "tiered"};
@@ -350,7 +346,7 @@ int main(int argc, char** argv) {
       return 1;
     }
     std::fprintf(out, "{\n  \"bench\": \"micro_hotloop\",\n  \"mode\": \"%s\",\n",
-                 zombie::bench::SmokeMode() ? "smoke" : "full");
+                 zombie::SmokeEnvEnabled() ? "smoke" : "full");
     std::fprintf(out, "  \"accesses_per_scenario\": %llu,\n",
                  static_cast<unsigned long long>(accesses));
     std::fprintf(out, "  \"aggregate_accesses_per_sec\": %.0f,\n  \"scenarios\": [\n",
@@ -382,13 +378,6 @@ int main(int argc, char** argv) {
     std::fclose(out);
   }
 
-  if (floor > 0.0 && aggregate < 0.7 * floor) {
-    std::fprintf(stderr,
-                 "perf_smoke FAILURE: aggregate %.0f accesses/sec is more than 30%% below "
-                 "the checked-in floor %.0f\n",
-                 aggregate, floor);
-    return 1;
-  }
   if (gate_floor > 0.0 && aggregate < gate_floor) {
     std::fprintf(stderr,
                  "perf_smoke FAILURE: aggregate %.0f accesses/sec is below the "

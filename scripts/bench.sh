@@ -4,7 +4,7 @@
 # root (the number every perf-minded PR is judged against — see BUILDING.md,
 # "Benchmarking & profiling").
 #
-#   scripts/bench.sh            # micro_hotloop + every bench's smoke run
+#   scripts/bench.sh            # micro_hotloop + the bench_smoke label
 #   scripts/bench.sh --quick    # micro_hotloop only
 #
 # Uses build-bench/ (Release, -O3) so the default RelWithDebInfo tier-1 tree
@@ -49,7 +49,7 @@ fi
 mv build-bench/BENCH_scenarios.new.json "${repo_root}/BENCH_scenarios.json"
 
 if [[ "${quick}" == "0" ]]; then
-  echo "==> bench smoke pass (every paper-figure harness, tiny budgets)"
+  echo "==> bench smoke pass (micro_* binaries + every paper figure, tiny budgets)"
   ctest --test-dir build-bench -L bench_smoke --output-on-failure -j "${jobs}"
   echo "==> perf gate at Release optimisation"
   ctest --test-dir build-bench -L perf_smoke --output-on-failure

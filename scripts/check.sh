@@ -24,7 +24,8 @@
 #             bench/tolerances.json of the checked-in BENCH_scenarios.json
 #             (`zombieland diff --fail-on-delta` exits 3 on any violation;
 #             re-baseline deliberate changes with scripts/bench.sh)
-#   perf      micro_hotloop vs the checked-in floor, serial.  Skipped when
+#   perf      micro_hotloop vs the floor derived from the checked-in
+#             BENCH_hotloop.json baseline (--baseline/--tolerances), serial.  Skipped when
 #             ZOMBIE_SKIP_PERF=1 (escape hatch for CI runners with noisy
 #             neighbors; the workflow sets it, local runs default to off)
 #   asan      ASan/UBSan configure + build + ctest (build-asan/)
@@ -34,7 +35,9 @@
 #             plus the `serve` and `faults` labels, and a micro_hotloop smoke
 #             pass so the shard workers run under the race detector (no floor
 #             gate — instrumentation overhead would always trip it)
-#   bench     Release build (build-bench/) + the bench_smoke label
+#   bench     Release build (build-bench/) + the bench_smoke label: the
+#             three micro_* binaries plus a `zombieland run` of every paper
+#             figure/table/ablation (no per-figure wrapper binaries)
 #   lint      static analysis: zombie-lint over the whole tree (BLOCKING —
 #             any finding fails the stage; suppressions need a written
 #             reason), the `lint` ctest label (engine unit tests, fixture
@@ -200,7 +203,7 @@ for stage in "${stages[@]}"; do
         echo "==> [${n}/${total}] perf gate: skipped (ZOMBIE_SKIP_PERF=1)"
         continue
       fi
-      echo "==> [${n}/${total}] perf gate: micro_hotloop vs the checked-in floor"
+      echo "==> [${n}/${total}] perf gate: micro_hotloop vs the checked-in baseline"
       ctest --test-dir build -L perf_smoke --output-on-failure
       ;;
     asan)

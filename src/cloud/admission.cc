@@ -106,26 +106,6 @@ AdmissionReject AdmissionController::AdmitAt(SimTime now, TenantId tenant,
   return verdict;
 }
 
-Status AdmissionController::Admit(const hv::VmSpec& vm) {
-  switch (Book(/*tenant=*/0, vm)) {
-    case AdmissionReject::kNone:
-      return Status::Ok();
-    case AdmissionReject::kAlreadyAdmitted:
-      return Status(ErrorCode::kConflict, "VM already admitted");
-    case AdmissionReject::kEmptyBooking:
-      return Status(ErrorCode::kInvalidArgument, "empty booking");
-    case AdmissionReject::kRackMemory:
-      return Status(ErrorCode::kOutOfMemory, "rack memory budget exhausted");
-    case AdmissionReject::kRackCpu:
-      return Status(ErrorCode::kOutOfMemory, "rack vCPU budget exhausted");
-    case AdmissionReject::kTenantMemory:
-    case AdmissionReject::kTenantCpu:
-      return Status(ErrorCode::kOutOfMemory, "tenant quota exhausted");
-    default:
-      return Status(ErrorCode::kFailedPrecondition, "admission rejected");
-  }
-}
-
 AdmissionReject AdmissionController::Resize(hv::VmId vm, Bytes new_memory,
                                             std::uint32_t new_vcpus) {
   auto it = admitted_.find(vm);

@@ -89,10 +89,6 @@ class AdmissionController {
   // the bucket prices admission *work*, not failed quota checks.
   AdmissionReject AdmitAt(SimTime now, TenantId tenant, const hv::VmSpec& vm);
 
-  // Legacy single-tenant gate: no throttle, tenant 0.  Kept for the
-  // consolidation/runtime callers that predate the serving mode.
-  [[nodiscard]] Status Admit(const hv::VmSpec& vm);
-
   // Re-books an admitted VM at a new size.  On success the delta is applied
   // atomically to the rack and tenant accounting; on rejection the old
   // booking stands untouched.
@@ -126,7 +122,7 @@ class AdmissionController {
     double cpus = 0.0;
   };
 
-  // Quota + budget check and booking, shared by Admit/AdmitAt/Resize.
+  // Quota + budget check and booking, shared by AdmitAt/Resize.
   AdmissionReject Book(TenantId tenant, const hv::VmSpec& vm);
   void Unbook(const Booking& booking);
   bool TakeToken(SimTime now);

@@ -12,7 +12,6 @@ Rack::Rack(RackConfig config)
       plane_(remotemem::PlaneConfig{
           .buff_size = config.buff_size,
           .shards = config.controller_shards == 0 ? 1 : config.controller_shards,
-          .allow_escalation = true,
           .lease = {.ttl = config.lease_ttl},
           .secondary = {}}),
       agents_(this),

@@ -64,10 +64,6 @@ class Rack {
 
   remotemem::ShardedControlPlane& plane() { return plane_; }
   const remotemem::ShardedControlPlane& plane() const { return plane_; }
-  // Shard-0 compatibility accessors (the classic single-controller view;
-  // exact when controller_shards == 1).
-  remotemem::GlobalMemoryController& controller() { return plane_.primary(0); }
-  remotemem::SecondaryController& secondary() { return plane_.secondary(0); }
   remotemem::RemoteMemoryManager& manager(remotemem::ServerId id) { return *managers_.at(id); }
   rdma::Verbs& verbs() { return verbs_; }
   rdma::Fabric& fabric() { return fabric_; }

@@ -8,8 +8,6 @@
 namespace zombie {
 namespace {
 
-LogLevel g_level = LogLevel::kOff;
-
 const char* LevelName(LogLevel level) {
   switch (level) {
     case LogLevel::kDebug:
@@ -27,9 +25,6 @@ const char* LevelName(LogLevel level) {
 }
 
 }  // namespace
-
-LogLevel GetLogLevel() { return g_level; }
-void SetLogLevel(LogLevel level) { g_level = level; }
 
 void LogMessage(LogLevel level, const std::string& tag, const std::string& message) {
   std::fprintf(stderr, "[%s] %s: %s\n", LevelName(level), tag.c_str(), message.c_str());

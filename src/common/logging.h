@@ -1,19 +1,13 @@
-// Minimal leveled logging for the library.  Off by default so benches print
-// clean tables; tests flip levels locally.
+// Minimal leveled logging for the library: one-line stderr emission and the
+// sanctioned fatal-invariant exit.
 #ifndef ZOMBIELAND_SRC_COMMON_LOGGING_H_
 #define ZOMBIELAND_SRC_COMMON_LOGGING_H_
 
-#include <sstream>
 #include <string>
-#include <utility>
 
 namespace zombie {
 
 enum class LogLevel { kDebug = 0, kInfo = 1, kWarning = 2, kError = 3, kOff = 4 };
-
-// Global minimum level; messages below it are dropped.
-LogLevel GetLogLevel();
-void SetLogLevel(LogLevel level);
 
 // Emits one formatted line to stderr ("[LEVEL] tag: message").
 void LogMessage(LogLevel level, const std::string& tag, const std::string& message);
@@ -24,34 +18,6 @@ void LogMessage(LogLevel level, const std::string& tag, const std::string& messa
 // for fprintf+abort, which the printf-family lint rule rejects).
 [[noreturn]] void FatalMessage(const std::string& tag, const std::string& message);
 
-// Stream-style helper: ZLOG(kInfo, "ospm") << "entering " << state;
-class LogStream {
- public:
-  LogStream(LogLevel level, std::string tag) : level_(level), tag_(std::move(tag)) {}
-  ~LogStream() {
-    if (level_ >= GetLogLevel()) {
-      LogMessage(level_, tag_, stream_.str());
-    }
-  }
-  LogStream(const LogStream&) = delete;
-  LogStream& operator=(const LogStream&) = delete;
-
-  template <typename T>
-  LogStream& operator<<(const T& v) {
-    if (level_ >= GetLogLevel()) {
-      stream_ << v;
-    }
-    return *this;
-  }
-
- private:
-  LogLevel level_;
-  std::string tag_;
-  std::ostringstream stream_;
-};
-
 }  // namespace zombie
-
-#define ZLOG(level, tag) ::zombie::LogStream(::zombie::LogLevel::level, (tag))
 
 #endif  // ZOMBIELAND_SRC_COMMON_LOGGING_H_

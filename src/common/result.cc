@@ -1,6 +1,6 @@
 // ZLINT-ALLOW-FILE(printf-family): Result/Status misuse aborts must not
-// depend on the logging layer (logging.h pulls in <sstream>/std::string
-// machinery that may itself be mid-failure); this file writes its two fatal
+// depend on the logging layer (logging.h pulls in std::string machinery
+// that may itself be mid-failure); this file writes its two fatal
 // diagnostics to stderr directly.
 #include "src/common/result.h"
 

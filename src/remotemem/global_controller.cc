@@ -219,83 +219,6 @@ std::vector<BufferGrant> GlobalMemoryController::TakeFreeOfType(ServerId user,
   return grants;
 }
 
-std::vector<BufferGrant> GlobalMemoryController::TakeFreeBuffers(ServerId user,
-                                                                 std::size_t want) {
-  // Zombie buffers have strict priority over active ones.
-  std::vector<BufferGrant> grants;
-  grants.reserve(want);
-  for (BufferType type : {BufferType::kZombie, BufferType::kActive}) {
-    if (grants.size() >= want) {
-      break;
-    }
-    auto more = TakeFreeOfType(user, want - grants.size(), type);
-    grants.insert(grants.end(), more.begin(), more.end());
-  }
-  return grants;
-}
-
-Result<std::vector<BufferGrant>> GlobalMemoryController::GsAllocExt(ServerId user,
-                                                                    Bytes mem_size) {
-  if (!servers_.Contains(user)) {
-    return Status(ErrorCode::kNotFound, "unregistered user server");
-  }
-  // nb x BUFF_SIZE == memSize, rounded up to whole buffers.
-  const std::size_t want =
-      static_cast<std::size_t>((mem_size + config_.buff_size - 1) / config_.buff_size);
-  std::vector<BufferGrant> grants = TakeFreeBuffers(user, want);
-  // Remembered so an all-or-nothing failure can name which escalation
-  // targets were asked and what each actually yielded.
-  std::string escalation_log;
-  if (grants.size() < want && config_.allow_escalation && agents_ != nullptr) {
-    // AS_get_free_mem(): ask active servers to lend slack.
-    const Bytes missing = (want - grants.size()) * config_.buff_size;
-    for (const auto& entry : servers_.entries()) {
-      if (grants.size() >= want) {
-        break;
-      }
-      if (entry.is_zombie || entry.server == user) {
-        continue;
-      }
-      const Bytes lent = agents_->RequestActiveDelegation(entry.server, missing);
-      if (!escalation_log.empty()) {
-        escalation_log += ", ";
-      }
-      escalation_log += "AS_get_free_mem(host " + std::to_string(entry.server) +
-                        ") -> " + std::to_string(lent) + " B";
-      auto more = TakeFreeBuffers(user, want - grants.size());
-      grants.insert(grants.end(), more.begin(), more.end());
-    }
-  }
-  if (grants.size() < want) {
-    // Admission control should have prevented this: undo and fail, telling
-    // the caller how far the escalation got and which hosts came up short.
-    std::string detail = "rack cannot satisfy guaranteed RAM-Ext allocation: wanted " +
-                         std::to_string(want) + " buffers, granted " +
-                         std::to_string(grants.size());
-    if (!escalation_log.empty()) {
-      detail += "; " + escalation_log;
-    } else if (!config_.allow_escalation) {
-      detail += "; escalation disabled";
-    }
-    for (const auto& g : grants) {
-      (void)db_.Release(g.id);
-      Mirror({MirrorOp::Kind::kRelease, {}, g.id, user, g.type, false});
-    }
-    return Status(ErrorCode::kOutOfMemory, detail);
-  }
-  return grants;
-}
-
-Result<std::vector<BufferGrant>> GlobalMemoryController::GsAllocSwap(ServerId user,
-                                                                     Bytes mem_size) {
-  if (!servers_.Contains(user)) {
-    return Status(ErrorCode::kNotFound, "unregistered user server");
-  }
-  // Best effort: nb x BUFF_SIZE <= memSize, never escalates.
-  const std::size_t want = static_cast<std::size_t>(mem_size / config_.buff_size);
-  return TakeFreeBuffers(user, want);
-}
-
 Status GlobalMemoryController::GsRelease(ServerId user, const std::vector<BufferId>& buffers) {
   for (BufferId id : buffers) {
     auto rec = db_.Find(id);
@@ -309,25 +232,6 @@ Status GlobalMemoryController::GsRelease(ServerId user, const std::vector<Buffer
     Mirror({MirrorOp::Kind::kRelease, {}, id, user, rec->type, false});
   }
   return Status::Ok();
-}
-
-std::vector<ServerId> GlobalMemoryController::SurplusZombies(Bytes keep_free_bytes) const {
-  std::vector<ServerId> surplus;
-  Bytes free_pool = db_.FreeBytes();
-  for (const auto& entry : servers_.entries()) {
-    if (!entry.is_zombie || db_.AllocatedCountOfHost(entry.server) > 0) {
-      continue;
-    }
-    Bytes hosted = 0;
-    for (const auto& rec : db_.BuffersOfHost(entry.server)) {
-      hosted += rec.size;
-    }
-    if (free_pool >= hosted && free_pool - hosted >= keep_free_bytes) {
-      surplus.push_back(entry.server);
-      free_pool -= hosted;
-    }
-  }
-  return surplus;
 }
 
 Status GlobalMemoryController::RetireZombie(ServerId host) {
@@ -371,25 +275,6 @@ std::vector<BufferId> GlobalMemoryController::ReleaseBuffersUsedBy(ServerId user
     Mirror({MirrorOp::Kind::kRelease, {}, id, user, BufferType::kZombie, false});
   }
   return released;
-}
-
-Result<ServerId> GlobalMemoryController::GsGetLruZombie() const {
-  ServerId best = kNilServer;
-  std::size_t best_count = 0;
-  for (const auto& entry : servers_.entries()) {
-    if (!entry.is_zombie) {
-      continue;
-    }
-    const std::size_t count = db_.AllocatedCountOfHost(entry.server);
-    if (best == kNilServer || count < best_count) {
-      best = entry.server;
-      best_count = count;
-    }
-  }
-  if (best == kNilServer) {
-    return Status(ErrorCode::kNotFound, "no zombie servers in the rack");
-  }
-  return best;
 }
 
 }  // namespace zombie::remotemem

@@ -1,15 +1,14 @@
-// The Global Memory Controller (global-mem-ctr, Section 4).
+// The per-shard Global Memory Controller store (global-mem-ctr, Section 4).
 //
-// Manages the rack-wide zombie memory pool: tracks delegated buffers in an
-// in-memory database, serves allocation requests (RAM-Extension guaranteed,
-// swap best-effort), reclaims buffers for waking zombies, and mirrors every
-// mutating operation to the secondary controller.
-//
-// Allocation priority (Section 4.4): "Memory from zombie servers have always
-// higher priority than memory from active servers.  Thereby, global-mem-ctr
-// first attempts to allocate the requested memory from available free
-// buffers.  Next, it tries to get more remote memory from active and user
-// servers with the AS_get_free_mem() and US_reclaim(buff_IDs) calls."
+// One instance backs one shard of the ShardedControlPlane (sharded_plane.h),
+// which is the only implementation of the GS_* allocation policy.  The
+// controller owns the shard's buffer database and server-state view: it
+// registers delegated buffers (GS_goto_zombie / active slack), hands out
+// free buffers of one type on the plane's behalf, reclaims buffers for
+// waking zombies, releases and drops buffers, and mirrors every mutating
+// operation to the shard's secondary controller.  It makes no allocation
+// decisions of its own: priority (zombie memory first), the all-or-nothing
+// RAM-Ext guarantee and AS_get_free_mem escalation live in the plane.
 #ifndef ZOMBIELAND_SRC_REMOTEMEM_GLOBAL_CONTROLLER_H_
 #define ZOMBIELAND_SRC_REMOTEMEM_GLOBAL_CONTROLLER_H_
 
@@ -21,7 +20,6 @@
 
 #include "src/common/result.h"
 #include "src/remotemem/buffer_db.h"
-#include "src/remotemem/control_plane.h"
 #include "src/remotemem/types.h"
 
 namespace zombie::remotemem {
@@ -50,9 +48,10 @@ class MirrorSink {
   virtual void ApplyMirrored(const MirrorOp& op) = 0;
 };
 
-// How the controller reaches the per-server agents for reclaim / slack
-// queries.  The rack layer implements this over RPC-over-RDMA; unit tests
-// implement it directly.
+// How the control plane reaches the per-server agents: the controller sends
+// US_reclaim from GS_reclaim; the plane also sends AS_get_free_mem.  The
+// rack layer implements this over RPC-over-RDMA; unit tests implement it
+// directly.
 class AgentDirectory {
  public:
   virtual ~AgentDirectory() = default;
@@ -66,26 +65,22 @@ class AgentDirectory {
 
 struct ControllerConfig {
   Bytes buff_size = kDefaultBuffSize;
-  // When true, GsAllocExt escalates to AS_get_free_mem / US_reclaim before
-  // failing; GsAllocSwap never escalates (best-effort only).
-  bool allow_escalation = true;
   // Id-stride sharding: this controller mints buffer ids id_base,
   // id_base + id_stride, id_base + 2*id_stride, ...  With the defaults
-  // (base 1, stride 1) the id sequence is the classic unsharded 1, 2, 3...
+  // (base 1, stride 1, a 1-shard plane) the id sequence is 1, 2, 3...
   // Shard k of an N-shard plane uses base k+1, stride N, so ownership of
   // any id is the deterministic residue (id - 1) % N.
   BufferId id_base = 1;
   BufferId id_stride = 1;
 };
 
-class GlobalMemoryController : public ControlPlane {
+class GlobalMemoryController {
  public:
   explicit GlobalMemoryController(ControllerConfig config = {});
 
   void set_mirror(MirrorSink* sink) { mirror_ = sink; }
   void set_agents(AgentDirectory* agents) { agents_ = agents; }
   const ControllerConfig& config() const { return config_; }
-  Bytes buff_size() const override { return config_.buff_size; }
 
   // ---- Server lifecycle -------------------------------------------------
   // Registers a server as active (initial state; Section 4.2).
@@ -104,25 +99,19 @@ class GlobalMemoryController : public ControlPlane {
   // given buffers.  Buffers previously lent while active flip to zombie
   // type.  Returns the controller-assigned ids, in input order.
   [[nodiscard]] Result<std::vector<BufferId>> GsGotoZombie(
-      ServerId host, const std::vector<BufferGrant>& buffers) override;
+      ServerId host, const std::vector<BufferGrant>& buffers);
 
   // Active-server delegation (slack lending while in S0).
   [[nodiscard]] Result<std::vector<BufferId>> DelegateActiveBuffers(
-      ServerId host, const std::vector<BufferGrant>& buffers) override;
+      ServerId host, const std::vector<BufferGrant>& buffers);
 
   // GS_reclaim(nbBuffers): a waking host takes back `nb` of its buffers.
   // Unallocated buffers go first; then allocated ones are reclaimed from
   // their users via US_reclaim.  Returns the reclaimed buffer ids.
-  [[nodiscard]] Result<std::vector<BufferId>> GsReclaim(ServerId host, std::size_t nb_buffers) override;
+  [[nodiscard]] Result<std::vector<BufferId>> GsReclaim(ServerId host, std::size_t nb_buffers);
 
-  // ---- Allocation (Section 4.4) -----------------------------------------
-  // RAM-Extension allocation: must fully satisfy memSize (admission control
-  // guarantees rack capacity); escalates to active/user servers if needed.
-  [[nodiscard]] Result<std::vector<BufferGrant>> GsAllocExt(ServerId user, Bytes mem_size) override;
-  // Swap allocation: best effort, may return less than memSize.
-  [[nodiscard]] Result<std::vector<BufferGrant>> GsAllocSwap(ServerId user, Bytes mem_size) override;
   // Releases buffers a user no longer needs.
-  [[nodiscard]] Status GsRelease(ServerId user, const std::vector<BufferId>& buffers) override;
+  [[nodiscard]] Status GsRelease(ServerId user, const std::vector<BufferId>& buffers);
 
   // Takes up to `want` free buffers of one type for `user` (zombie-hosted
   // and active-hosted pools are separate priority classes; the plane calls
@@ -141,17 +130,6 @@ class GlobalMemoryController : public ControlPlane {
   // allocations return to the pool).  Returns the released buffer ids.
   std::vector<BufferId> ReleaseBuffersUsedBy(ServerId user);
 
-  // GS_get_lru_zombie(): the zombie with the fewest allocated buffers
-  // (Section 5.2) — the cheapest one to wake.
-  [[nodiscard]] Result<ServerId> GsGetLruZombie() const;
-
-  // Section 4.4 surplus policy: "If the global-mem-ctr holds huge amounts of
-  // free memory (e.g. more than the total memory of a rack server), the
-  // cloud manager may decide to transition zombie servers to S3 for further
-  // reducing the energy consumption."  Returns zombies that are entirely
-  // free (no allocated buffer) and whose departure still leaves at least
-  // `keep_free_bytes` of free pool — candidates for a deeper sleep.
-  std::vector<ServerId> SurplusZombies(Bytes keep_free_bytes) const;
   // Drops all (free) buffers of `host` from the pool as it transitions to a
   // state where its memory is unreachable (S3/S4).  Fails if any buffer of
   // the host is still allocated.
@@ -171,8 +149,6 @@ class GlobalMemoryController : public ControlPlane {
                                              const std::vector<BufferGrant>& buffers,
                                              BufferType type);
   void Mirror(const MirrorOp& op);
-  // Core allocator: takes free buffers in priority order (zombie first).
-  std::vector<BufferGrant> TakeFreeBuffers(ServerId user, std::size_t want);
 
   ControllerConfig config_;
   BufferDb db_;

@@ -120,12 +120,12 @@ std::size_t RemoteExtent::RehomeMirroredPages() {
 }
 
 RemoteMemoryManager::RemoteMemoryManager(ServerId server, rdma::Verbs* verbs, rdma::NodeId node,
-                                         ControlPlane* controller)
-    : server_(server), verbs_(verbs), node_(node), controller_(controller) {}
+                                         ShardedControlPlane* plane)
+    : server_(server), verbs_(verbs), node_(node), plane_(plane) {}
 
 Result<std::size_t> RemoteMemoryManager::Delegate(Bytes free_bytes, bool materialize,
                                                   bool zombie) {
-  const Bytes buff_size = controller_->buff_size();
+  const Bytes buff_size = plane_->buff_size();
   const std::size_t nb = static_cast<std::size_t>(free_bytes / buff_size);
   if (nb == 0) {
     return Status(ErrorCode::kInvalidArgument, "free memory below one BUFF_SIZE");
@@ -146,8 +146,8 @@ Result<std::size_t> RemoteMemoryManager::Delegate(Bytes free_bytes, bool materia
     rkeys.push_back(rkey.value());
     grants.push_back({kInvalidBuffer, rkey.value(), buff_size, server_, BufferType::kZombie});
   }
-  auto ids = zombie ? controller_->GsGotoZombie(server_, grants)
-                    : controller_->DelegateActiveBuffers(server_, grants);
+  auto ids = zombie ? plane_->GsGotoZombie(server_, grants)
+                    : plane_->DelegateActiveBuffers(server_, grants);
   if (!ids.ok()) {
     for (rdma::RKey k : rkeys) {
       (void)verbs_->DeregisterRegion(k);
@@ -170,13 +170,13 @@ Result<std::size_t> RemoteMemoryManager::DelegateActive(Bytes free_bytes, bool m
 }
 
 Result<std::size_t> RemoteMemoryManager::ReclaimOnWake(Bytes bytes) {
-  const Bytes buff_size = controller_->buff_size();
+  const Bytes buff_size = plane_->buff_size();
   const std::size_t nb = std::min<std::size_t>(
       static_cast<std::size_t>((bytes + buff_size - 1) / buff_size), delegated_.size());
   if (nb == 0) {
     return static_cast<std::size_t>(0);
   }
-  auto reclaimed = controller_->GsReclaim(server_, nb);
+  auto reclaimed = plane_->GsReclaim(server_, nb);
   if (!reclaimed.ok()) {
     return reclaimed.status();
   }
@@ -202,11 +202,11 @@ void RemoteMemoryManager::ForgetDelegations() {
 }
 
 Result<RemoteExtent*> RemoteMemoryManager::AllocExtension(Bytes size, LocalStoreParams store) {
-  auto grants = controller_->GsAllocExt(server_, size);
+  auto grants = plane_->GsAllocExt(server_, size);
   if (!grants.ok()) {
     return grants.status();
   }
-  auto extent = std::make_unique<RemoteExtent>(verbs_, node_, controller_->buff_size(),
+  auto extent = std::make_unique<RemoteExtent>(verbs_, node_, plane_->buff_size(),
                                                store);
   extent->AddGrants(grants.value());
   extents_.push_back(std::move(extent));
@@ -214,11 +214,11 @@ Result<RemoteExtent*> RemoteMemoryManager::AllocExtension(Bytes size, LocalStore
 }
 
 Result<RemoteExtent*> RemoteMemoryManager::AllocSwap(Bytes size, LocalStoreParams store) {
-  auto grants = controller_->GsAllocSwap(server_, size);
+  auto grants = plane_->GsAllocSwap(server_, size);
   if (!grants.ok()) {
     return grants.status();
   }
-  auto extent = std::make_unique<RemoteExtent>(verbs_, node_, controller_->buff_size(),
+  auto extent = std::make_unique<RemoteExtent>(verbs_, node_, plane_->buff_size(),
                                                store);
   extent->AddGrants(grants.value());
   extents_.push_back(std::move(extent));
@@ -231,7 +231,7 @@ Result<Bytes> RemoteMemoryManager::GrowSwapExtent(RemoteExtent* extent, Bytes ad
   if (it == extents_.end()) {
     return Status(ErrorCode::kNotFound, "extent not owned by this manager");
   }
-  auto grants = controller_->GsAllocSwap(server_, additional);
+  auto grants = plane_->GsAllocSwap(server_, additional);
   if (!grants.ok()) {
     return grants.status();
   }
@@ -249,7 +249,7 @@ Status RemoteMemoryManager::ReleaseExtent(RemoteExtent* extent) {
   if (it == extents_.end()) {
     return Status(ErrorCode::kNotFound, "extent not owned by this manager");
   }
-  Status st = controller_->GsRelease(server_, extent->buffer_ids());
+  Status st = plane_->GsRelease(server_, extent->buffer_ids());
   extents_.erase(it);
   return st;
 }

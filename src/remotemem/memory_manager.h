@@ -23,7 +23,7 @@
 #include "src/common/sim_clock.h"
 #include "src/common/units.h"
 #include "src/rdma/verbs.h"
-#include "src/remotemem/control_plane.h"
+#include "src/remotemem/sharded_plane.h"
 #include "src/remotemem/types.h"
 
 namespace zombie::remotemem {
@@ -104,14 +104,10 @@ class RemoteExtent {
 class RemoteMemoryManager {
  public:
   RemoteMemoryManager(ServerId server, rdma::Verbs* verbs, rdma::NodeId node,
-                      ControlPlane* controller);
+                      ShardedControlPlane* plane);
 
   ServerId server() const { return server_; }
   rdma::NodeId node() const { return node_; }
-
-  // Re-points the agent at a promoted controller after failover.  Extents
-  // and delegation bookkeeping survive: the replica carried the same state.
-  void set_controller(ControlPlane* controller) { controller_ = controller; }
 
   // ---- Delegation / reclaim (host side) ----------------------------------
   // Called on the Sz signal: carves `free_bytes` into BUFF_SIZE buffers,
@@ -154,7 +150,7 @@ class RemoteMemoryManager {
   ServerId server_;
   rdma::Verbs* verbs_;
   rdma::NodeId node_;
-  ControlPlane* controller_;
+  ShardedControlPlane* plane_;
   std::vector<BufferId> delegated_;
   std::map<BufferId, rdma::RKey> delegated_rkeys_;
   std::vector<std::unique_ptr<RemoteExtent>> extents_;

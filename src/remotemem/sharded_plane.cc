@@ -28,11 +28,8 @@ ShardedControlPlane::ShardedControlPlane(PlaneConfig config) : config_(config) {
 }
 
 ControllerConfig ShardedControlPlane::ShardControllerConfig(std::size_t shard) const {
-  // Per-shard escalation stays off: the plane escalates globally so the
-  // zombie-first priority holds across shards, not just within one.
   return ControllerConfig{
       .buff_size = config_.buff_size,
-      .allow_escalation = false,
       .id_base = static_cast<BufferId>(shard + 1),
       .id_stride = static_cast<BufferId>(shards_.size()),
   };
@@ -133,7 +130,7 @@ Result<std::vector<BufferGrant>> ShardedControlPlane::GsAllocExt(ServerId user,
       static_cast<std::size_t>((mem_size + config_.buff_size - 1) / config_.buff_size);
   std::vector<BufferGrant> grants = TakeAcross(user, want);
   std::string escalation_log;
-  if (grants.size() < want && config_.allow_escalation && agents_ != nullptr) {
+  if (grants.size() < want && agents_ != nullptr) {
     // AS_get_free_mem(): ask active servers to lend slack.
     const Bytes missing = (want - grants.size()) * config_.buff_size;
     for (ServerId server : registry_) {
@@ -160,8 +157,6 @@ Result<std::vector<BufferGrant>> ShardedControlPlane::GsAllocExt(ServerId user,
                          std::to_string(grants.size());
     if (!escalation_log.empty()) {
       detail += "; " + escalation_log;
-    } else if (!config_.allow_escalation) {
-      detail += "; escalation disabled";
     }
     for (const auto& g : grants) {
       (void)shards_[ShardOfBuffer(g.id)].primary->GsRelease(user, {g.id});

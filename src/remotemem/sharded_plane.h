@@ -1,13 +1,16 @@
-// The sharded remote-memory control plane.
+// The remote-memory control plane: the one implementation of the GS_*
+// allocation policy (Section 4.4 — zombie memory first, then
+// AS_get_free_mem escalation to active servers, all-or-nothing for
+// RAM-Ext, best-effort for swap).
 //
-// Splits GlobalMemoryController buffer ownership across N controller
-// instances with deterministic id-stride ownership: shard k mints buffer
-// ids k+1, k+1+N, k+1+2N, ..., so the owner of any id is the residue
+// Buffer ownership is split across N per-shard GlobalMemoryController
+// stores with deterministic id-stride ownership: shard k mints buffer ids
+// k+1, k+1+N, k+1+2N, ..., so the owner of any id is the residue
 // (id - 1) % N — no ownership table to keep consistent.  A host's hosted
 // buffers all live in its home shard ((host - 1) % N); its *allocations*
 // may come from every shard (zombie memory keeps global priority over
 // active memory — the plane allocates per type across shards, not per
-// shard across types).
+// shard across types).  The classic single-controller rack is shards = 1.
 //
 // Each shard is a primary + warm secondary pair with the existing mirror
 // protocol.  On top, the plane replaces the implicit "everything mirrors"
@@ -18,10 +21,6 @@
 // hosted buffers are dropped, and buffers the dead host was consuming are
 // freed — so ownership invariants survive silent host death, controller
 // crash (secondary promotion via LoadFromReplica) and fabric partitions.
-//
-// With shards = 1 the plane is behaviourally identical to the classic
-// single GlobalMemoryController (same ids, same allocation order, same
-// failover), which the equivalence tests pin down.
 #ifndef ZOMBIELAND_SRC_REMOTEMEM_SHARDED_PLANE_H_
 #define ZOMBIELAND_SRC_REMOTEMEM_SHARDED_PLANE_H_
 
@@ -33,7 +32,6 @@
 
 #include "src/common/result.h"
 #include "src/common/units.h"
-#include "src/remotemem/control_plane.h"
 #include "src/remotemem/global_controller.h"
 #include "src/remotemem/lease.h"
 #include "src/remotemem/secondary_controller.h"
@@ -44,10 +42,6 @@ namespace zombie::remotemem {
 struct PlaneConfig {
   Bytes buff_size = kDefaultBuffSize;
   std::size_t shards = 1;
-  // Plane-level escalation (AS_get_free_mem across all shards); the
-  // per-shard controllers always run with escalation disabled so the
-  // plane keeps the global zombie-first allocation order.
-  bool allow_escalation = true;
   LeaseConfig lease;
   SecondaryConfig secondary;
 };
@@ -62,7 +56,7 @@ struct ExpiryRecord {
   std::vector<BufferId> used_released;
 };
 
-class ShardedControlPlane : public ControlPlane {
+class ShardedControlPlane {
  public:
   explicit ShardedControlPlane(PlaneConfig config = {});
 
@@ -86,21 +80,39 @@ class ShardedControlPlane : public ControlPlane {
   bool IsZombie(ServerId server) const;
   std::vector<ServerId> ZombieList() const;
 
-  // ---- ControlPlane -------------------------------------------------------
-  Bytes buff_size() const override { return config_.buff_size; }
+  // ---- GS_* calls ---------------------------------------------------------
+  // Rack-uniform BUFF_SIZE every grant must match.
+  Bytes buff_size() const { return config_.buff_size; }
+  // GS_goto_zombie: `host` transitions to zombie and delegates `buffers`.
+  // Returns the controller-assigned ids, in input order.
   [[nodiscard]] Result<std::vector<BufferId>> GsGotoZombie(
-      ServerId host, const std::vector<BufferGrant>& buffers) override;
+      ServerId host, const std::vector<BufferGrant>& buffers);
+  // Delegation from a host that stays active (slack lending while in S0).
   [[nodiscard]] Result<std::vector<BufferId>> DelegateActiveBuffers(
-      ServerId host, const std::vector<BufferGrant>& buffers) override;
+      ServerId host, const std::vector<BufferGrant>& buffers);
+  // GS_reclaim: a waking host takes back `nb_buffers` of its delegations.
   [[nodiscard]] Result<std::vector<BufferId>> GsReclaim(ServerId host,
-                                          std::size_t nb_buffers) override;
-  [[nodiscard]] Result<std::vector<BufferGrant>> GsAllocExt(ServerId user, Bytes mem_size) override;
-  [[nodiscard]] Result<std::vector<BufferGrant>> GsAllocSwap(ServerId user, Bytes mem_size) override;
-  [[nodiscard]] Status GsRelease(ServerId user, const std::vector<BufferId>& buffers) override;
+                                          std::size_t nb_buffers);
+  // GS_alloc_ext: guaranteed RAM-Ext allocation (all-or-nothing).  Takes
+  // zombie memory first, then active memory, then escalates to
+  // AS_get_free_mem; a failure names every escalation target and its yield.
+  [[nodiscard]] Result<std::vector<BufferGrant>> GsAllocExt(ServerId user, Bytes mem_size);
+  // GS_alloc_swap: best-effort swap allocation (may return fewer buffers;
+  // never escalates).
+  [[nodiscard]] Result<std::vector<BufferGrant>> GsAllocSwap(ServerId user, Bytes mem_size);
+  // Releases buffers `user` no longer needs.
+  [[nodiscard]] Status GsRelease(ServerId user, const std::vector<BufferId>& buffers);
 
   // ---- Rack-level policies (aggregated across shards) ---------------------
+  // GS_get_lru_zombie(): the zombie with the fewest allocated buffers
+  // (Section 5.2) — the cheapest one to wake.
   [[nodiscard]] Result<ServerId> GsGetLruZombie() const;
+  // Section 4.4 surplus policy: zombies that are entirely free (no
+  // allocated buffer) and whose departure still leaves at least
+  // `keep_free_bytes` of free pool — candidates for a deeper sleep (S3).
   std::vector<ServerId> SurplusZombies(Bytes keep_free_bytes) const;
+  // Drops a free zombie's buffers as it moves to S3/S4 (fails if any of
+  // its buffers is still allocated).
   [[nodiscard]] Status RetireZombie(ServerId host);
   Bytes FreeRemoteBytes() const;
   std::size_t ServerCount() const { return registry_.size(); }

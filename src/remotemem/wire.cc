@@ -71,9 +71,8 @@ Status DecodeStatus(PayloadReader& reader) {
 // application error status with no body; the client decodes the status
 // first.  A non-OK handler *return* is a transport-level failure.
 
-ControllerEndpoint::ControllerEndpoint(GlobalMemoryController* controller,
-                                       rdma::RpcServer* server)
-    : controller_(controller) {
+ControllerEndpoint::ControllerEndpoint(ShardedControlPlane* plane, rdma::RpcServer* server)
+    : plane_(plane) {
   server->RegisterMethod(
       kMethodGotoZombie, [this](const Payload& request, PayloadWriter& out) -> Status {
         PayloadReader reader(request);
@@ -91,7 +90,7 @@ ControllerEndpoint::ControllerEndpoint(GlobalMemoryController* controller,
           }
           grants.push_back(grant.value());
         }
-        auto ids = controller_->GsGotoZombie(host.value(), grants);
+        auto ids = plane_->GsGotoZombie(host.value(), grants);
         if (!ids.ok()) {
           EncodeStatus(out, ids.status());
           return Status::Ok();
@@ -112,7 +111,7 @@ ControllerEndpoint::ControllerEndpoint(GlobalMemoryController* controller,
         if (!host.ok() || !nb.ok()) {
           return Status(ErrorCode::kInvalidArgument, "malformed GS_reclaim");
         }
-        auto ids = controller_->GsReclaim(host.value(), static_cast<std::size_t>(nb.value()));
+        auto ids = plane_->GsReclaim(host.value(), static_cast<std::size_t>(nb.value()));
         if (!ids.ok()) {
           EncodeStatus(out, ids.status());
           return Status::Ok();
@@ -133,8 +132,8 @@ ControllerEndpoint::ControllerEndpoint(GlobalMemoryController* controller,
     if (!user.ok() || !size.ok()) {
       return Status(ErrorCode::kInvalidArgument, "malformed GS_alloc");
     }
-    auto grants = guaranteed ? controller_->GsAllocExt(user.value(), size.value())
-                             : controller_->GsAllocSwap(user.value(), size.value());
+    auto grants = guaranteed ? plane_->GsAllocExt(user.value(), size.value())
+                             : plane_->GsAllocSwap(user.value(), size.value());
     if (!grants.ok()) {
       EncodeStatus(out, grants.status());
       return Status::Ok();
@@ -172,26 +171,19 @@ ControllerEndpoint::ControllerEndpoint(GlobalMemoryController* controller,
           }
           ids.push_back(id.value());
         }
-        EncodeStatus(out, controller_->GsRelease(user.value(), ids));
+        EncodeStatus(out, plane_->GsRelease(user.value(), ids));
         return Status::Ok();
       });
 
   server->RegisterMethod(kMethodGetLruZombie,
                          [this](const Payload&, PayloadWriter& out) -> Status {
-                           auto lru = controller_->GsGetLruZombie();
+                           auto lru = plane_->GsGetLruZombie();
                            if (!lru.ok()) {
                              EncodeStatus(out, lru.status());
                              return Status::Ok();
                            }
                            EncodeStatus(out, Status::Ok());
                            out.PutU32(lru.value());
-                           return Status::Ok();
-                         });
-
-  server->RegisterMethod(kMethodHeartbeat,
-                         [this](const Payload&, PayloadWriter& out) -> Status {
-                           EncodeStatus(out, Status::Ok());
-                           out.PutU64(controller_->BumpHeartbeat());
                            return Status::Ok();
                          });
 }
@@ -351,24 +343,6 @@ Result<ServerId> ControllerClient::GetLruZombie() {
     return id.status();
   }
   return id.value();
-}
-
-Result<std::uint64_t> ControllerClient::Heartbeat() {
-  request_writer_.Reset();
-  Status call = Call(kMethodHeartbeat);
-  if (!call.ok()) {
-    return call;
-  }
-  PayloadReader reader(response_buf_);
-  Status status = DecodeHeader(reader);
-  if (!status.ok()) {
-    return status;
-  }
-  auto seq = reader.GetU64();
-  if (!seq.ok()) {
-    return seq.status();
-  }
-  return seq.value();
 }
 
 }  // namespace zombie::remotemem

@@ -4,8 +4,10 @@
 // the global-mem-ctr to request and release remote memory.  The
 // communication framework implements RPC over RDMA."
 //
-// ControllerEndpoint exposes a GlobalMemoryController's API as RPC methods
-// on the fabric; ControllerClient is the agent-side stub.  Payloads use the
+// ControllerEndpoint exposes the control plane's GS_* calls as RPC methods
+// on the fabric; ControllerClient is the agent-side stub.  The primary /
+// secondary heartbeat is not a wire method: it runs in-process through
+// ShardedControlPlane::PumpHeartbeats.  Payloads use the
 // length-prefixed little-endian codec from src/rdma/rpc.h.
 #ifndef ZOMBIELAND_SRC_REMOTEMEM_WIRE_H_
 #define ZOMBIELAND_SRC_REMOTEMEM_WIRE_H_
@@ -16,7 +18,7 @@
 #include <vector>
 
 #include "src/rdma/rpc.h"
-#include "src/remotemem/global_controller.h"
+#include "src/remotemem/sharded_plane.h"
 #include "src/remotemem/types.h"
 
 namespace zombie::remotemem {
@@ -28,7 +30,6 @@ inline constexpr char kMethodAllocExt[] = "GS_alloc_ext";
 inline constexpr char kMethodAllocSwap[] = "GS_alloc_swap";
 inline constexpr char kMethodRelease[] = "GS_release";
 inline constexpr char kMethodGetLruZombie[] = "GS_get_lru_zombie";
-inline constexpr char kMethodHeartbeat[] = "GS_heartbeat";
 
 // ---- Codec helpers (exposed for tests) ------------------------------------
 void EncodeGrant(rdma::PayloadWriter& writer, const BufferGrant& grant);
@@ -39,13 +40,13 @@ void EncodeStatus(rdma::PayloadWriter& writer, const Status& status);
 [[nodiscard]] Status DecodeStatus(rdma::PayloadReader& reader);
 
 // ---- Server side -----------------------------------------------------------
-// Registers the GS_* methods on `server`, dispatching into `controller`.
+// Registers the GS_* methods on `server`, dispatching into `plane`.
 class ControllerEndpoint {
  public:
-  ControllerEndpoint(GlobalMemoryController* controller, rdma::RpcServer* server);
+  ControllerEndpoint(ShardedControlPlane* plane, rdma::RpcServer* server);
 
  private:
-  GlobalMemoryController* controller_;
+  ShardedControlPlane* plane_;
 };
 
 // ---- Client side -----------------------------------------------------------
@@ -64,8 +65,6 @@ class ControllerClient {
   [[nodiscard]] Result<std::vector<BufferGrant>> AllocSwap(ServerId user, Bytes mem_size);
   [[nodiscard]] Status Release(ServerId user, const std::vector<BufferId>& buffers);
   [[nodiscard]] Result<ServerId> GetLruZombie();
-  // Pushes one heartbeat through the fabric; returns the sequence number.
-  [[nodiscard]] Result<std::uint64_t> Heartbeat();
 
   const rdma::RpcCost& last_cost() const { return last_cost_; }
 

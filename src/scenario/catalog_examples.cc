@@ -1,5 +1,5 @@
-// Registry entries for the example walkthroughs (the historical
-// examples/*.cpp binaries, which are now thin shims over these scenarios):
+// Registry entries for the example walkthroughs (ports of the historical
+// example binaries; run them with `zombieland run ex_<name>`):
 // the end-to-end quickstart, rack consolidation, Explicit-SD remote swap,
 // the migration demo, and the configurable datacenter energy study.
 // Run at full size (no --smoke), table-mode output is byte-identical to the
@@ -237,9 +237,9 @@ Report RunRackConsolidation(const RunContext& ctx) {
   r.Text(StrPrintf(
       "Remote pool now holds %.1f GiB of zombie memory; the migrated VMs'\n"
       "non-local pages are served from it over one-sided RDMA.\n",
-      static_cast<double>(rack.controller().FreeRemoteBytes()) / kGiB));
+      static_cast<double>(rack.plane().FreeRemoteBytes()) / kGiB));
   r.Metric("free_remote_gib",
-           static_cast<double>(rack.controller().FreeRemoteBytes()) / kGiB);
+           static_cast<double>(rack.plane().FreeRemoteBytes()) / kGiB);
   return r;
 }
 
@@ -399,8 +399,7 @@ ZOMBIE_REGISTER_SCENARIO(
 // ---------------------------------------------------------------------------
 // Datacenter scenario: replay a synthetic cluster trace under all four
 // resource-management policies — a configurable, small-scale version of the
-// Fig. 10 study.  Parameters (CLI --set, or the shim's positional args):
-// servers, tasks, mem_ratio.
+// Fig. 10 study.  Parameters (CLI --set): servers, tasks, mem_ratio.
 // ---------------------------------------------------------------------------
 
 Report RunDatacenterEnergy(const RunContext& ctx) {

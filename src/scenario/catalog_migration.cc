@@ -125,7 +125,7 @@ Report RunAblationBuffSize(const RunContext& ctx) {
     std::size_t hosts = 0;
     std::size_t z1_buffers = 0;
     for (auto id : extent.value()->buffer_ids()) {
-      auto rec = rack.controller().db().Find(id);
+      auto rec = rack.plane().primary(rack.plane().ShardOfBuffer(id)).db().Find(id);
       if (rec.has_value() && rec->host == z1.id()) {
         ++z1_buffers;
       }

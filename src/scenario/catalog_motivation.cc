@@ -1,7 +1,7 @@
 // Registry entries for the motivation figures (Figs. 1-4): energy
 // proportionality, the AWS memory:CPU demand trend, the memory capacity
 // wall, and rack energy by architecture.  Ports of the historical
-// bench/fig0{1,2,3,4}_*.cc binaries; table-mode output is byte-identical.
+// figure binaries; table-mode output is byte-identical.
 #include <cmath>
 #include <map>
 #include <utility>

@@ -222,7 +222,7 @@ bool ParseFlags(int argc, char** argv, int first, ParsedArgs& parsed) {
       parsed.names.emplace_back(arg);
     }
   }
-  if (parsed.options.smoke || EnvSmokeMode()) {
+  if (parsed.options.smoke || SmokeEnvEnabled()) {
     parsed.options.smoke = true;
   }
   // Environment opt-in (how CI turns the cache on without touching the
@@ -612,8 +612,6 @@ int CmdParams(const ParsedArgs& parsed) {
 
 }  // namespace
 
-bool EnvSmokeMode() { return SmokeEnvEnabled(); }
-
 int ZombielandMain(int argc, char** argv) {
   if (argc < 2) {
     std::fprintf(stderr, "%s", std::string(kUsage).c_str());
@@ -656,43 +654,6 @@ int ZombielandMain(int argc, char** argv) {
   std::fprintf(stderr, "zombieland: unknown command '%s'\n%s", argv[1],
                std::string(kUsage).c_str());
   return 2;
-}
-
-int RunAndPrint(std::string_view name, const RunOptions& options) {
-  auto report = RunByName(name, options);
-  if (!report.ok()) {
-    PrintRunError(name, report.status());
-    return 1;
-  }
-  const std::string text = report.value().Render(options.format);
-  std::fwrite(text.data(), 1, text.size(), stdout);
-  return 0;
-}
-
-int ScenarioShimMain(std::string_view name, int argc, char** argv) {
-  ParsedArgs parsed;
-  if (!ParseFlags(argc, argv, 1, parsed)) {
-    return 2;
-  }
-  if (!parsed.names.empty() || parsed.all || parsed.fail_on_delta ||
-      !parsed.tolerance_flags.empty() || !parsed.tolerances_path.empty()) {
-    std::fprintf(stderr,
-                 "%s: this shim runs exactly one scenario; use the zombieland "
-                 "driver for anything else\n",
-                 argv[0]);
-    return 2;
-  }
-  // Single scenario: -j N parallelizes the sweep points.
-  parsed.options.point_jobs = parsed.jobs;
-  parsed.options.timings = parsed.timings;
-  auto report = RunByName(name, parsed.options);
-  if (!report.ok()) {
-    PrintRunError(name, report.status());
-    return 1;
-  }
-  return WriteOutput(report.value().Render(parsed.options.format), parsed.out_path)
-             ? 0
-             : 1;
 }
 
 }  // namespace zombie::scenario

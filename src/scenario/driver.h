@@ -14,26 +14,12 @@
 #ifndef ZOMBIELAND_SRC_SCENARIO_DRIVER_H_
 #define ZOMBIELAND_SRC_SCENARIO_DRIVER_H_
 
-#include <string_view>
-
 #include "src/scenario/scenario.h"
 
 namespace zombie::scenario {
 
-// True when the ZOMBIE_BENCH_SMOKE environment variable is set and nonzero.
-bool EnvSmokeMode();
-
 // Full CLI entry point (the zombieland binary's main).
 int ZombielandMain(int argc, char** argv);
-
-// Entry point for the thin bench/example shim binaries: runs exactly one
-// scenario, table format by default, accepting --smoke/--format=/--set and
-// honouring ZOMBIE_BENCH_SMOKE.  Returns a process exit code.
-int ScenarioShimMain(std::string_view name, int argc, char** argv);
-
-// Runs one scenario with explicit options and prints the rendered report to
-// stdout (shims with bespoke argv handling build RunOptions themselves).
-int RunAndPrint(std::string_view name, const RunOptions& options);
 
 }  // namespace zombie::scenario
 

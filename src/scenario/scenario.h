@@ -57,8 +57,8 @@ struct RunOptions {
   // point_jobs threads, so scenarios and sweep points draw from one budget.
   // Borrowed, never owned; must outlive the run.
   WorkQueue* work_queue = nullptr;
-  // Worker threads for ForEachSweepPoint when no work_queue is shared (the
-  // shim routes -j N here; sweep points are independent by construction).
+  // Worker threads for ForEachSweepPoint when no work_queue is shared
+  // (sweep points are independent by construction).
   int point_jobs = 1;
   // Record per-point wall-clock into the report's points section (--timings).
   bool timings = false;

@@ -159,8 +159,7 @@ struct ScenarioSpec {
   std::string description;  // a sentence for `zombieland list`
 
   // Smoke mode (--smoke / ZOMBIE_BENCH_SMOKE=1) caps every access stream at
-  // this many accesses so a full catalog run stays executable in CI.  This
-  // replaces the per-binary zombie::bench::SmokeIters copies.
+  // this many accesses so a full catalog run stays executable in CI.
   std::uint64_t smoke_scale = 20'000;
 
   TopologySpec topology;

@@ -1,8 +1,7 @@
 // The lab testbed of Section 6.1, built from a declarative TopologySpec: a
 // rack with a global controller, a secondary controller, one user server and
 // N zombie servers pushed to Sz, plus a RemoteBackend over an extent
-// allocated to the user server.  (Moved here from bench/bench_util.h when
-// the benches became scenario registry entries.)
+// allocated to the user server.
 #ifndef ZOMBIELAND_SRC_SCENARIO_TESTBED_H_
 #define ZOMBIELAND_SRC_SCENARIO_TESTBED_H_
 

@@ -27,8 +27,8 @@ TEST(Admission, AdmitsWithinBudget) {
   AdmissionController admission;
   admission.AddCapacity(64 * kGiB, 32);
   EXPECT_EQ(admission.MemoryBudget(), static_cast<Bytes>(0.85 * 64 * kGiB));
-  EXPECT_TRUE(admission.Admit(MakeVm(1, 16 * kGiB, 8)).ok());
-  EXPECT_TRUE(admission.Admit(MakeVm(2, 16 * kGiB, 8)).ok());
+  EXPECT_EQ(admission.AdmitAt(0, 0, MakeVm(1, 16 * kGiB, 8)), AdmissionReject::kNone);
+  EXPECT_EQ(admission.AdmitAt(0, 0, MakeVm(2, 16 * kGiB, 8)), AdmissionReject::kNone);
   EXPECT_TRUE(admission.IsAdmitted(1));
   EXPECT_EQ(admission.admitted_memory(), 32 * kGiB);
 }
@@ -36,10 +36,9 @@ TEST(Admission, AdmitsWithinBudget) {
 TEST(Admission, RejectsMemoryOvercommit) {
   AdmissionController admission;
   admission.AddCapacity(32 * kGiB, 32);
-  EXPECT_TRUE(admission.Admit(MakeVm(1, 24 * kGiB, 4)).ok());
+  EXPECT_EQ(admission.AdmitAt(0, 0, MakeVm(1, 24 * kGiB, 4)), AdmissionReject::kNone);
   // 24 + 8 > 0.85 * 32 = 27.2 GiB: must reject to keep GS_alloc_ext honest.
-  auto st = admission.Admit(MakeVm(2, 8 * kGiB, 4));
-  EXPECT_EQ(st.code(), ErrorCode::kOutOfMemory);
+  EXPECT_EQ(admission.AdmitAt(0, 0, MakeVm(2, 8 * kGiB, 4)), AdmissionReject::kRackMemory);
   EXPECT_FALSE(admission.IsAdmitted(2));
 }
 
@@ -47,27 +46,27 @@ TEST(Admission, CpuOvercommitAllowedUpToFactor) {
   AdmissionController admission;
   admission.AddCapacity(640 * kGiB, 8);
   // 2x overcommit on 8 cpus: 16 vCPUs admissible.
-  EXPECT_TRUE(admission.Admit(MakeVm(1, 1 * kGiB, 8)).ok());
-  EXPECT_TRUE(admission.Admit(MakeVm(2, 1 * kGiB, 8)).ok());
-  EXPECT_EQ(admission.Admit(MakeVm(3, 1 * kGiB, 1)).code(), ErrorCode::kOutOfMemory);
+  EXPECT_EQ(admission.AdmitAt(0, 0, MakeVm(1, 1 * kGiB, 8)), AdmissionReject::kNone);
+  EXPECT_EQ(admission.AdmitAt(0, 0, MakeVm(2, 1 * kGiB, 8)), AdmissionReject::kNone);
+  EXPECT_EQ(admission.AdmitAt(0, 0, MakeVm(3, 1 * kGiB, 1)), AdmissionReject::kRackCpu);
 }
 
 TEST(Admission, ReleaseReturnsBudget) {
   AdmissionController admission;
   admission.AddCapacity(32 * kGiB, 16);
-  ASSERT_TRUE(admission.Admit(MakeVm(1, 24 * kGiB, 4)).ok());
-  EXPECT_FALSE(admission.Admit(MakeVm(2, 24 * kGiB, 4)).ok());
+  ASSERT_EQ(admission.AdmitAt(0, 0, MakeVm(1, 24 * kGiB, 4)), AdmissionReject::kNone);
+  EXPECT_EQ(admission.AdmitAt(0, 0, MakeVm(2, 24 * kGiB, 4)), AdmissionReject::kRackMemory);
   EXPECT_TRUE(admission.Release(1).ok());
-  EXPECT_TRUE(admission.Admit(MakeVm(2, 24 * kGiB, 4)).ok());
+  EXPECT_EQ(admission.AdmitAt(0, 0, MakeVm(2, 24 * kGiB, 4)), AdmissionReject::kNone);
   EXPECT_EQ(admission.Release(1).code(), ErrorCode::kNotFound);
 }
 
 TEST(Admission, DuplicateAndEmptyRejected) {
   AdmissionController admission;
   admission.AddCapacity(32 * kGiB, 16);
-  ASSERT_TRUE(admission.Admit(MakeVm(1, 1 * kGiB, 1)).ok());
-  EXPECT_EQ(admission.Admit(MakeVm(1, 1 * kGiB, 1)).code(), ErrorCode::kConflict);
-  EXPECT_EQ(admission.Admit(MakeVm(2, 0, 1)).code(), ErrorCode::kInvalidArgument);
+  ASSERT_EQ(admission.AdmitAt(0, 0, MakeVm(1, 1 * kGiB, 1)), AdmissionReject::kNone);
+  EXPECT_EQ(admission.AdmitAt(0, 0, MakeVm(1, 1 * kGiB, 1)), AdmissionReject::kAlreadyAdmitted);
+  EXPECT_EQ(admission.AdmitAt(0, 0, MakeVm(2, 0, 1)), AdmissionReject::kEmptyBooking);
 }
 
 TEST(Admission, RetiredServerShrinksBudget) {
@@ -189,7 +188,7 @@ TEST_F(RuntimeTest, HeartbeatsFlowOnSchedule) {
   queue_.RunUntil(1 * kSecond);
   // 100 ms period -> 10 beats in a second.
   EXPECT_EQ(runtime.heartbeats_sent(), 10u);
-  EXPECT_FALSE(rack_->secondary().failed_over());
+  EXPECT_FALSE(rack_->plane().secondary(0).failed_over());
 }
 
 TEST_F(RuntimeTest, SilentPrimaryFailsOverWithinThreeBeats) {
@@ -201,7 +200,7 @@ TEST_F(RuntimeTest, SilentPrimaryFailsOverWithinThreeBeats) {
   // which the (promoted) primary resumes beating.
   queue_.RunUntil(900 * kMillisecond);
   EXPECT_TRUE(rack_->primary_alive());
-  EXPECT_TRUE(rack_->secondary().failed_over());
+  EXPECT_TRUE(rack_->plane().secondary(0).failed_over());
 }
 
 TEST_F(RuntimeTest, PeriodicHooksFire) {

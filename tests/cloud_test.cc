@@ -92,8 +92,8 @@ TEST_F(RackTest, PushToZombieDelegatesMemory) {
   EXPECT_EQ(server->machine().state(), acpi::SleepState::kSz);
   EXPECT_EQ(server->role(), Role::kZombie);
   EXPECT_GT(server->lent_memory(), 12 * kGiB);  // ~90% of 16 GiB free
-  EXPECT_EQ(rack_.controller().FreeRemoteBytes(), server->lent_memory());
-  EXPECT_TRUE(rack_.controller().IsZombie(id));
+  EXPECT_EQ(rack_.plane().FreeRemoteBytes(), server->lent_memory());
+  EXPECT_TRUE(rack_.plane().IsZombie(id));
   // The zombie still serves one-sided RDMA.
   EXPECT_TRUE(rack_.fabric().NodeMemoryAccessible(server->node()));
   EXPECT_FALSE(rack_.fabric().NodeCanInitiate(server->node()));
@@ -115,7 +115,7 @@ TEST_F(RackTest, WakeReclaimsLentMemory) {
   EXPECT_GT(latency.value(), 0);
   EXPECT_EQ(rack_.FindServer(id)->machine().state(), acpi::SleepState::kS0);
   EXPECT_EQ(rack_.FindServer(id)->lent_memory(), 0u);
-  EXPECT_EQ(rack_.controller().FreeRemoteBytes(), 0u);
+  EXPECT_EQ(rack_.plane().FreeRemoteBytes(), 0u);
 }
 
 TEST_F(RackTest, UserAllocatesZombieMemoryEndToEnd) {
@@ -158,7 +158,7 @@ TEST_F(RackTest, PowerDropsWhenServersGoZombie) {
 TEST_F(RackTest, ControllerFailoverPromotesSecondary) {
   const auto zombie_id = rack_.servers()[3]->id();
   ASSERT_TRUE(rack_.PushToZombie(zombie_id).ok());
-  const Bytes pool_before = rack_.controller().FreeRemoteBytes();
+  const Bytes pool_before = rack_.plane().FreeRemoteBytes();
 
   rack_.PumpHeartbeat();  // healthy beat
   rack_.FailPrimaryController();
@@ -168,8 +168,8 @@ TEST_F(RackTest, ControllerFailoverPromotesSecondary) {
   rack_.PumpHeartbeat();
 
   // The promoted controller carries the replicated pool state.
-  EXPECT_EQ(rack_.controller().FreeRemoteBytes(), pool_before);
-  EXPECT_TRUE(rack_.controller().IsZombie(zombie_id));
+  EXPECT_EQ(rack_.plane().FreeRemoteBytes(), pool_before);
+  EXPECT_TRUE(rack_.plane().IsZombie(zombie_id));
   // And the rack keeps operating: a user can still allocate.
   auto extent = rack_.manager(rack_.servers()[0]->id()).AllocExtension(256 * kMiB);
   EXPECT_TRUE(extent.ok()) << extent.status().ToString();
@@ -177,7 +177,7 @@ TEST_F(RackTest, ControllerFailoverPromotesSecondary) {
 
 TEST_F(RackTest, SleepWithoutLendingKeepsPoolEmpty) {
   ASSERT_TRUE(rack_.PushToSleep(rack_.servers()[1]->id(), acpi::SleepState::kS3).ok());
-  EXPECT_EQ(rack_.controller().FreeRemoteBytes(), 0u);
+  EXPECT_EQ(rack_.plane().FreeRemoteBytes(), 0u);
   EXPECT_FALSE(
       rack_.fabric().NodeMemoryAccessible(rack_.servers()[1]->node()));
 }

@@ -1,16 +1,17 @@
 // Sharded control plane and lease protocol: id-stride ownership, global
-// zombie-first allocation across shards, shards=1 equivalence with the
-// classic single controller, lease grant/renew/expiry semantics, expiry
-// cleanup (orphaned buffers must be 0), deferred cleanup while a shard's
-// primary is down, per-shard failover, and the detailed escalation statuses
-// of GS_reclaim / GS_alloc_ext.
+// zombie-first allocation across shards, the shards=1 plane pinned to the
+// ids and grants of the classic single controller, lease grant/renew/expiry
+// semantics, expiry cleanup (orphaned buffers must be 0), deferred cleanup
+// while a shard's primary is down, per-shard failover, and the detailed
+// escalation statuses of GS_reclaim / GS_alloc_ext.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <initializer_list>
 #include <string>
+#include <utility>
 #include <vector>
 
-#include "src/remotemem/global_controller.h"
 #include "src/remotemem/lease.h"
 #include "src/remotemem/sharded_plane.h"
 
@@ -126,25 +127,61 @@ TEST_F(ShardedPlaneTest, ZombieMemoryBeatsActiveAcrossShards) {
 }
 
 TEST_F(ShardedPlaneTest, SingleShardMatchesClassicController) {
+  // A 1-shard plane mints the ids and makes the grants the classic single
+  // GlobalMemoryController did (recorded from that allocator before it was
+  // folded into the plane).
   auto plane = MakePlane(1);
-  GlobalMemoryController classic(ControllerConfig{.buff_size = kBuff});
-  for (ServerId s : {kZ1, kZ2, kZ3, kZ4, kUserA, kUserB}) {
-    classic.RegisterServer(s);
-  }
-  auto plane_ids = plane.GsGotoZombie(kZ1, MakeGrants(3, kZ1));
-  auto classic_ids = classic.GsGotoZombie(kZ1, MakeGrants(3, kZ1));
-  ASSERT_TRUE(plane_ids.ok());
-  ASSERT_TRUE(classic_ids.ok());
-  EXPECT_EQ(plane_ids.value(), classic_ids.value());  // classic 1, 2, 3...
+  auto ids = plane.GsGotoZombie(kZ1, MakeGrants(3, kZ1));
+  ASSERT_TRUE(ids.ok());
+  EXPECT_EQ(ids.value(), (std::vector<BufferId>{1, 2, 3}));
 
-  auto plane_grants = plane.GsAllocExt(kUserA, 2 * kBuff);
-  auto classic_grants = classic.GsAllocExt(kUserA, 2 * kBuff);
-  ASSERT_TRUE(plane_grants.ok());
-  ASSERT_TRUE(classic_grants.ok());
-  ASSERT_EQ(plane_grants.value().size(), classic_grants.value().size());
-  for (std::size_t i = 0; i < plane_grants.value().size(); ++i) {
-    EXPECT_EQ(plane_grants.value()[i].id, classic_grants.value()[i].id);
-    EXPECT_EQ(plane_grants.value()[i].host, classic_grants.value()[i].host);
+  auto grants = plane.GsAllocExt(kUserA, 2 * kBuff);
+  ASSERT_TRUE(grants.ok());
+  const std::vector<std::pair<BufferId, ServerId>> classic = {{1, kZ1}, {2, kZ1}};
+  ASSERT_EQ(grants.value().size(), classic.size());
+  for (std::size_t i = 0; i < classic.size(); ++i) {
+    EXPECT_EQ(grants.value()[i].id, classic[i].first);
+    EXPECT_EQ(grants.value()[i].host, classic[i].second);
+  }
+}
+
+// Lends `wanted` bytes of active slack whenever AS_get_free_mem asks, and
+// records who was asked.
+class LendingAgents final : public AgentDirectory {
+ public:
+  explicit LendingAgents(ShardedControlPlane* plane) : plane_(plane) {}
+  Status ReclaimFromUser(ServerId, const std::vector<BufferId>&) override {
+    return Status::Ok();
+  }
+  Bytes RequestActiveDelegation(ServerId host, Bytes wanted) override {
+    asked.push_back(host);
+    const std::size_t n = static_cast<std::size_t>(wanted / kBuff);
+    (void)plane_->DelegateActiveBuffers(host, MakeGrants(n, host));
+    return n * kBuff;
+  }
+
+  std::vector<ServerId> asked;
+
+ private:
+  ShardedControlPlane* plane_;
+};
+
+TEST_F(ShardedPlaneTest, SingleShardEscalationMatchesClassicController) {
+  // Empty pool: GS_alloc_ext escalates.  The classic controller asked host 1
+  // (the first registered non-zombie, non-user server) and granted its two
+  // fresh active buffers, ids 1 and 2.
+  auto plane = MakePlane(1);
+  LendingAgents agents(&plane);
+  plane.set_agents(&agents);
+  auto grants = plane.GsAllocExt(kUserA, 2 * kBuff);
+  ASSERT_TRUE(grants.ok()) << grants.status().ToString();
+  EXPECT_EQ(agents.asked, std::vector<ServerId>{kZ1});
+  const std::vector<std::pair<BufferId, ServerId>> classic = {{1, kZ1}, {2, kZ1}};
+  ASSERT_EQ(grants.value().size(), classic.size());
+  for (std::size_t i = 0; i < classic.size(); ++i) {
+    EXPECT_EQ(grants.value()[i].id, classic[i].first);
+    EXPECT_EQ(grants.value()[i].host, classic[i].second);
+    EXPECT_EQ(grants.value()[i].type, BufferType::kActive);
   }
 }
 
@@ -267,20 +304,28 @@ class RefusingAgents final : public AgentDirectory {
   Bytes RequestActiveDelegation(ServerId, Bytes) override { return 0; }
 };
 
-TEST(ControllerEscalation, GsReclaimNamesFailedUsersAndBuffers) {
-  GlobalMemoryController ctr(ControllerConfig{.buff_size = kBuff});
-  RefusingAgents agents;
-  ctr.set_agents(&agents);
-  for (ServerId s : {1, 2}) {
-    ctr.RegisterServer(s);
+// A 1-shard plane with `hosts` registered and leased.
+ShardedControlPlane OneShardPlane(std::initializer_list<ServerId> hosts) {
+  ShardedControlPlane plane(
+      PlaneConfig{.buff_size = kBuff, .shards = 1, .lease = {}, .secondary = {}});
+  for (ServerId s : hosts) {
+    plane.RegisterServer(s);
+    plane.GrantLease(s, 0);
   }
-  auto ids = ctr.GsGotoZombie(1, MakeGrants(2, 1));
+  return plane;
+}
+
+TEST(ControllerEscalation, GsReclaimNamesFailedUsersAndBuffers) {
+  auto plane = OneShardPlane({1, 2});
+  RefusingAgents agents;
+  plane.set_agents(&agents);
+  auto ids = plane.GsGotoZombie(1, MakeGrants(2, 1));
   ASSERT_TRUE(ids.ok());
-  ASSERT_TRUE(ctr.GsAllocExt(2, 2 * kBuff).ok());  // both buffers now used
+  ASSERT_TRUE(plane.GsAllocExt(2, 2 * kBuff).ok());  // both buffers now used
 
   // Reclaiming allocated buffers needs US_reclaim; the agent refuses, so the
   // status names the user and the exact buffers, and nothing is erased.
-  auto reclaimed = ctr.GsReclaim(1, 2);
+  auto reclaimed = plane.GsReclaim(1, 2);
   ASSERT_FALSE(reclaimed.ok());
   EXPECT_EQ(reclaimed.code(), ErrorCode::kUnavailable);
   const std::string message = reclaimed.status().message();
@@ -288,22 +333,19 @@ TEST(ControllerEscalation, GsReclaimNamesFailedUsersAndBuffers) {
   for (BufferId id : ids.value()) {
     EXPECT_NE(message.find(std::to_string(id)), std::string::npos) << message;
   }
-  EXPECT_EQ(ctr.db().size(), 2u);  // failed reclaim left the db untouched
-  EXPECT_EQ(ctr.db().free_count(), 0u);
+  EXPECT_EQ(plane.primary(0).db().size(), 2u);  // failed reclaim left the db untouched
+  EXPECT_EQ(plane.primary(0).db().free_count(), 0u);
 }
 
 TEST(ControllerEscalation, GsAllocExtReportsEscalationLedger) {
-  GlobalMemoryController ctr(ControllerConfig{.buff_size = kBuff});
+  auto plane = OneShardPlane({1, 2, 3});
   RefusingAgents agents;
-  ctr.set_agents(&agents);
-  for (ServerId s : {1, 2, 3}) {
-    ctr.RegisterServer(s);
-  }
-  ASSERT_TRUE(ctr.GsGotoZombie(1, MakeGrants(1, 1)).ok());
+  plane.set_agents(&agents);
+  ASSERT_TRUE(plane.GsGotoZombie(1, MakeGrants(1, 1)).ok());
 
   // Want 3, pool holds 1, escalation to hosts 2 (host 3 is the user) lends
   // nothing: the failure itemises every AS_get_free_mem result.
-  auto grants = ctr.GsAllocExt(3, 3 * kBuff);
+  auto grants = plane.GsAllocExt(3, 3 * kBuff);
   ASSERT_FALSE(grants.ok());
   EXPECT_EQ(grants.code(), ErrorCode::kOutOfMemory);
   const std::string message = grants.status().message();
@@ -311,16 +353,7 @@ TEST(ControllerEscalation, GsAllocExtReportsEscalationLedger) {
   EXPECT_NE(message.find("AS_get_free_mem(host 2) -> 0 B"), std::string::npos) << message;
   EXPECT_EQ(message.find("AS_get_free_mem(host 3)"), std::string::npos) << message;
   // All-or-nothing: the one granted buffer was rolled back.
-  EXPECT_EQ(ctr.FreeRemoteBytes(), kBuff);
-}
-
-TEST(ControllerEscalation, DisabledEscalationSaysSo) {
-  GlobalMemoryController ctr(
-      ControllerConfig{.buff_size = kBuff, .allow_escalation = false});
-  ctr.RegisterServer(1);
-  auto grants = ctr.GsAllocExt(1, kBuff);
-  ASSERT_FALSE(grants.ok());
-  EXPECT_NE(grants.status().message().find("escalation disabled"), std::string::npos);
+  EXPECT_EQ(plane.FreeRemoteBytes(), kBuff);
 }
 
 }  // namespace

@@ -62,12 +62,12 @@ TEST_F(FailureTest, FailoverPreservesInFlightAllocations) {
   // The promoted controller still tracks the allocation as ours: releasing
   // a buffer we hold succeeds, releasing a foreign one fails.
   auto ids = extent.value()->buffer_ids();
-  EXPECT_TRUE(rack_.controller().GsRelease(user_->id(), {ids[0]}).ok());
-  EXPECT_FALSE(rack_.controller().GsRelease(spare_->id(), {ids[1]}).ok());
+  EXPECT_TRUE(rack_.plane().GsRelease(user_->id(), {ids[0]}).ok());
+  EXPECT_FALSE(rack_.plane().GsRelease(spare_->id(), {ids[1]}).ok());
 }
 
 TEST_F(FailureTest, HeartbeatFlappingDoesNotFailOver) {
-  const auto* controller_before = &rack_.controller();
+  const auto* controller_before = &rack_.plane().primary(0);
   // Miss two beats (below the threshold of 3), then recover, repeatedly.
   for (int round = 0; round < 4; ++round) {
     rack_.FailPrimaryController();  // silences heartbeats
@@ -78,8 +78,8 @@ TEST_F(FailureTest, HeartbeatFlappingDoesNotFailOver) {
     rack_.RevivePrimaryController();
     rack_.PumpHeartbeat();
   }
-  EXPECT_EQ(&rack_.controller(), controller_before);
-  EXPECT_FALSE(rack_.secondary().failed_over());
+  EXPECT_EQ(&rack_.plane().primary(0), controller_before);
+  EXPECT_FALSE(rack_.plane().secondary(0).failed_over());
 }
 
 // ---------------------------------------------------------------------------
@@ -160,7 +160,7 @@ TEST(FailureLegacy, NonSzBoardRefusesZombieButWorksOtherwise) {
   // The legacy box can still S3 (no lending) and the modern one zombifies.
   EXPECT_TRUE(rack.PushToSleep(legacy.id(), acpi::SleepState::kS3).ok());
   EXPECT_TRUE(rack.PushToZombie(modern.id()).ok());
-  EXPECT_GT(rack.controller().FreeRemoteBytes(), 0u);
+  EXPECT_GT(rack.plane().FreeRemoteBytes(), 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -169,14 +169,14 @@ TEST(FailureLegacy, NonSzBoardRefusesZombieButWorksOtherwise) {
 
 TEST_F(FailureTest, FailedGuaranteedAllocationRollsBack) {
   ASSERT_TRUE(rack_.PushToZombie(zombie_->id()).ok());
-  const Bytes pool = rack_.controller().FreeRemoteBytes();
+  const Bytes pool = rack_.plane().FreeRemoteBytes();
   // Ask for more than the rack holds (escalation finds no slack: the spare
   // keeps its 25% floor, the user too).
   auto extent = rack_.manager(user_->id()).AllocExtension(64 * kGiB);
   EXPECT_FALSE(extent.ok());
   EXPECT_EQ(extent.code(), ErrorCode::kOutOfMemory);
   // Everything the failed allocation touched was released.
-  EXPECT_GE(rack_.controller().FreeRemoteBytes(), pool);
+  EXPECT_GE(rack_.plane().FreeRemoteBytes(), pool);
   // And a sane allocation still succeeds afterwards.
   EXPECT_TRUE(rack_.manager(user_->id()).AllocExtension(8 * kMiB).ok());
 }
@@ -188,7 +188,7 @@ TEST_F(FailureTest, DelegationFailureLeavesNoRegions) {
   auto delegated = mgr.DelegateActive(16 * kMiB);
   EXPECT_FALSE(delegated.ok());
   EXPECT_TRUE(mgr.delegated().empty());
-  EXPECT_EQ(rack_.controller().FreeRemoteBytes(), 0u);
+  EXPECT_EQ(rack_.plane().FreeRemoteBytes(), 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -285,7 +285,7 @@ TEST_F(FailureTest, FaultInjectorFiresPlanInSimTimeOrder) {
 
   // The controller crash was absorbed by failover, the short partition
   // healed below the ttl, and only the host crash cost a lease.
-  EXPECT_TRUE(rack_.secondary().failed_over());
+  EXPECT_TRUE(rack_.plane().secondary(0).failed_over());
   EXPECT_EQ(expiries, 1u);
   EXPECT_FALSE(rack_.plane().LeaseLive(zombie_->id(), rack_.now()));
   EXPECT_TRUE(rack_.plane().LeaseLive(user_->id(), rack_.now()));

@@ -50,7 +50,6 @@
 #include "src/rdma/rpc.h"
 #include "src/rdma/verbs.h"
 #include "src/remotemem/buffer_db.h"
-#include "src/remotemem/control_plane.h"
 #include "src/remotemem/global_controller.h"
 #include "src/remotemem/lease.h"
 #include "src/remotemem/memory_manager.h"

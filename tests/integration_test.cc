@@ -63,7 +63,7 @@ TEST(Integration, ZombieLifecycleTwice) {
 
     ASSERT_TRUE(rack.WakeServer(host.id()).ok());
     EXPECT_EQ(host.machine().state(), acpi::SleepState::kS0);
-    EXPECT_EQ(rack.controller().FreeRemoteBytes(), 0u);
+    EXPECT_EQ(rack.plane().FreeRemoteBytes(), 0u);
     // The user's page survived via the mirror.
     EXPECT_TRUE(extent.value()->ReadPage(0, {}).ok());
     ASSERT_TRUE(rack.manager(user.id()).ReleaseExtent(extent.value()).ok());
@@ -147,17 +147,17 @@ TEST(Integration, ConsolidateThenSuspendDropsPower) {
   }
 
   EXPECT_LT(rack.TotalPowerPercent(), power_before - 10.0);
-  EXPECT_GT(rack.controller().FreeRemoteBytes(), 20 * kGiB);
+  EXPECT_GT(rack.plane().FreeRemoteBytes(), 20 * kGiB);
   // Every VM still has its booked memory reachable: local + pool.
   for (Server* server : hosts) {
     for (const auto& [vm_id, vm] : server->vms()) {
       const Bytes local = server->LocalBytesOf(vm_id);
       EXPECT_LE(local, vm.reserved_memory);
-      EXPECT_LE(vm.reserved_memory - local, rack.controller().FreeRemoteBytes());
+      EXPECT_LE(vm.reserved_memory - local, rack.plane().FreeRemoteBytes());
     }
   }
   // And the placement filter would admit another remote-heavy VM now.
-  nova.set_remote_pool(rack.controller().FreeRemoteBytes());
+  nova.set_remote_pool(rack.plane().FreeRemoteBytes());
   EXPECT_TRUE(nova.Place(hosts, MakeVm(9, 8 * kGiB, 2)).has_value());
 }
 
@@ -174,7 +174,7 @@ TEST(Integration, RpcControlPathAgainstRackController) {
   ctr_box.set_role(Role::kGlobalController);
 
   rdma::RpcServer rpc_server(&rack.verbs(), ctr_box.node());
-  remotemem::ControllerEndpoint endpoint(&rack.controller(), &rpc_server);
+  remotemem::ControllerEndpoint endpoint(&rack.plane(), &rpc_server);
   rdma::RpcRouter router(&rack.verbs());
   router.AddServer(&rpc_server);
   remotemem::ControllerClient client(&router, agent_box.node(), ctr_box.node());
@@ -191,10 +191,10 @@ TEST(Integration, RpcControlPathAgainstRackController) {
   }
   auto ids = client.GotoZombie(agent_box.id(), grants);
   ASSERT_TRUE(ids.ok()) << ids.status().ToString();
-  EXPECT_EQ(rack.controller().FreeRemoteBytes(), 16 * kMiB);
+  EXPECT_EQ(rack.plane().FreeRemoteBytes(), 16 * kMiB);
 
   // The mirrored secondary saw every wire-driven operation.
-  EXPECT_GE(rack.secondary().mirrored_ops(), 4u);
+  EXPECT_GE(rack.plane().secondary(0).mirrored_ops(), 4u);
 
   // When the controller's host suspends, the control path fails cleanly
   // (the RPC daemon needs a CPU) — this is why the secondary exists.
@@ -216,7 +216,7 @@ TEST(Integration, SurplusZombiesDeepSleep) {
   Server& z2 = rack.AddServer("z2", profile, {8, 16 * kGiB});
   ASSERT_TRUE(rack.PushToZombie(z1.id()).ok());
   ASSERT_TRUE(rack.PushToZombie(z2.id()).ok());
-  const Bytes pool = rack.controller().FreeRemoteBytes();
+  const Bytes pool = rack.plane().FreeRemoteBytes();
 
   // Pin one buffer on whichever zombie the allocator picks first.
   auto extent = rack.manager(user.id()).AllocExtension(4 * kMiB);
@@ -232,7 +232,7 @@ TEST(Integration, SurplusZombiesDeepSleep) {
   // serves the allocated extent.
   EXPECT_TRUE(extent.value()->WritePage(0, {}).ok());
   // Pool shrank by the retired server's share.
-  EXPECT_LT(rack.controller().FreeRemoteBytes(), pool - 10 * kGiB);
+  EXPECT_LT(rack.plane().FreeRemoteBytes(), pool - 10 * kGiB);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
-// Unit tests for the rack-level remote-memory protocol: buffer DB, global
-// controller (GS_* calls), secondary controller mirroring/failover, and the
-// remote-memory manager / extent.
+// Unit tests for the rack-level remote-memory protocol: buffer DB, the GS_*
+// calls on a 1-shard control plane, secondary controller mirroring/failover,
+// and the remote-memory manager / extent.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -12,6 +12,7 @@
 #include "src/remotemem/global_controller.h"
 #include "src/remotemem/memory_manager.h"
 #include "src/remotemem/secondary_controller.h"
+#include "src/remotemem/sharded_plane.h"
 #include "src/remotemem/types.h"
 
 namespace zombie::remotemem {
@@ -113,7 +114,7 @@ TEST(BufferDb, SnapshotLoadRoundTrip) {
 }
 
 // ---------------------------------------------------------------------------
-// GlobalMemoryController.
+// GS_* calls on a 1-shard control plane.
 // ---------------------------------------------------------------------------
 
 std::vector<BufferGrant> MakeGrants(std::size_t n, ServerId host, Bytes size = kTestBuff) {
@@ -124,11 +125,15 @@ std::vector<BufferGrant> MakeGrants(std::size_t n, ServerId host, Bytes size = k
   return grants;
 }
 
+PlaneConfig OneShard() {
+  return PlaneConfig{.buff_size = kTestBuff, .shards = 1, .lease = {}, .secondary = {}};
+}
+
 class ControllerTest : public ::testing::Test {
  protected:
-  ControllerTest() : ctr_(ControllerConfig{kTestBuff, true}) {
+  ControllerTest() : plane_(OneShard()) {
     for (ServerId s : {kHostA, kHostB, kUserC, kUserD}) {
-      ctr_.RegisterServer(s);
+      plane_.RegisterServer(s);
     }
   }
 
@@ -136,31 +141,31 @@ class ControllerTest : public ::testing::Test {
   static constexpr ServerId kHostB = 2;
   static constexpr ServerId kUserC = 3;
   static constexpr ServerId kUserD = 4;
-  GlobalMemoryController ctr_;
+  ShardedControlPlane plane_;
 };
 
 TEST_F(ControllerTest, GotoZombieRegistersBuffers) {
-  auto ids = ctr_.GsGotoZombie(kHostA, MakeGrants(4, kHostA));
+  auto ids = plane_.GsGotoZombie(kHostA, MakeGrants(4, kHostA));
   ASSERT_TRUE(ids.ok());
   EXPECT_EQ(ids.value().size(), 4u);
-  EXPECT_TRUE(ctr_.IsZombie(kHostA));
-  EXPECT_EQ(ctr_.ZombieList(), std::vector<ServerId>{kHostA});
-  EXPECT_EQ(ctr_.FreeRemoteBytes(), 4 * kTestBuff);
+  EXPECT_TRUE(plane_.IsZombie(kHostA));
+  EXPECT_EQ(plane_.ZombieList(), std::vector<ServerId>{kHostA});
+  EXPECT_EQ(plane_.FreeRemoteBytes(), 4 * kTestBuff);
 }
 
 TEST_F(ControllerTest, RejectsNonUniformBuffSize) {
   auto grants = MakeGrants(1, kHostA, kTestBuff * 2);
-  EXPECT_FALSE(ctr_.GsGotoZombie(kHostA, grants).ok());
+  EXPECT_FALSE(plane_.GsGotoZombie(kHostA, grants).ok());
 }
 
 TEST_F(ControllerTest, RejectsUnregisteredHost) {
-  EXPECT_EQ(ctr_.GsGotoZombie(99, MakeGrants(1, 99)).code(), ErrorCode::kNotFound);
+  EXPECT_EQ(plane_.GsGotoZombie(99, MakeGrants(1, 99)).code(), ErrorCode::kNotFound);
 }
 
 TEST_F(ControllerTest, AllocExtTakesZombieFirst) {
-  ASSERT_TRUE(ctr_.GsGotoZombie(kHostA, MakeGrants(2, kHostA)).ok());
-  ASSERT_TRUE(ctr_.DelegateActiveBuffers(kHostB, MakeGrants(2, kHostB)).ok());
-  auto grants = ctr_.GsAllocExt(kUserC, 3 * kTestBuff);
+  ASSERT_TRUE(plane_.GsGotoZombie(kHostA, MakeGrants(2, kHostA)).ok());
+  ASSERT_TRUE(plane_.DelegateActiveBuffers(kHostB, MakeGrants(2, kHostB)).ok());
+  auto grants = plane_.GsAllocExt(kUserC, 3 * kTestBuff);
   ASSERT_TRUE(grants.ok());
   ASSERT_EQ(grants.value().size(), 3u);
   // Zombie buffers (host A) have strict priority; active fills the rest.
@@ -170,42 +175,42 @@ TEST_F(ControllerTest, AllocExtTakesZombieFirst) {
 }
 
 TEST_F(ControllerTest, AllocExtRoundsUpAndFailsWhenShort) {
-  ASSERT_TRUE(ctr_.GsGotoZombie(kHostA, MakeGrants(2, kHostA)).ok());
+  ASSERT_TRUE(plane_.GsGotoZombie(kHostA, MakeGrants(2, kHostA)).ok());
   // 1.5 buffs worth must round up to 2 buffers.
-  auto grants = ctr_.GsAllocExt(kUserC, kTestBuff + kTestBuff / 2);
+  auto grants = plane_.GsAllocExt(kUserC, kTestBuff + kTestBuff / 2);
   ASSERT_TRUE(grants.ok());
   EXPECT_EQ(grants.value().size(), 2u);
   // Nothing left: a guaranteed allocation must fail (and roll back cleanly).
-  auto fail = ctr_.GsAllocExt(kUserD, kTestBuff);
+  auto fail = plane_.GsAllocExt(kUserD, kTestBuff);
   EXPECT_EQ(fail.code(), ErrorCode::kOutOfMemory);
-  EXPECT_EQ(ctr_.FreeRemoteBytes(), 0u);
+  EXPECT_EQ(plane_.FreeRemoteBytes(), 0u);
 }
 
 TEST_F(ControllerTest, AllocSwapIsBestEffort) {
-  ASSERT_TRUE(ctr_.GsGotoZombie(kHostA, MakeGrants(2, kHostA)).ok());
-  auto grants = ctr_.GsAllocSwap(kUserC, 5 * kTestBuff);
+  ASSERT_TRUE(plane_.GsGotoZombie(kHostA, MakeGrants(2, kHostA)).ok());
+  auto grants = plane_.GsAllocSwap(kUserC, 5 * kTestBuff);
   ASSERT_TRUE(grants.ok());
   EXPECT_EQ(grants.value().size(), 2u);  // less than asked, no error
   // And swap never takes partial buffers: 0.5 buff request yields nothing.
-  auto none = ctr_.GsAllocSwap(kUserD, kTestBuff / 2);
+  auto none = plane_.GsAllocSwap(kUserD, kTestBuff / 2);
   ASSERT_TRUE(none.ok());
   EXPECT_TRUE(none.value().empty());
 }
 
 TEST_F(ControllerTest, ReleaseReturnsToPool) {
-  ASSERT_TRUE(ctr_.GsGotoZombie(kHostA, MakeGrants(1, kHostA)).ok());
-  auto grants = ctr_.GsAllocExt(kUserC, kTestBuff);
+  ASSERT_TRUE(plane_.GsGotoZombie(kHostA, MakeGrants(1, kHostA)).ok());
+  auto grants = plane_.GsAllocExt(kUserC, kTestBuff);
   ASSERT_TRUE(grants.ok());
-  EXPECT_EQ(ctr_.FreeRemoteBytes(), 0u);
-  ASSERT_TRUE(ctr_.GsRelease(kUserC, {grants.value()[0].id}).ok());
-  EXPECT_EQ(ctr_.FreeRemoteBytes(), kTestBuff);
+  EXPECT_EQ(plane_.FreeRemoteBytes(), 0u);
+  ASSERT_TRUE(plane_.GsRelease(kUserC, {grants.value()[0].id}).ok());
+  EXPECT_EQ(plane_.FreeRemoteBytes(), kTestBuff);
 }
 
 TEST_F(ControllerTest, ReleaseByWrongUserRejected) {
-  ASSERT_TRUE(ctr_.GsGotoZombie(kHostA, MakeGrants(1, kHostA)).ok());
-  auto grants = ctr_.GsAllocExt(kUserC, kTestBuff);
+  ASSERT_TRUE(plane_.GsGotoZombie(kHostA, MakeGrants(1, kHostA)).ok());
+  auto grants = plane_.GsAllocExt(kUserC, kTestBuff);
   ASSERT_TRUE(grants.ok());
-  EXPECT_FALSE(ctr_.GsRelease(kUserD, {grants.value()[0].id}).ok());
+  EXPECT_FALSE(plane_.GsRelease(kUserD, {grants.value()[0].id}).ok());
 }
 
 // Records US_reclaim notifications.
@@ -222,37 +227,37 @@ class RecordingAgents : public AgentDirectory {
 
 TEST_F(ControllerTest, ReclaimPrefersFreeThenNotifiesUsers) {
   RecordingAgents agents;
-  ctr_.set_agents(&agents);
-  ASSERT_TRUE(ctr_.GsGotoZombie(kHostA, MakeGrants(3, kHostA)).ok());
-  auto grants = ctr_.GsAllocExt(kUserC, kTestBuff);  // takes buffer #1
+  plane_.set_agents(&agents);
+  ASSERT_TRUE(plane_.GsGotoZombie(kHostA, MakeGrants(3, kHostA)).ok());
+  auto grants = plane_.GsAllocExt(kUserC, kTestBuff);  // takes buffer #1
   ASSERT_TRUE(grants.ok());
 
   // Reclaim 2: the free pair goes first, no user notification needed.
-  auto reclaimed = ctr_.GsReclaim(kHostA, 2);
+  auto reclaimed = plane_.GsReclaim(kHostA, 2);
   ASSERT_TRUE(reclaimed.ok());
   EXPECT_TRUE(agents.reclaims.empty());
-  EXPECT_FALSE(ctr_.IsZombie(kHostA));  // reclaiming host is waking
+  EXPECT_FALSE(plane_.IsZombie(kHostA));  // reclaiming host is waking
 
   // Reclaim the last (allocated) one: the user must be told.
-  auto last = ctr_.GsReclaim(kHostA, 1);
+  auto last = plane_.GsReclaim(kHostA, 1);
   ASSERT_TRUE(last.ok());
   ASSERT_EQ(agents.reclaims[kUserC].size(), 1u);
   EXPECT_EQ(agents.reclaims[kUserC][0], grants.value()[0].id);
-  EXPECT_EQ(ctr_.FreeRemoteBytes(), 0u);
+  EXPECT_EQ(plane_.FreeRemoteBytes(), 0u);
 }
 
 TEST_F(ControllerTest, ReclaimMoreThanDelegatedRejected) {
-  ASSERT_TRUE(ctr_.GsGotoZombie(kHostA, MakeGrants(1, kHostA)).ok());
-  EXPECT_FALSE(ctr_.GsReclaim(kHostA, 2).ok());
+  ASSERT_TRUE(plane_.GsGotoZombie(kHostA, MakeGrants(1, kHostA)).ok());
+  EXPECT_FALSE(plane_.GsReclaim(kHostA, 2).ok());
 }
 
 TEST_F(ControllerTest, LruZombiePrefersLeastAllocated) {
-  ASSERT_TRUE(ctr_.GsGotoZombie(kHostA, MakeGrants(2, kHostA)).ok());
-  ASSERT_TRUE(ctr_.GsGotoZombie(kHostB, MakeGrants(2, kHostB)).ok());
+  ASSERT_TRUE(plane_.GsGotoZombie(kHostA, MakeGrants(2, kHostA)).ok());
+  ASSERT_TRUE(plane_.GsGotoZombie(kHostB, MakeGrants(2, kHostB)).ok());
   // Three buffers round-robin as A, B, A: host A ends up with 2 allocated,
   // host B with 1 — so B is the cheapest zombie to wake.
-  ASSERT_TRUE(ctr_.GsAllocExt(kUserC, 3 * kTestBuff).ok());
-  auto lru = ctr_.GsGetLruZombie();
+  ASSERT_TRUE(plane_.GsAllocExt(kUserC, 3 * kTestBuff).ok());
+  auto lru = plane_.GsGetLruZombie();
   ASSERT_TRUE(lru.ok());
   EXPECT_EQ(lru.value(), kHostB);
 }
@@ -260,9 +265,9 @@ TEST_F(ControllerTest, LruZombiePrefersLeastAllocated) {
 TEST_F(ControllerTest, AllocationsSpreadAcrossHosts) {
   // "the memSize allocation is backed by memory from multiple remote
   // servers" — round-robin across zombie hosts.
-  ASSERT_TRUE(ctr_.GsGotoZombie(kHostA, MakeGrants(3, kHostA)).ok());
-  ASSERT_TRUE(ctr_.GsGotoZombie(kHostB, MakeGrants(3, kHostB)).ok());
-  auto grants = ctr_.GsAllocExt(kUserC, 4 * kTestBuff);
+  ASSERT_TRUE(plane_.GsGotoZombie(kHostA, MakeGrants(3, kHostA)).ok());
+  ASSERT_TRUE(plane_.GsGotoZombie(kHostB, MakeGrants(3, kHostB)).ok());
+  auto grants = plane_.GsAllocExt(kUserC, 4 * kTestBuff);
   ASSERT_TRUE(grants.ok());
   std::size_t from_a = 0;
   for (const auto& g : grants.value()) {
@@ -272,29 +277,29 @@ TEST_F(ControllerTest, AllocationsSpreadAcrossHosts) {
 }
 
 TEST_F(ControllerTest, LruZombieWithNoZombies) {
-  EXPECT_EQ(ctr_.GsGetLruZombie().code(), ErrorCode::kNotFound);
+  EXPECT_EQ(plane_.GsGetLruZombie().code(), ErrorCode::kNotFound);
 }
 
 TEST_F(ControllerTest, ActiveEscalationViaAgents) {
   // An AgentDirectory that delegates active buffers when asked.
   class LendingAgents : public AgentDirectory {
    public:
-    explicit LendingAgents(GlobalMemoryController* c) : ctr(c) {}
+    explicit LendingAgents(ShardedControlPlane* p) : plane(p) {}
     Status ReclaimFromUser(ServerId, const std::vector<BufferId>&) override {
       return Status::Ok();
     }
     Bytes RequestActiveDelegation(ServerId host, Bytes wanted) override {
       const std::size_t n = static_cast<std::size_t>(wanted / kTestBuff);
-      (void)ctr->DelegateActiveBuffers(host, MakeGrants(n, host));
+      (void)plane->DelegateActiveBuffers(host, MakeGrants(n, host));
       return n * kTestBuff;
     }
-    GlobalMemoryController* ctr;
+    ShardedControlPlane* plane;
   };
-  LendingAgents agents(&ctr_);
-  ctr_.set_agents(&agents);
+  LendingAgents agents(&plane_);
+  plane_.set_agents(&agents);
 
   // Pool empty; GsAllocExt escalates to active servers and succeeds.
-  auto grants = ctr_.GsAllocExt(kUserC, 2 * kTestBuff);
+  auto grants = plane_.GsAllocExt(kUserC, 2 * kTestBuff);
   ASSERT_TRUE(grants.ok());
   EXPECT_EQ(grants.value().size(), 2u);
   EXPECT_EQ(grants.value()[0].type, BufferType::kActive);
@@ -305,14 +310,13 @@ TEST_F(ControllerTest, ActiveEscalationViaAgents) {
 // ---------------------------------------------------------------------------
 
 TEST(Secondary, MirrorsAllOperations) {
-  SecondaryController secondary;
-  GlobalMemoryController primary(ControllerConfig{kTestBuff, true});
-  primary.set_mirror(&secondary);
-  primary.RegisterServer(1);
-  primary.RegisterServer(2);
+  ShardedControlPlane plane(OneShard());
+  const SecondaryController& secondary = plane.secondary(0);
+  plane.RegisterServer(1);
+  plane.RegisterServer(2);
 
-  ASSERT_TRUE(primary.GsGotoZombie(1, MakeGrants(2, 1)).ok());
-  auto grants = primary.GsAllocExt(2, kTestBuff);
+  ASSERT_TRUE(plane.GsGotoZombie(1, MakeGrants(2, 1)).ok());
+  auto grants = plane.GsAllocExt(2, kTestBuff);
   ASSERT_TRUE(grants.ok());
   EXPECT_GT(secondary.mirrored_ops(), 0u);
   EXPECT_EQ(secondary.replica().size(), 2u);
@@ -344,20 +348,25 @@ TEST(Secondary, HeartbeatRecoveryResetsMisses) {
 }
 
 TEST(Secondary, PromoteCarriesFullState) {
-  SecondaryController secondary;
-  GlobalMemoryController primary(ControllerConfig{kTestBuff, true});
-  primary.set_mirror(&secondary);
-  primary.RegisterServer(1);
-  primary.RegisterServer(2);
-  ASSERT_TRUE(primary.GsGotoZombie(1, MakeGrants(2, 1)).ok());
-  auto grants = primary.GsAllocExt(2, kTestBuff);
+  ShardedControlPlane plane(OneShard());
+  plane.RegisterServer(1);
+  plane.RegisterServer(2);
+  ASSERT_TRUE(plane.GsGotoZombie(1, MakeGrants(2, 1)).ok());
+  auto grants = plane.GsAllocExt(2, kTestBuff);
   ASSERT_TRUE(grants.ok());
 
-  auto promoted = secondary.Promote(ControllerConfig{kTestBuff, true});
-  EXPECT_TRUE(promoted->IsZombie(1));
-  EXPECT_EQ(promoted->FreeRemoteBytes(), kTestBuff);
+  // The primary dies; the secondary misses its beats and promotes.
+  plane.FailShardPrimary(0);
+  std::vector<std::size_t> promoted;
+  for (int i = 0; i < 3 && promoted.empty(); ++i) {
+    promoted = plane.PumpHeartbeats();
+  }
+  ASSERT_EQ(promoted, std::vector<std::size_t>{0});
+  EXPECT_TRUE(plane.secondary(0).failed_over());
+  EXPECT_TRUE(plane.primary(0).IsZombie(1));
+  EXPECT_EQ(plane.primary(0).FreeRemoteBytes(), kTestBuff);
   // The promoted controller keeps operating: allocate the remaining buffer.
-  auto more = promoted->GsAllocExt(2, kTestBuff);
+  auto more = plane.GsAllocExt(2, kTestBuff);
   ASSERT_TRUE(more.ok());
   // Fresh ids must not collide with replicated ones.
   EXPECT_NE(more.value()[0].id, grants.value()[0].id);
@@ -369,13 +378,13 @@ TEST(Secondary, PromoteCarriesFullState) {
 
 class ManagerTest : public ::testing::Test {
  protected:
-  ManagerTest() : verbs_(&fabric_), ctr_(ControllerConfig{kTestBuff, true}) {
+  ManagerTest() : verbs_(&fabric_), plane_(OneShard()) {
     user_node_ = AttachNode(&user_up_, &user_mem_, "user");
     host_node_ = AttachNode(&host_up_, &host_mem_, "host");
-    ctr_.RegisterServer(kUser);
-    ctr_.RegisterServer(kHost);
-    user_mgr_ = std::make_unique<RemoteMemoryManager>(kUser, &verbs_, user_node_, &ctr_);
-    host_mgr_ = std::make_unique<RemoteMemoryManager>(kHost, &verbs_, host_node_, &ctr_);
+    plane_.RegisterServer(kUser);
+    plane_.RegisterServer(kHost);
+    user_mgr_ = std::make_unique<RemoteMemoryManager>(kUser, &verbs_, user_node_, &plane_);
+    host_mgr_ = std::make_unique<RemoteMemoryManager>(kHost, &verbs_, host_node_, &plane_);
   }
 
   rdma::NodeId AttachNode(bool* cpu, bool* mem, std::string name) {
@@ -390,7 +399,7 @@ class ManagerTest : public ::testing::Test {
   static constexpr ServerId kHost = 2;
   rdma::Fabric fabric_;
   rdma::Verbs verbs_;
-  GlobalMemoryController ctr_;
+  ShardedControlPlane plane_;
   bool user_up_ = true, user_mem_ = true, host_up_ = true, host_mem_ = true;
   rdma::NodeId user_node_ = rdma::kInvalidNode;
   rdma::NodeId host_node_ = rdma::kInvalidNode;
@@ -402,9 +411,9 @@ TEST_F(ManagerTest, DelegationRegistersBuffersWithController) {
   auto n = host_mgr_->DelegateOnZombie(4 * kTestBuff);
   ASSERT_TRUE(n.ok());
   EXPECT_EQ(n.value(), 4u);
-  EXPECT_EQ(ctr_.FreeRemoteBytes(), 4 * kTestBuff);
+  EXPECT_EQ(plane_.FreeRemoteBytes(), 4 * kTestBuff);
   EXPECT_EQ(host_mgr_->delegated().size(), 4u);
-  EXPECT_TRUE(ctr_.IsZombie(kHost));
+  EXPECT_TRUE(plane_.IsZombie(kHost));
 }
 
 TEST_F(ManagerTest, DelegationBelowBuffSizeRejected) {
@@ -498,7 +507,7 @@ TEST_F(ManagerTest, ReclaimOnWakeReleasesRegions) {
   ASSERT_TRUE(reclaimed.ok());
   EXPECT_EQ(reclaimed.value(), 2u);
   EXPECT_EQ(host_mgr_->delegated().size(), 1u);
-  EXPECT_EQ(ctr_.FreeRemoteBytes(), kTestBuff);
+  EXPECT_EQ(plane_.FreeRemoteBytes(), kTestBuff);
 }
 
 TEST_F(ManagerTest, AllocSwapBestEffortSmaller) {
@@ -512,9 +521,9 @@ TEST_F(ManagerTest, ReleaseExtentReturnsBuffers) {
   ASSERT_TRUE(host_mgr_->DelegateOnZombie(2 * kTestBuff).ok());
   auto extent = user_mgr_->AllocExtension(2 * kTestBuff);
   ASSERT_TRUE(extent.ok());
-  EXPECT_EQ(ctr_.FreeRemoteBytes(), 0u);
+  EXPECT_EQ(plane_.FreeRemoteBytes(), 0u);
   ASSERT_TRUE(user_mgr_->ReleaseExtent(extent.value()).ok());
-  EXPECT_EQ(ctr_.FreeRemoteBytes(), 2 * kTestBuff);
+  EXPECT_EQ(plane_.FreeRemoteBytes(), 2 * kTestBuff);
   EXPECT_EQ(user_mgr_->extent_count(), 0u);
 }
 

@@ -8,7 +8,7 @@
 #include "src/rdma/fabric.h"
 #include "src/rdma/rpc.h"
 #include "src/rdma/verbs.h"
-#include "src/remotemem/global_controller.h"
+#include "src/remotemem/sharded_plane.h"
 #include "src/remotemem/wire.h"
 
 namespace zombie::remotemem {
@@ -22,6 +22,10 @@ std::vector<BufferGrant> MakeGrants(std::size_t n, ServerId host) {
     grants.push_back({kInvalidBuffer, 1000 + i, kBuff, host, BufferType::kZombie});
   }
   return grants;
+}
+
+PlaneConfig OneShard() {
+  return PlaneConfig{.buff_size = kBuff, .shards = 1, .lease = {}, .secondary = {}};
 }
 
 // ---------------------------------------------------------------------------
@@ -206,15 +210,15 @@ TEST(WireCodec, StatusTruncatedFails) {
 
 class WireTest : public ::testing::Test {
  protected:
-  WireTest() : verbs_(&fabric_), router_(&verbs_), ctr_(ControllerConfig{kBuff, false}) {
+  WireTest() : verbs_(&fabric_), router_(&verbs_), plane_(OneShard()) {
     ctr_node_ = Attach("ctr");
     agent_node_ = Attach("agent");
     server_ = std::make_unique<rdma::RpcServer>(&verbs_, ctr_node_);
-    endpoint_ = std::make_unique<ControllerEndpoint>(&ctr_, server_.get());
+    endpoint_ = std::make_unique<ControllerEndpoint>(&plane_, server_.get());
     router_.AddServer(server_.get());
     client_ = std::make_unique<ControllerClient>(&router_, agent_node_, ctr_node_);
-    ctr_.RegisterServer(kHost);
-    ctr_.RegisterServer(kUser);
+    plane_.RegisterServer(kHost);
+    plane_.RegisterServer(kUser);
   }
 
   rdma::NodeId Attach(std::string name) {
@@ -230,7 +234,7 @@ class WireTest : public ::testing::Test {
   rdma::Fabric fabric_;
   rdma::Verbs verbs_;
   rdma::RpcRouter router_;
-  GlobalMemoryController ctr_;
+  ShardedControlPlane plane_;
   rdma::NodeId ctr_node_ = rdma::kInvalidNode;
   rdma::NodeId agent_node_ = rdma::kInvalidNode;
   std::unique_ptr<rdma::RpcServer> server_;
@@ -242,8 +246,8 @@ TEST_F(WireTest, GotoZombieOverFabric) {
   auto ids = client_->GotoZombie(kHost, MakeGrants(3, kHost));
   ASSERT_TRUE(ids.ok()) << ids.status().ToString();
   EXPECT_EQ(ids.value().size(), 3u);
-  EXPECT_TRUE(ctr_.IsZombie(kHost));
-  EXPECT_EQ(ctr_.FreeRemoteBytes(), 3 * kBuff);
+  EXPECT_TRUE(plane_.IsZombie(kHost));
+  EXPECT_EQ(plane_.FreeRemoteBytes(), 3 * kBuff);
   EXPECT_GT(client_->last_cost().client, 0);
 }
 
@@ -255,7 +259,7 @@ TEST_F(WireTest, AllocAndReleaseOverFabric) {
   EXPECT_EQ(grants.value()[0].host, kHost);
   EXPECT_EQ(grants.value()[0].type, BufferType::kZombie);
   ASSERT_TRUE(client_->Release(kUser, {grants.value()[0].id}).ok());
-  EXPECT_EQ(ctr_.FreeRemoteBytes(), 2 * kBuff);
+  EXPECT_EQ(plane_.FreeRemoteBytes(), 2 * kBuff);
 }
 
 TEST_F(WireTest, AllocSwapBestEffortOverFabric) {
@@ -278,8 +282,8 @@ TEST_F(WireTest, ReclaimOverFabric) {
   auto reclaimed = client_->Reclaim(kHost, 2);
   ASSERT_TRUE(reclaimed.ok());
   EXPECT_EQ(reclaimed.value().size(), 2u);
-  EXPECT_FALSE(ctr_.IsZombie(kHost));
-  EXPECT_EQ(ctr_.FreeRemoteBytes(), 0u);
+  EXPECT_FALSE(plane_.IsZombie(kHost));
+  EXPECT_EQ(plane_.FreeRemoteBytes(), 0u);
 }
 
 TEST_F(WireTest, LruZombieOverFabric) {
@@ -290,48 +294,40 @@ TEST_F(WireTest, LruZombieOverFabric) {
   EXPECT_EQ(lru.value(), kHost);
 }
 
-TEST_F(WireTest, HeartbeatSequencesIncrease) {
-  auto a = client_->Heartbeat();
-  auto b = client_->Heartbeat();
-  ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(b.ok());
-  EXPECT_GT(b.value(), a.value());
-}
-
 // ---------------------------------------------------------------------------
 // Surplus-zombie retirement (Section 4.4 deep sleep).
 // ---------------------------------------------------------------------------
 
 TEST(SurplusZombies, OnlyFullyFreeZombiesBeyondSlack) {
-  GlobalMemoryController ctr(ControllerConfig{kBuff, false});
+  ShardedControlPlane plane(OneShard());
   for (ServerId s : {1u, 2u, 3u}) {
-    ctr.RegisterServer(s);
+    plane.RegisterServer(s);
   }
-  ASSERT_TRUE(ctr.GsGotoZombie(1, MakeGrants(4, 1)).ok());
-  ASSERT_TRUE(ctr.GsGotoZombie(2, MakeGrants(4, 2)).ok());
+  ASSERT_TRUE(plane.GsGotoZombie(1, MakeGrants(4, 1)).ok());
+  ASSERT_TRUE(plane.GsGotoZombie(2, MakeGrants(4, 2)).ok());
   // Host 1 serves an allocation; host 2 is fully free.
-  ASSERT_TRUE(ctr.GsAllocExt(3, kBuff).ok());
+  ASSERT_TRUE(plane.GsAllocExt(3, kBuff).ok());
 
   // Keeping >= 4 buffers of slack allows retiring host 2 only.
-  const auto surplus = ctr.SurplusZombies(3 * kBuff);
+  const auto surplus = plane.SurplusZombies(3 * kBuff);
   ASSERT_EQ(surplus.size(), 1u);
   EXPECT_EQ(surplus[0], 2u);
   // Requiring more slack than remains forbids retirement.
-  EXPECT_TRUE(ctr.SurplusZombies(5 * kBuff).empty());
+  EXPECT_TRUE(plane.SurplusZombies(5 * kBuff).empty());
 }
 
 TEST(SurplusZombies, RetireRemovesBuffers) {
-  GlobalMemoryController ctr(ControllerConfig{kBuff, false});
-  ctr.RegisterServer(1);
-  ctr.RegisterServer(2);
-  ASSERT_TRUE(ctr.GsGotoZombie(1, MakeGrants(2, 1)).ok());
-  ASSERT_TRUE(ctr.RetireZombie(1).ok());
-  EXPECT_EQ(ctr.FreeRemoteBytes(), 0u);
+  ShardedControlPlane plane(OneShard());
+  plane.RegisterServer(1);
+  plane.RegisterServer(2);
+  ASSERT_TRUE(plane.GsGotoZombie(1, MakeGrants(2, 1)).ok());
+  ASSERT_TRUE(plane.RetireZombie(1).ok());
+  EXPECT_EQ(plane.FreeRemoteBytes(), 0u);
   // Retiring a non-zombie or a serving zombie fails.
-  EXPECT_EQ(ctr.RetireZombie(2).code(), ErrorCode::kFailedPrecondition);
-  ASSERT_TRUE(ctr.GsGotoZombie(2, MakeGrants(1, 2)).ok());
-  ASSERT_TRUE(ctr.GsAllocExt(1, kBuff).ok());
-  EXPECT_EQ(ctr.RetireZombie(2).code(), ErrorCode::kConflict);
+  EXPECT_EQ(plane.RetireZombie(2).code(), ErrorCode::kFailedPrecondition);
+  ASSERT_TRUE(plane.GsGotoZombie(2, MakeGrants(1, 2)).ok());
+  ASSERT_TRUE(plane.GsAllocExt(1, kBuff).ok());
+  EXPECT_EQ(plane.RetireZombie(2).code(), ErrorCode::kConflict);
 }
 
 }  // namespace

@@ -579,7 +579,7 @@ void CheckPrintfFamily(const SourceFile& file, std::vector<Finding>* out) {
     if (std::regex_search(file.code[i], kPrintfRe)) {
       Emit(out, file, i + 1, "printf-family",
            "printf-family emission in library code; route diagnostics "
-           "through src/common/logging.h (ZLOG / FatalMessage)");
+           "through src/common/logging.h (LogMessage / FatalMessage)");
     }
   }
 }
