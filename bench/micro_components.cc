@@ -1,15 +1,17 @@
 // Component micro-benchmarks (google-benchmark): replacement-policy victim
-// selection, buffer-database operations, pager fault path, and the OSPM
-// suspend cycle.
+// selection, buffer-database operations, the control plane's RAM-Ext
+// allocate/release path, pager fault path, and the OSPM suspend cycle.
 #include <benchmark/benchmark.h>
 
 #include <memory>
+#include <vector>
 
 #include "src/acpi/machine.h"
 #include "src/hv/backend.h"
 #include "src/hv/pager.h"
 #include "src/hv/replacement.h"
 #include "src/remotemem/buffer_db.h"
+#include "src/remotemem/sharded_plane.h"
 
 namespace {
 
@@ -21,9 +23,15 @@ using zombie::hv::HostPager;
 using zombie::hv::MakePolicy;
 using zombie::hv::PagingParams;
 using zombie::hv::PolicyKind;
+using zombie::Bytes;
 using zombie::remotemem::BufferDb;
+using zombie::remotemem::BufferGrant;
+using zombie::remotemem::BufferId;
 using zombie::remotemem::BufferRecord;
 using zombie::remotemem::BufferType;
+using zombie::remotemem::PlaneConfig;
+using zombie::remotemem::ServerId;
+using zombie::remotemem::ShardedControlPlane;
 
 void BM_PolicyPickVictim(benchmark::State& state) {
   const auto kind = static_cast<PolicyKind>(state.range(0));
@@ -102,22 +110,33 @@ void BM_BufferDbAllocateRelease(benchmark::State& state) {
 }
 BENCHMARK(BM_BufferDbAllocateRelease);
 
-void BM_BufferDbFreeQuery(benchmark::State& state) {
-  BufferDb db;
-  for (std::size_t i = 1; i <= 4096; ++i) {
-    BufferRecord rec;
-    rec.id = i;
-    rec.size = 64 << 20;
-    rec.host = 1;
-    rec.user = i % 4 == 0 ? 7 : 0;
-    (void)db.Insert(rec);
+// The control plane's RAM-Ext path on one shard holding 4096 buffers
+// (16 zombie hosts x 256): GS_alloc_ext of 32 buffers, then GS_release.
+void BM_PlaneAllocExtRelease(benchmark::State& state) {
+  constexpr Bytes kBuff = 64 * zombie::kMiB;
+  constexpr ServerId kUser = 17;
+  ShardedControlPlane plane(PlaneConfig{.buff_size = kBuff, .shards = 1, .lease = {},
+                                        .secondary = {}});
+  for (ServerId host = 1; host <= kUser; ++host) {
+    plane.RegisterServer(host);
   }
+  for (ServerId host = 1; host < kUser; ++host) {
+    std::vector<BufferGrant> grants(256, BufferGrant{zombie::remotemem::kInvalidBuffer, 1, kBuff,
+                                                     host, BufferType::kZombie});
+    (void)plane.GsGotoZombie(host, grants);
+  }
+  std::vector<BufferId> ids;
   for (auto _ : state) {
-    auto free = db.FreeBuffers(BufferType::kZombie);
-    benchmark::DoNotOptimize(free);
+    auto grants = plane.GsAllocExt(kUser, 32 * kBuff);
+    ids.clear();
+    for (const auto& g : grants.value()) {
+      ids.push_back(g.id);
+    }
+    auto status = plane.GsRelease(kUser, ids);
+    benchmark::DoNotOptimize(status);
   }
 }
-BENCHMARK(BM_BufferDbFreeQuery);
+BENCHMARK(BM_PlaneAllocExtRelease);
 
 void BM_OspmSuspendResumeCycle(benchmark::State& state) {
   Machine machine("bench", MachineProfile::HpCompaqElite8300(), true);

@@ -14,6 +14,9 @@
 //                                        # tolerance (the perf_smoke gate)
 //   ZOMBIE_BENCH_SMOKE=1 ./micro_hotloop # tiny access budget (bench_smoke)
 //
+// Any other argument, --help included, prints the usage to stderr and
+// exits 2 before anything is measured.
+//
 // Scenarios: {FIFO, Clock, Mixed} x {scan, zipf, tiered} x {local, ramext}.
 // local-only keeps every page resident (fault-free fast path); ramext gives
 // the pager half the footprint (steady-state eviction + reload).
@@ -246,6 +249,14 @@ int DeriveFloors(const std::string& baseline_path, const std::string& tolerances
   return 0;
 }
 
+constexpr const char* kUsage =
+    "usage: micro_hotloop [--json=PATH] [--baseline=PATH --tolerances=PATH]\n"
+    "  --json=PATH        also write machine-readable results to PATH\n"
+    "  --baseline=PATH    fail (exit 1) if the aggregate drops below this\n"
+    "                     baseline by more than its tolerance\n"
+    "  --tolerances=PATH  the tolerance file the baseline floors come from\n"
+    "  ZOMBIE_BENCH_SMOKE=1 shrinks the access budget\n";
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -259,6 +270,10 @@ int main(int argc, char** argv) {
       baseline_path = argv[i] + 11;
     } else if (std::strncmp(argv[i], "--tolerances=", 13) == 0) {
       tolerances_path = argv[i] + 13;
+    } else {
+      // Unknown arguments, --help included, never start a measurement.
+      std::fprintf(stderr, "micro_hotloop: unrecognised argument '%s'\n%s", argv[i], kUsage);
+      return 2;
     }
   }
 

@@ -14,41 +14,96 @@ bool IdLess(const BufferRecord& record, BufferId id) { return record.id < id; }
 
 }  // namespace
 
-const BufferRecord* BufferDb::FindRecord(BufferId id) const {
-  auto it = std::lower_bound(records_.begin(), records_.end(), id, IdLess);
-  if (it == records_.end() || it->id != id) {
-    return nullptr;
+std::optional<std::size_t> BufferDb::PositionOf(BufferId id) const {
+  auto it = position_.find(id);
+  if (it == position_.end()) {
+    return std::nullopt;
   }
-  return &*it;
+  if (it->second < stale_from_) {
+    return it->second;
+  }
+  // The record sits in the shifted tail; its stored position may lag.
+  auto tail = records_.begin() + static_cast<std::ptrdiff_t>(stale_from_);
+  auto found = std::lower_bound(tail, records_.end(), id, IdLess);
+  if (found == records_.end() || found->id != id) {
+    return std::nullopt;
+  }
+  return static_cast<std::size_t>(found - records_.begin());
+}
+
+const BufferRecord* BufferDb::FindRecord(BufferId id) const {
+  const std::optional<std::size_t> pos = PositionOf(id);
+  return pos.has_value() ? &records_[*pos] : nullptr;
 }
 
 BufferRecord* BufferDb::FindMutable(BufferId id) {
+  if (stale_from_ != kAllFresh) {
+    for (std::size_t i = stale_from_; i < records_.size(); ++i) {
+      position_[records_[i].id] = i;
+    }
+    stale_from_ = kAllFresh;
+  }
   return const_cast<BufferRecord*>(FindRecord(id));
+}
+
+void BufferDb::AddFree(const BufferRecord& record) {
+  ++free_count_;
+  free_bytes_ += record.size;
+  std::vector<BufferId>& ids = free_by_host_[static_cast<std::size_t>(record.type)][record.host];
+  if (ids.empty() || ids.back() < record.id) {
+    ids.push_back(record.id);
+  } else {
+    ids.insert(std::lower_bound(ids.begin(), ids.end(), record.id), record.id);
+  }
+}
+
+void BufferDb::RemoveFree(const BufferRecord& record) {
+  --free_count_;
+  free_bytes_ -= record.size;
+  FreeIndex& index = free_by_host_[static_cast<std::size_t>(record.type)];
+  auto host = index.find(record.host);
+  std::vector<BufferId>& ids = host->second;
+  ids.erase(std::lower_bound(ids.begin(), ids.end(), record.id));
+  if (ids.empty()) {
+    index.erase(host);
+  }
 }
 
 Status BufferDb::Insert(const BufferRecord& record) {
   if (record.id == kInvalidBuffer) {
     return Status(ErrorCode::kInvalidArgument, "buffer id 0 is reserved");
   }
+  if (position_.contains(record.id)) {
+    return Status(ErrorCode::kConflict, "duplicate buffer id");
+  }
   // Controller-assigned ids are monotonic, so the common case is an append.
   if (records_.empty() || records_.back().id < record.id) {
     records_.push_back(record);
-    return Status::Ok();
+    position_[record.id] = records_.size() - 1;
+  } else {
+    auto it = std::lower_bound(records_.begin(), records_.end(), record.id, IdLess);
+    const auto pos = static_cast<std::size_t>(it - records_.begin());
+    records_.insert(it, record);
+    position_[record.id] = pos;
+    stale_from_ = std::min(stale_from_, pos);
   }
-  auto it = std::lower_bound(records_.begin(), records_.end(), record.id, IdLess);
-  if (it != records_.end() && it->id == record.id) {
-    return Status(ErrorCode::kConflict, "duplicate buffer id");
+  if (record.user == kNilServer) {
+    AddFree(record);
   }
-  records_.insert(it, record);
   return Status::Ok();
 }
 
 Status BufferDb::Erase(BufferId id) {
-  auto it = std::lower_bound(records_.begin(), records_.end(), id, IdLess);
-  if (it == records_.end() || it->id != id) {
+  const std::optional<std::size_t> pos = PositionOf(id);
+  if (!pos.has_value()) {
     return Status(ErrorCode::kNotFound, "unknown buffer id");
   }
-  records_.erase(it);
+  position_.erase(id);
+  if (records_[*pos].user == kNilServer) {
+    RemoveFree(records_[*pos]);
+  }
+  records_.erase(records_.begin() + static_cast<std::ptrdiff_t>(*pos));
+  stale_from_ = std::min(stale_from_, *pos);
   return Status::Ok();
 }
 
@@ -68,6 +123,9 @@ Status BufferDb::Assign(BufferId id, ServerId user) {
   if (record->user != kNilServer) {
     return Status(ErrorCode::kConflict, "buffer already allocated");
   }
+  if (user != kNilServer) {
+    RemoveFree(*record);
+  }
   record->user = user;
   return Status::Ok();
 }
@@ -77,7 +135,10 @@ Status BufferDb::Release(BufferId id) {
   if (record == nullptr) {
     return Status(ErrorCode::kNotFound, "unknown buffer id");
   }
-  record->user = kNilServer;
+  if (record->user != kNilServer) {
+    record->user = kNilServer;
+    AddFree(*record);
+  }
   return Status::Ok();
 }
 
@@ -87,17 +148,19 @@ void BufferDb::RetypeHost(ServerId host, BufferType type) {
       rec.type = type;
     }
   }
-}
-
-std::vector<BufferRecord> BufferDb::FreeBuffers(std::optional<BufferType> type) const {
-  std::vector<BufferRecord> out;
-  out.reserve(records_.size());
-  for (const auto& rec : records_) {
-    if (rec.user == kNilServer && (!type.has_value() || rec.type == *type)) {
-      out.push_back(rec);
-    }
+  // Move the host's free ids of the other type over, merged in id order.
+  const BufferType other =
+      type == BufferType::kZombie ? BufferType::kActive : BufferType::kZombie;
+  FreeIndex& from = free_by_host_[static_cast<std::size_t>(other)];
+  auto moved = from.find(host);
+  if (moved == from.end()) {
+    return;
   }
-  return out;
+  std::vector<BufferId>& ids = free_by_host_[static_cast<std::size_t>(type)][host];
+  const auto middle = static_cast<std::ptrdiff_t>(ids.size());
+  ids.insert(ids.end(), moved->second.begin(), moved->second.end());
+  std::inplace_merge(ids.begin(), ids.begin() + middle, ids.end());
+  from.erase(moved);
 }
 
 std::vector<BufferRecord> BufferDb::BuffersOfHost(ServerId host) const {
@@ -133,26 +196,6 @@ std::vector<BufferRecord> BufferDb::ReclaimOrderForHost(ServerId host) const {
   return all;
 }
 
-std::size_t BufferDb::free_count() const {
-  std::size_t n = 0;
-  for (const auto& rec : records_) {
-    if (rec.user == kNilServer) {
-      ++n;
-    }
-  }
-  return n;
-}
-
-Bytes BufferDb::FreeBytes() const {
-  Bytes total = 0;
-  for (const auto& rec : records_) {
-    if (rec.user == kNilServer) {
-      total += rec.size;
-    }
-  }
-  return total;
-}
-
 Bytes BufferDb::TotalBytes() const {
   Bytes total = 0;
   for (const auto& rec : records_) {
@@ -177,6 +220,20 @@ void BufferDb::Load(const std::vector<BufferRecord>& records) {
   records_ = records;
   std::sort(records_.begin(), records_.end(),
             [](const BufferRecord& a, const BufferRecord& b) { return a.id < b.id; });
+  position_.clear();
+  position_.reserve(records_.size());
+  stale_from_ = kAllFresh;
+  for (auto& index : free_by_host_) {
+    index.clear();
+  }
+  free_count_ = 0;
+  free_bytes_ = 0;
+  for (std::size_t i = 0; i < records_.size(); ++i) {
+    position_[records_[i].id] = i;
+    if (records_[i].user == kNilServer) {
+      AddFree(records_[i]);
+    }
+  }
 }
 
 }  // namespace zombie::remotemem

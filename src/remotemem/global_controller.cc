@@ -174,47 +174,38 @@ Result<std::vector<BufferId>> GlobalMemoryController::GsReclaim(ServerId host,
 std::vector<BufferGrant> GlobalMemoryController::TakeFreeOfType(ServerId user,
                                                                 std::size_t want,
                                                                 BufferType type) {
-  std::vector<BufferGrant> grants;
-  grants.reserve(want);
   // Within a type, buffers are taken round-robin across hosts: "the memSize
   // allocation is backed by memory from multiple remote servers.  This
   // approach minimizes the performance impact caused by a remote server
   // failure."
   //
-  // Free records arrive sorted by id; regrouping them by host (hosts
-  // ascending, ids ascending within a host) reproduces the old
-  // map<ServerId, vector>'s iteration order with two flat passes.
-  std::vector<BufferRecord> free_records = db_.FreeBuffers(type);
-  std::stable_sort(free_records.begin(), free_records.end(),
-                   [](const BufferRecord& a, const BufferRecord& b) {
-                     return a.host < b.host;
-                   });
-  std::vector<std::pair<std::size_t, std::size_t>> groups;  // [begin, end) per host
-  for (std::size_t i = 0; i < free_records.size();) {
-    std::size_t j = i;
-    while (j < free_records.size() && free_records[j].host == free_records[i].host) {
-      ++j;
-    }
-    groups.emplace_back(i, j);
-    i = j;
-  }
-  std::vector<std::size_t> cursors(groups.size(), 0);
-  bool took_any = true;
-  while (grants.size() < want && took_any) {
-    took_any = false;
-    for (std::size_t g = 0; g < groups.size() && grants.size() < want; ++g) {
-      const auto [begin, end] = groups[g];
-      std::size_t& pos = cursors[g];
-      if (begin + pos >= end) {
-        continue;
+  // Round r takes each host's r-th free id, hosts ascending and ids
+  // ascending within a host, straight from the free index.  Every pick is
+  // made before the first Assign changes that index.
+  const BufferDb::FreeIndex& free_by_host = db_.FreeByHost(type);
+  std::vector<BufferId> picks;
+  picks.reserve(want);
+  for (std::size_t round = 0; picks.size() < want; ++round) {
+    const std::size_t before = picks.size();
+    for (const auto& [host, ids] : free_by_host) {
+      if (picks.size() == want) {
+        break;
       }
-      const BufferRecord& rec = free_records[begin + pos];
-      ++pos;
-      (void)db_.Assign(rec.id, user);
-      Mirror({MirrorOp::Kind::kAssign, {}, rec.id, user, rec.type, false});
-      grants.push_back({rec.id, rec.rkey, rec.size, rec.host, rec.type});
-      took_any = true;
+      if (round < ids.size()) {
+        picks.push_back(ids[round]);
+      }
     }
+    if (picks.size() == before) {
+      break;
+    }
+  }
+  std::vector<BufferGrant> grants;
+  grants.reserve(picks.size());
+  for (BufferId id : picks) {
+    const BufferRecord rec = *db_.Find(id);
+    (void)db_.Assign(id, user);
+    Mirror({MirrorOp::Kind::kAssign, {}, id, user, rec.type, false});
+    grants.push_back({rec.id, rec.rkey, rec.size, rec.host, rec.type});
   }
   return grants;
 }

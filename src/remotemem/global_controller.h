@@ -141,7 +141,6 @@ class GlobalMemoryController {
   std::size_t ServerCount() const { return servers_.size(); }
 
   // Heartbeat payload for the secondary's monitor.
-  std::uint64_t heartbeat_seq() const { return heartbeat_seq_; }
   std::uint64_t BumpHeartbeat() { return ++heartbeat_seq_; }
 
  private:

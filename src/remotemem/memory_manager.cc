@@ -78,12 +78,17 @@ Result<Duration> RemoteExtent::ReadPage(std::uint64_t page_index, std::span<std:
 std::size_t RemoteExtent::OnBuffersReclaimed(const std::vector<BufferId>& reclaimed) {
   std::size_t affected = 0;
   const std::uint64_t pages_per_buffer = PagesOf(buff_size_);
+  std::vector<BufferId> sorted(reclaimed);
+  std::sort(sorted.begin(), sorted.end());
   for (std::size_t s = 0; s < buffers_.size(); ++s) {
     Slot& slot = buffers_[s];
-    if (std::find(reclaimed.begin(), reclaimed.end(), slot.grant.id) == reclaimed.end()) {
+    if (!std::binary_search(sorted.begin(), sorted.end(), slot.grant.id)) {
       continue;
     }
     slot.reclaimed = true;
+    if (mirrored_pages_.empty()) {
+      continue;
+    }
     // Every mirrored page homed in this buffer becomes mirror-only.
     const std::uint64_t first = static_cast<std::uint64_t>(s) * pages_per_buffer;
     for (std::uint64_t p = first; p < first + pages_per_buffer; ++p) {

@@ -1,6 +1,7 @@
 #include "src/remotemem/sharded_plane.h"
 
 #include <algorithm>
+#include <array>
 #include <utility>
 
 namespace zombie::remotemem {
@@ -9,6 +10,31 @@ namespace {
 
 std::string ShardDownMessage(std::size_t shard) {
   return "controller shard " + std::to_string(shard) + " is down";
+}
+
+// Compares a database's maintained free totals and per-type, per-host free
+// index with a scan of its records.  `where` names the database.
+Status CheckFreeIndex(const BufferDb& db, const std::string& where) {
+  std::size_t free_count = 0;
+  Bytes free_bytes = 0;
+  std::array<BufferDb::FreeIndex, 2> scan;
+  for (const auto& rec : db.records()) {
+    if (rec.user == kNilServer) {
+      ++free_count;
+      free_bytes += rec.size;
+      scan[static_cast<std::size_t>(rec.type)][rec.host].push_back(rec.id);
+    }
+  }
+  if (free_count != db.free_count() || free_bytes != db.FreeBytes()) {
+    return Status(ErrorCode::kConflict, where + ": free/used accounting diverged");
+  }
+  for (BufferType type : {BufferType::kZombie, BufferType::kActive}) {
+    if (db.FreeByHost(type) != scan[static_cast<std::size_t>(type)]) {
+      return Status(ErrorCode::kConflict, where + ": " + std::string(BufferTypeName(type)) +
+                                              " free index diverged from the records");
+    }
+  }
+  return Status::Ok();
 }
 
 }  // namespace
@@ -178,13 +204,21 @@ Result<std::vector<BufferGrant>> ShardedControlPlane::GsAllocSwap(ServerId user,
 
 Status ShardedControlPlane::GsRelease(ServerId user,
                                       const std::vector<BufferId>& buffers) {
-  for (BufferId id : buffers) {
-    const std::size_t k = ShardOfBuffer(id);
+  // One call per run of consecutive ids owned by the same shard, in input
+  // order: a failure stops at the same id, with the same ids released
+  // before it, as releasing one id at a time would.
+  std::vector<BufferId> run;
+  for (std::size_t i = 0; i < buffers.size();) {
+    const std::size_t k = ShardOfBuffer(buffers[i]);
     Shard& shard = shards_[k];
     if (!shard.alive) {
       return Status(ErrorCode::kUnavailable, ShardDownMessage(k));
     }
-    Status st = shard.primary->GsRelease(user, {id});
+    run.clear();
+    for (; i < buffers.size() && ShardOfBuffer(buffers[i]) == k; ++i) {
+      run.push_back(buffers[i]);
+    }
+    Status st = shard.primary->GsRelease(user, run);
     if (!st.ok()) {
       return st;
     }
@@ -363,8 +397,6 @@ Status ShardedControlPlane::CheckInvariants() const {
     const BufferDb& db = shard.primary->db();
     const auto& records = db.records();
     BufferId prev = 0;
-    std::size_t free_count = 0;
-    Bytes free_bytes = 0;
     for (const auto& rec : records) {
       if (rec.id == kInvalidBuffer || rec.id <= prev) {
         return Status(ErrorCode::kConflict,
@@ -376,16 +408,11 @@ Status ShardedControlPlane::CheckInvariants() const {
                       "shard " + std::to_string(k) + ": buffer " + std::to_string(rec.id) +
                           " belongs to shard " + std::to_string(ShardOfBuffer(rec.id)));
       }
-      if (rec.user == kNilServer) {
-        ++free_count;
-        free_bytes += rec.size;
-      }
     }
-    if (free_count != db.free_count() || free_bytes != db.FreeBytes()) {
-      return Status(ErrorCode::kConflict,
-                    "shard " + std::to_string(k) + ": free/used accounting diverged");
-    }
+    ZOMBIE_RETURN_IF_ERROR(CheckFreeIndex(db, "shard " + std::to_string(k)));
     if (!shard.secondary->failed_over()) {
+      ZOMBIE_RETURN_IF_ERROR(
+          CheckFreeIndex(shard.secondary->replica(), "shard " + std::to_string(k) + " replica"));
       const auto& replica = shard.secondary->replica().records();
       if (replica.size() != records.size()) {
         return Status(ErrorCode::kConflict,

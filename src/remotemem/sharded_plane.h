@@ -156,9 +156,11 @@ class ShardedControlPlane {
   }
 
   // Ownership invariants, checked across every shard: ids sorted, unique
-  // and in the shard's residue class; free/used accounting consistent; the
-  // warm secondary's replica byte-identical to its primary (unless that
-  // secondary was consumed by a failover).  Error names the first violation.
+  // and in the shard's residue class; the maintained free totals and the
+  // per-type, per-host free index equal a scan of the records, in the
+  // primary and in the warm replica; the replica byte-identical to its
+  // primary (replica checks are skipped once that secondary was consumed by
+  // a failover).  Error names the first violation.
   [[nodiscard]] Status CheckInvariants() const;
   // Buffers whose host holds no live lease (or that sit in the wrong
   // shard) — must be empty after every recovery.  Ascending ids.

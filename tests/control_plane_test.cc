@@ -145,6 +145,82 @@ TEST_F(ShardedPlaneTest, SingleShardMatchesClassicController) {
   }
 }
 
+// Renders grants as "id@host/z|a", one token per grant, in grant order.
+std::string GrantTrace(const std::vector<BufferGrant>& grants) {
+  std::string out;
+  for (const auto& g : grants) {
+    if (!out.empty()) {
+      out += ' ';
+    }
+    out += std::to_string(g.id) + "@" + std::to_string(g.host) +
+           (g.type == BufferType::kZombie ? "/z" : "/a");
+  }
+  return out;
+}
+
+// Drives a fixed allocation history over 3 zombie hosts (uneven free
+// counts, one of them retyped from active by GS_goto_zombie) and 1 active
+// host, leaving holes from earlier allocations, and returns the grant
+// sequence of every GS_alloc_ext / GS_alloc_swap call.
+std::vector<std::string> AllocationOrderTrace(std::size_t shards) {
+  constexpr ServerId kZ1 = 1, kZ2 = 2, kZ3 = 3, kActive = 4;
+  constexpr ServerId kUserA = 5, kUserB = 6;
+  PlaneConfig config;
+  config.buff_size = kBuff;
+  config.shards = shards;
+  ShardedControlPlane plane(config);
+  for (ServerId s : {kZ1, kZ2, kZ3, kActive, kUserA, kUserB}) {
+    plane.RegisterServer(s);
+  }
+  std::vector<std::string> trace;
+  auto record = [&](const Result<std::vector<BufferGrant>>& grants) {
+    trace.push_back(grants.ok() ? GrantTrace(grants.value()) : grants.status().ToString());
+    return grants.ok() ? grants.value() : std::vector<BufferGrant>{};
+  };
+  // Z3 lends slack while active, then goes zombie: RetypeHost flips those
+  // two buffers to zombie ahead of its two new ones.
+  EXPECT_TRUE(plane.DelegateActiveBuffers(kZ3, MakeGrants(2, kZ3)).ok());
+  EXPECT_TRUE(plane.GsGotoZombie(kZ1, MakeGrants(5, kZ1)).ok());
+  EXPECT_TRUE(plane.GsGotoZombie(kZ2, MakeGrants(3, kZ2)).ok());
+  EXPECT_TRUE(plane.DelegateActiveBuffers(kActive, MakeGrants(4, kActive)).ok());
+  EXPECT_TRUE(plane.GsGotoZombie(kZ3, MakeGrants(2, kZ3)).ok());
+  // Holes: release every other buffer of a first allocation.
+  const auto first = record(plane.GsAllocExt(kUserA, 7 * kBuff));
+  for (std::size_t i = 0; i < first.size(); i += 2) {
+    EXPECT_TRUE(plane.GsRelease(kUserA, {first[i].id}).ok());
+  }
+  record(plane.GsAllocSwap(kUserB, 3 * kBuff + kBuff / 2));
+  record(plane.GsAllocExt(kUserA, 8 * kBuff));
+  record(plane.GsAllocSwap(kUserB, 20 * kBuff));
+  record(plane.GsAllocExt(kUserA, kBuff));
+  EXPECT_TRUE(plane.CheckInvariants().ok());
+  return trace;
+}
+
+TEST_F(ShardedPlaneTest, AllocationOrderGolden) {
+  // Recorded from the scan-and-sort allocator: per type, round r takes each
+  // host's r-th free buffer, hosts ascending, ids ascending within a host;
+  // zombie memory across every shard (home shard first) before any active.
+  const std::vector<std::string> one_shard = {
+      "3@1/z 8@2/z 1@3/z 4@1/z 9@2/z 2@3/z 5@1/z",
+      "3@1/z 9@2/z 1@3/z",
+      "5@1/z 10@2/z 15@3/z 6@1/z 16@3/z 7@1/z 11@4/a 12@4/a",
+      "13@4/a 14@4/a",
+      "OUT_OF_MEMORY: rack cannot satisfy guaranteed RAM-Ext allocation: wanted 1 buffers, "
+      "granted 0",
+  };
+  const std::vector<std::string> two_shards = {
+      "5@1/z 1@3/z 7@1/z 3@3/z 9@1/z 15@3/z 11@1/z",
+      "2@2/z 4@2/z 6@2/z",
+      "5@1/z 17@3/z 7@1/z 9@1/z 11@1/z 13@1/z 8@4/a 10@4/a",
+      "12@4/a 14@4/a",
+      "OUT_OF_MEMORY: rack cannot satisfy guaranteed RAM-Ext allocation: wanted 1 buffers, "
+      "granted 0",
+  };
+  EXPECT_EQ(AllocationOrderTrace(1), one_shard);
+  EXPECT_EQ(AllocationOrderTrace(2), two_shards);
+}
+
 // Lends `wanted` bytes of active slack whenever AS_get_free_mem asks, and
 // records who was asked.
 class LendingAgents final : public AgentDirectory {

@@ -12,6 +12,7 @@
 #include <map>
 #include <memory>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "src/acpi/energy_model.h"
@@ -249,10 +250,12 @@ TEST(BufferDbProperty, RandomOpsConserveBuffers) {
 }
 
 // Richer randomized op sequences: typed inserts with gapped ids, assigns,
-// releases, erases and host retypes, checked against a shadow model for
-// id-sorted iteration order, byte-level free/used accounting, per-host and
-// per-user views, the Section 4.3 reclaim order, and Snapshot/Load round
-// trips (the failover-replica path must reproduce the DB exactly).
+// releases, erases, host retypes and reloads, checked against a shadow
+// model for id-sorted iteration order, byte-level free/used accounting,
+// per-host and per-user views, the Section 4.3 reclaim order, and
+// Snapshot/Load round trips (the failover-replica path must reproduce the
+// DB exactly).  The maintained free totals, the per-type free index and
+// the id lookup are checked against the model after every op.
 TEST(BufferDbProperty, RandomOpsRoundTripAndStaySorted) {
   ScopedSeedReporter seed_reporter;
   for (std::uint64_t salt = 11; salt <= 14; ++salt) {
@@ -330,12 +333,50 @@ TEST(BufferDbProperty, RandomOpsRoundTripAndStaySorted) {
       EXPECT_EQ(replica.FreeBytes(), db.FreeBytes());
     };
 
+    // The indexes every mutator maintains, against the model.
+    auto check_indexes = [&] {
+      std::size_t free_count = 0;
+      Bytes free_bytes = 0;
+      std::map<remotemem::ServerId, std::vector<remotemem::BufferId>> zombie_free;
+      std::map<remotemem::ServerId, std::vector<remotemem::BufferId>> active_free;
+      for (const auto& [id, rec] : model) {
+        auto found = db.Find(id);
+        ASSERT_TRUE(found.has_value()) << "id " << id;
+        EXPECT_EQ(found->id, id);
+        EXPECT_EQ(found->user, rec.user);
+        if (rec.user == remotemem::kNilServer) {
+          ++free_count;
+          free_bytes += rec.size;
+          (rec.type == remotemem::BufferType::kZombie ? zombie_free : active_free)[rec.host]
+              .push_back(id);
+        }
+      }
+      EXPECT_EQ(db.free_count(), free_count);
+      EXPECT_EQ(db.FreeBytes(), free_bytes);
+      EXPECT_EQ(db.FreeByHost(remotemem::BufferType::kZombie), zombie_free);
+      EXPECT_EQ(db.FreeByHost(remotemem::BufferType::kActive), active_free);
+    };
+
     for (int step = 0; step < 2000; ++step) {
-      const auto op = rng.NextBelow(5);
-      if (op == 0 || model.empty()) {
+      const auto op = rng.NextBelow(6);
+      if (op == 5) {
+        // Reload from a shuffled snapshot: Load re-sorts and rebuilds.
+        auto records = db.Snapshot();
+        for (std::size_t i = records.size(); i > 1; --i) {
+          std::swap(records[i - 1], records[rng.NextBelow(i)]);
+        }
+        db.Load(records);
+      } else if (op == 0 || model.empty()) {
         remotemem::BufferRecord rec;
         rec.id = next_id;
-        next_id += 1 + rng.NextBelow(3);  // gapped ids (sharded id streams)
+        // Now and then fill a gap below the newest id: a middle insert
+        // shifts the records after it.
+        const remotemem::BufferId gap = 1 + rng.NextBelow(next_id);
+        if (rng.NextBool(0.25) && gap < next_id && !model.contains(gap)) {
+          rec.id = gap;
+        } else {
+          next_id += 1 + rng.NextBelow(3);  // gapped ids (sharded id streams)
+        }
         rec.size = (1 + rng.NextBelow(4)) * kMiB;
         rec.host = static_cast<remotemem::ServerId>(1 + rng.NextBelow(4));
         rec.type = rng.NextBool(0.5) ? remotemem::BufferType::kZombie
@@ -368,9 +409,11 @@ TEST(BufferDbProperty, RandomOpsRoundTripAndStaySorted) {
           it->second.user = remotemem::kNilServer;
         } else {
           EXPECT_TRUE(db.Erase(id).ok());
+          EXPECT_FALSE(db.Find(id).has_value());
           model.erase(it);
         }
       }
+      check_indexes();
       if (step % 250 == 0) {
         check();
       }

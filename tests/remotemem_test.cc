@@ -63,9 +63,16 @@ TEST(BufferDb, FreeBuffersFiltersByType) {
   ASSERT_TRUE(db.Insert(MakeRecord(1, 10, BufferType::kZombie)).ok());
   ASSERT_TRUE(db.Insert(MakeRecord(2, 11, BufferType::kActive)).ok());
   ASSERT_TRUE(db.Insert(MakeRecord(3, 10, BufferType::kZombie, /*user=*/20)).ok());
-  EXPECT_EQ(db.FreeBuffers().size(), 2u);
-  EXPECT_EQ(db.FreeBuffers(BufferType::kZombie).size(), 1u);
-  EXPECT_EQ(db.FreeBuffers(BufferType::kZombie)[0].id, 1u);
+  ASSERT_TRUE(db.Insert(MakeRecord(5, 10, BufferType::kZombie)).ok());
+  ASSERT_TRUE(db.Insert(MakeRecord(4, 12, BufferType::kZombie)).ok());
+  // Per type: hosts ascending, each host's free ids ascending; used
+  // buffers and hosts with nothing free have no entry.
+  EXPECT_EQ(db.FreeByHost(BufferType::kZombie),
+            (BufferDb::FreeIndex{{10, {1, 5}}, {12, {4}}}));
+  EXPECT_EQ(db.FreeByHost(BufferType::kActive), (BufferDb::FreeIndex{{11, {2}}}));
+  ASSERT_TRUE(db.Erase(4).ok());
+  ASSERT_TRUE(db.Erase(5).ok());
+  EXPECT_EQ(db.FreeByHost(BufferType::kZombie), (BufferDb::FreeIndex{{10, {1}}}));
   EXPECT_EQ(db.free_count(), 2u);
   EXPECT_EQ(db.FreeBytes(), 2 * kTestBuff);
   EXPECT_EQ(db.TotalBytes(), 3 * kTestBuff);
@@ -90,6 +97,9 @@ TEST(BufferDb, RetypeHostFlipsType) {
   db.RetypeHost(10, BufferType::kZombie);
   EXPECT_EQ(db.Find(1)->type, BufferType::kZombie);
   EXPECT_EQ(db.Find(2)->type, BufferType::kActive);  // other host untouched
+  // The host's free ids move to the zombie free index.
+  EXPECT_EQ(db.FreeByHost(BufferType::kZombie), (BufferDb::FreeIndex{{10, {1}}}));
+  EXPECT_EQ(db.FreeByHost(BufferType::kActive), (BufferDb::FreeIndex{{11, {2}}}));
 }
 
 TEST(BufferDb, AllocatedCountPerHost) {
@@ -466,6 +476,37 @@ TEST_F(ManagerTest, ReclaimFallsBackToLocalMirror) {
 
   // A page never written before the reclaim is genuinely lost.
   EXPECT_EQ(extent->ReadPage(9, readback).code(), ErrorCode::kNotFound);
+}
+
+TEST_F(ManagerTest, ReclaimCountsOnlyMirroredPagesOfReclaimedSlots) {
+  ASSERT_TRUE(host_mgr_->DelegateOnZombie(4 * kTestBuff).ok());
+  const std::uint64_t per_slot = kTestBuff / kPageSize;
+
+  // Nothing mirrored yet: reclaiming affects no page, but the slot is dead.
+  auto fresh = user_mgr_->AllocExtension(kTestBuff);
+  ASSERT_TRUE(fresh.ok());
+  EXPECT_EQ(fresh.value()->OnBuffersReclaimed(fresh.value()->buffer_ids()), 0u);
+  std::vector<std::byte> buf(kPageSize);
+  EXPECT_EQ(fresh.value()->ReadPage(0, buf).code(), ErrorCode::kNotFound);
+
+  auto extent_result = user_mgr_->AllocExtension(3 * kTestBuff);
+  ASSERT_TRUE(extent_result.ok());
+  RemoteExtent* extent = extent_result.value();
+  const std::vector<BufferId> ids = extent->buffer_ids();
+  ASSERT_EQ(ids.size(), 3u);
+  for (std::uint64_t page : {std::uint64_t{1}, per_slot + 5, per_slot + 9, 2 * per_slot + 3}) {
+    ASSERT_TRUE(extent->WritePage(page, {}).ok());
+  }
+  // An unsorted notice with a duplicate and a foreign id: only slot 1's
+  // two mirrored pages are affected.
+  EXPECT_EQ(extent->OnBuffersReclaimed({999, ids[1], ids[1]}), 2u);
+  ASSERT_TRUE(extent->ReadPage(per_slot + 5, buf).ok());
+  ASSERT_TRUE(extent->ReadPage(1, buf).ok());
+  EXPECT_EQ(extent->mirror_reads(), 1u);
+  EXPECT_EQ(extent->remote_reads(), 1u);
+  EXPECT_EQ(extent->OnBuffersReclaimed({ids[2], ids[0]}), 2u);
+  ASSERT_TRUE(extent->ReadPage(1, buf).ok());
+  EXPECT_EQ(extent->mirror_reads(), 2u);
 }
 
 TEST_F(ManagerTest, RehomeAfterReplacementGrants) {
