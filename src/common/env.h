@@ -6,9 +6,9 @@
 
 namespace zombie {
 
-// True when ZOMBIE_BENCH_SMOKE is set and nonzero — the historical smoke
-// convention honoured by the bench_smoke ctest label, the zombieland driver
-// and the microbenchmarks.  The one parser of that variable.
+// True when ZOMBIE_BENCH_SMOKE is set and nonzero — the smoke convention
+// honoured by the bench_smoke ctest label and the microbenchmarks.  The one
+// parser of that variable.
 inline bool SmokeEnvEnabled() {
   const char* env = std::getenv("ZOMBIE_BENCH_SMOKE");
   return env != nullptr && env[0] != '\0' && env[0] != '0';

@@ -95,45 +95,13 @@ SweepTable Report::AddSweepTable(std::string id, std::string title,
   return SweepTable(*this, tables_.size() - 1, row_labels.size(), value_columns);
 }
 
-namespace {
-// Per-thread capture sink for SweepTable::Set (see ScopedCellCapture).
-thread_local std::vector<SweepCellWrite>* g_cell_sink = nullptr;
-}  // namespace
-
-ScopedCellCapture::ScopedCellCapture(std::vector<SweepCellWrite>* sink)
-    : previous_(g_cell_sink) {
-  g_cell_sink = sink;
-}
-
-ScopedCellCapture::~ScopedCellCapture() { g_cell_sink = previous_; }
-
 void SweepTable::Set(std::size_t row, std::size_t column, std::string value) {
   if (row >= rows_ || column >= columns_) {
     FatalMessage("report", "sweep cell (" + std::to_string(row) + ", " + std::to_string(column) +
                                ") outside the " + std::to_string(rows_) + "x" +
                                std::to_string(columns_) + " grid");
   }
-  if (g_cell_sink != nullptr) {
-    g_cell_sink->push_back({table_index_, row, column, value});
-  }
   report_->tables_[table_index_].SetCell(row, column + 1, std::move(value));
-}
-
-bool Report::CellInGrid(const SweepCellWrite& write) const {
-  if (write.table >= tables_.size()) {
-    return false;
-  }
-  const ReportTable& table = tables_[write.table];
-  return write.row < table.rows().size() &&
-         write.column + 1 < table.rows()[write.row].size();
-}
-
-bool Report::ApplySweepCell(const SweepCellWrite& write) {
-  if (!CellInGrid(write)) {
-    return false;
-  }
-  tables_[write.table].SetCell(write.row, write.column + 1, write.value);
-  return true;
 }
 
 void Report::Metric(std::string key, double value) {

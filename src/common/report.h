@@ -57,34 +57,6 @@ class ReportTable {
 
 class Report;
 
-// One captured SweepTable::Set call, in sweep-grid coordinates (table index
-// in the report's insertion order, value-column index before the row-label
-// shift).  The scenario point cache records these while a point runs and
-// replays them on a cache hit instead of re-running the point.
-struct SweepCellWrite {
-  std::size_t table = 0;
-  std::size_t row = 0;
-  std::size_t column = 0;
-  std::string value;
-};
-
-// Installs a thread-local sink that receives a copy of every SweepTable::Set
-// on this thread for the scope's lifetime (restores the previous sink on
-// exit).  One sweep point runs entirely on one thread, so wrapping the point
-// function captures exactly its own writes even when points run on a shared
-// WorkQueue.
-class ScopedCellCapture {
- public:
-  explicit ScopedCellCapture(std::vector<SweepCellWrite>* sink);
-  ~ScopedCellCapture();
-
-  ScopedCellCapture(const ScopedCellCapture&) = delete;
-  ScopedCellCapture& operator=(const ScopedCellCapture&) = delete;
-
- private:
-  std::vector<SweepCellWrite>* previous_;
-};
-
 // One sweep point's structured result: the axis bindings that define the
 // point, the metrics its run recorded, and its wall-clock cost.  Records are
 // pre-sized in grid order by RunContext::ForEachSweepPoint and filled as
@@ -163,13 +135,6 @@ class Report {
   // worker its own slot.
   std::vector<SweepPointRecord>& MutablePoints() { return points_; }
   const std::vector<SweepPointRecord>& points() const { return points_; }
-  // Replays one captured SweepTable::Set (the point-cache hit path).
-  // Returns false instead of aborting when the coordinates fall outside the
-  // report's current tables — a stale or corrupt cache entry must degrade to
-  // a miss, never kill the run.  Callers validate every write (CellInGrid)
-  // before applying any, so a bad entry leaves the report untouched.
-  bool CellInGrid(const SweepCellWrite& write) const;
-  bool ApplySweepCell(const SweepCellWrite& write);
 
   // Whether JSON emission includes each point's wall_seconds (--timings).
   void set_point_timings(bool enabled) { point_timings_ = enabled; }

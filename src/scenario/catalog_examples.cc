@@ -439,7 +439,8 @@ Report RunDatacenterEnergy(const RunContext& ctx) {
       "\nZombieStack packs more VMs per active server because a VM only needs a\n"
       "fraction of its memory locally; drained servers keep serving their RAM\n"
       "from the Sz state at ~11% of max power.\n"
-      "\nTry: ./datacenter_energy 100 2000 2    (the paper's modified traces)\n");
+      "\nTry: zombieland run ex_datacenter_energy --set servers=100 --set tasks=2000 "
+      "--set mem_ratio=2    (the paper's modified traces)\n");
   return r;
 }
 

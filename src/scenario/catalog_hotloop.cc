@@ -2,8 +2,7 @@
 // batched remote faults, swept over threads x policy x pattern.  Every
 // recorded number is simulated state (faults, costs, RPC counts) — never
 // wall-clock — so for a fixed (seed, shards, batch) the report is
-// byte-identical across runs, thread counts and -j schedules, and the
-// points are safe to replay from the point cache.
+// byte-identical across runs, thread counts and -j schedules.
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -98,7 +97,6 @@ ZOMBIE_REGISTER_SCENARIO(
         .Sweep({.axes = {{"pattern", {"scan", "zipf", "tiered"}},
                          {"threads", {"1", "2", "4", "8"}},
                          {"policy", {"FIFO", "Clock", "Mixed"}}}})
-        .CacheablePoints()
         .Runner(RunHotloopThreaded));
 
 }  // namespace

@@ -35,19 +35,6 @@ int PercentOf(double fraction) {
   return static_cast<int>(fraction * 100.0 + 0.5);
 }
 
-// Reads one metric back out of a completed point record (0.0 when absent).
-// Post-sweep headline derivations go through this instead of locals captured
-// by the point function, so a point replayed from the point cache feeds them
-// exactly like a point that ran.
-double RecordMetric(const report::SweepPointRecord& rec, std::string_view key) {
-  for (const auto& [name, value] : rec.metrics) {
-    if (name == key) {
-      return value;
-    }
-  }
-  return 0.0;
-}
-
 // ---------------------------------------------------------------------------
 // Figure 8: the three RAM-Ext replacement policies (FIFO, Clock, Mixed) on
 // the micro-benchmark, sweeping the fraction of the VM's reserved memory
@@ -77,8 +64,11 @@ Report RunFig08(const RunContext& ctx) {
                                 "\n(bottom) Policy time per page fault (CPU cycles):",
                                 "% local", locals, policies);
 
-  // Points are independent: each writes its own pivot cells and record, so
-  // -j N schedules them across workers with byte-identical output.
+  // Points are independent: each writes its own pivot cells, record and
+  // exec slot, so -j N schedules them across workers with byte-identical
+  // output.
+  std::vector<std::vector<double>> exec(policies.size(),
+                                        std::vector<double>(locals.size(), 0.0));
   ctx.ForEachSweepPoint(r, [&](const SweepPoint& pt, report::SweepPointRecord& rec) {
     const std::size_t p = pt.AxisIndex("policy");
     const std::size_t f = pt.AxisIndex("local_fraction");
@@ -89,6 +79,7 @@ Report RunFig08(const RunContext& ctx) {
     top.Set(f, p, Report::Num(run.seconds(), 2));
     mid.Set(f, p, Report::Num(static_cast<double>(run.pager.faults) / 1000.0, 1));
     bottom.Set(f, p, std::to_string(run.pager.PolicyCyclesPerFault()));
+    exec[p][f] = run.seconds();
     rec.Metric("exec_seconds", run.seconds());
     rec.Metric("faults", static_cast<double>(run.pager.faults));
     rec.Metric("policy_cycles_per_fault",
@@ -97,30 +88,6 @@ Report RunFig08(const RunContext& ctx) {
 
   // The paper's headline: Mixed outperforms FIFO by up to 30% and Clock by
   // up to 36%.  Only meaningful while all three policies are on the axis.
-  // Derived from the completed point records — never from locals captured by
-  // the point function — so the numbers are identical whether a point ran or
-  // replayed from the point cache.
-  const std::vector<std::string> local_values = ctx.Axis("local_fraction");
-  std::vector<std::vector<double>> exec(policies.size(),
-                                        std::vector<double>(locals.size(), 0.0));
-  for (const report::SweepPointRecord& rec : r.points()) {
-    std::size_t p = policies.size();
-    std::size_t f = local_values.size();
-    for (const auto& [axis, value] : rec.axes) {
-      const auto index_in = [&value](const std::vector<std::string>& values) {
-        return static_cast<std::size_t>(
-            std::find(values.begin(), values.end(), value) - values.begin());
-      };
-      if (axis == "policy") {
-        p = index_in(policies);
-      } else if (axis == "local_fraction") {
-        f = index_in(local_values);
-      }
-    }
-    if (p < policies.size() && f < local_values.size()) {
-      exec[p][f] = RecordMetric(rec, "exec_seconds");
-    }
-  }
   const auto policy_index = [&](std::string_view name) {
     return std::find(policies.begin(), policies.end(), name) - policies.begin();
   };
@@ -166,7 +133,6 @@ ZOMBIE_REGISTER_SCENARIO(
                 .range = ParamRange{0.0, 1.0, /*min_exclusive=*/true}})
         .Sweep({.axes = {{"policy", {"FIFO", "Clock", "Mixed"}},
                          {"local_fraction", {"0.2", "0.4", "0.6", "0.8", "1.0"}}}})
-        .CacheablePoints()
         .Runner(RunFig08));
 
 // ---------------------------------------------------------------------------
@@ -228,7 +194,6 @@ ZOMBIE_REGISTER_SCENARIO(
                 .description = "fraction of reserved memory kept in local RAM",
                 .range = ParamRange{0.0, 1.0, /*min_exclusive=*/true}})
         .Sweep({.axes = {{"local_fraction", {"0.2", "0.4", "0.5", "0.6", "0.8"}}}})
-        .CacheablePoints()
         .Runner(RunTable1));
 
 // ---------------------------------------------------------------------------
@@ -328,7 +293,6 @@ ZOMBIE_REGISTER_SCENARIO(
                           {"micro-bench", "Elasticsearch", "Data caching",
                            "Spark SQL"}},
                          {"local_fraction", {"0.2", "0.4", "0.5", "0.6", "0.8"}}}})
-        .CacheablePoints()
         .Runner(RunTable2));
 
 // ---------------------------------------------------------------------------
@@ -351,6 +315,7 @@ Report RunTable2b(const RunContext& ctx) {
   const std::vector<std::string> app_names = ctx.Axis("app");
   auto table = r.AddSweepTable("traffic", "", "workload", app_names,
                                {"v1-RE pages", "v2-ESD pages", "extra traffic"});
+  std::vector<double> extras(app_names.size(), 0.0);  // one slot per point
   ctx.ForEachSweepPoint(r, [&](const SweepPoint& pt, report::SweepPointRecord& rec) {
     const AppProfile profile = ctx.Profile(AppFromName(pt.Value("app")));
     WorkloadRunner runner;
@@ -370,15 +335,14 @@ Report RunTable2b(const RunContext& ctx) {
     table.Set(row, 0, std::to_string(v1));
     table.Set(row, 1, std::to_string(v2));
     table.Set(row, 2, Report::Num(extra, 0) + "%");
+    extras[row] = extra;
     rec.Metric("v1_re_pages", static_cast<double>(v1));
     rec.Metric("v2_esd_pages", static_cast<double>(v2));
     rec.Metric("extra_traffic_percent", extra);
   });
-  // Scenario-level metrics, serially in grid order from the point records
-  // (cache-replay safe; see RecordMetric).
-  for (const report::SweepPointRecord& rec : r.points()) {
-    r.Metric("extra_traffic_percent_" + rec.axes[0].second,
-             RecordMetric(rec, "extra_traffic_percent"));
+  // Scenario-level metrics, serially in grid order.
+  for (std::size_t i = 0; i < app_names.size(); ++i) {
+    r.Metric("extra_traffic_percent_" + app_names[i], extras[i]);
   }
 
   r.Text(
@@ -408,7 +372,6 @@ ZOMBIE_REGISTER_SCENARIO(
         .Sweep({.axes = {{"app",
                           {"micro-bench", "Elasticsearch", "Data caching",
                            "Spark SQL"}}}})
-        .CacheablePoints()
         .Runner(RunTable2b));
 
 // ---------------------------------------------------------------------------
@@ -478,7 +441,6 @@ ZOMBIE_REGISTER_SCENARIO(
                                "the placement filter accepts",
                 .range = ParamRange{0.0, 1.0, /*min_exclusive=*/true}})
         .Sweep({.axes = {{"floor", {"0.3", "0.4", "0.5", "0.6", "0.7"}}}})
-        .CacheablePoints()
         .Runner(RunAblationLocalFloor));
 
 // ---------------------------------------------------------------------------
@@ -544,7 +506,6 @@ ZOMBIE_REGISTER_SCENARIO(
                 .description = "fraction of reserved memory kept in local RAM",
                 .range = ParamRange{0.0, 1.0, /*min_exclusive=*/true}})
         .Sweep({.axes = {{"depth", {"1", "2", "5", "16", "64", "256"}}}})
-        .CacheablePoints()
         .Runner(RunAblationMixedDepth));
 
 }  // namespace

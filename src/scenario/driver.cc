@@ -9,16 +9,13 @@
 #include <cstdlib>
 #include <cstring>
 #include <map>
-#include <memory>
 #include <set>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "src/common/env.h"
 #include "src/common/work_queue.h"
 #include "src/scenario/diff.h"
-#include "src/scenario/point_cache.h"
 #include "src/scenario/registry.h"
 
 namespace zombie::scenario {
@@ -40,7 +37,7 @@ constexpr std::string_view kUsage =
     "      rendered JSON documents (the cross-run regression gate).\n"
     "\n"
     "run options:\n"
-    "  --smoke             tiny access budgets (also: ZOMBIE_BENCH_SMOKE=1)\n"
+    "  --smoke             tiny access budgets\n"
     "  --format=FORMAT     table (default), csv, or json\n"
     "  --out=FILE          write the rendered output to FILE instead of stdout\n"
     "  --set KEY=VALUE     scenario parameter override (repeatable); on a\n"
@@ -50,17 +47,11 @@ constexpr std::string_view kUsage =
     "                      run only the listed values of sweep axis KEY (a\n"
     "                      strict subset of the axis; repeatable)\n"
     "  -j N, --jobs=N      schedule scenarios AND their sweep points across\n"
-    "                      up to N workers drawing from one shared budget\n"
-    "                      (output is byte-identical to -j 1 either way)\n"
+    "                      up to N workers (1..1024) drawing from one shared\n"
+    "                      budget (output is byte-identical to -j 1 either way)\n"
     "  --timings           (json) add per-scenario wall-clock seconds to the\n"
     "                      combined document and per-point wall_seconds to\n"
     "                      each report's points section\n"
-    "  --point-cache[=DIR] reuse cached sweep-point results for scenarios\n"
-    "                      that declare cacheable points (default DIR\n"
-    "                      .zombie-point-cache; also: ZOMBIE_POINT_CACHE_DIR).\n"
-    "                      Keys include a hash of this binary, so a rebuild\n"
-    "                      invalidates every entry\n"
-    "  --no-point-cache    ignore --point-cache and ZOMBIE_POINT_CACHE_DIR\n"
     "\n"
     "diff options:\n"
     "  --fail-on-delta     exit 3 when any compared metric moves beyond its\n"
@@ -76,6 +67,10 @@ constexpr std::string_view kUsage =
     "exit codes: 0 success (diff: no delta beyond tolerance), 1 runtime or\n"
     "file errors, 2 usage errors, 3 diff gate failure (--fail-on-delta).\n";
 
+// Upper bound on -j: each job is a WorkQueue thread, and a count far beyond
+// any machine's cores only fails later, inside thread creation.
+constexpr int kMaxJobs = 1024;
+
 struct ParsedArgs {
   bool all = false;
   RunOptions options;
@@ -83,22 +78,11 @@ struct ParsedArgs {
   std::vector<std::string> names;
   int jobs = 1;
   bool timings = false;
-  // --point-cache / --no-point-cache / ZOMBIE_POINT_CACHE_DIR resolution:
-  // point_cache_dir is the effective directory, empty = caching off.
-  bool no_point_cache = false;
-  std::string point_cache_dir;
   // diff-only flags (rejected with exit 2 on other commands).
   bool fail_on_delta = false;
   std::vector<std::string> tolerance_flags;  // raw METRIC=SPEC, in CLI order
   std::string tolerances_path;
 };
-
-// Registry lookup + run in one step.
-Result<report::Report> RunByName(std::string_view name, const RunOptions& options) {
-  ZOMBIE_ASSIGN_OR_RETURN(const Scenario* scenario,
-                          ScenarioRegistry::Instance().Find(name));
-  return scenario->Run(options);
-}
 
 void PrintRunError(std::string_view name, const Status& status) {
   std::fprintf(stderr, "zombieland: scenario '%s' failed: %s\n",
@@ -137,6 +121,10 @@ bool ParseFlags(int argc, char** argv, int first, ParsedArgs& parsed) {
       parsed.options.format = format.value();
     } else if (arg.rfind("--out=", 0) == 0) {
       parsed.out_path = arg.substr(std::strlen("--out="));
+      if (parsed.out_path.empty()) {
+        std::fprintf(stderr, "zombieland: --out= needs a file path\n");
+        return false;
+      }
     } else if (arg == "--set") {
       if (i + 1 >= argc) {
         std::fprintf(stderr, "zombieland: --set needs a KEY=VALUE argument\n");
@@ -183,25 +171,17 @@ bool ParseFlags(int argc, char** argv, int first, ParsedArgs& parsed) {
       }
       char* end = nullptr;
       const std::string owned(value);
+      // strtol saturates out-of-range input, which the cap then rejects.
       const long jobs = std::strtol(owned.c_str(), &end, 10);
-      if (end != owned.c_str() + owned.size() || jobs < 1) {
-        std::fprintf(stderr, "zombieland: bad job count '%s' (want an integer >= 1)\n",
-                     owned.c_str());
+      if (end != owned.c_str() + owned.size() || jobs < 1 || jobs > kMaxJobs) {
+        std::fprintf(stderr,
+                     "zombieland: bad job count '%s' (want an integer in 1..%d)\n",
+                     owned.c_str(), kMaxJobs);
         return false;
       }
       parsed.jobs = static_cast<int>(jobs);
     } else if (arg == "--timings") {
       parsed.timings = true;
-    } else if (arg == "--point-cache") {
-      parsed.point_cache_dir = ".zombie-point-cache";
-    } else if (arg.rfind("--point-cache=", 0) == 0) {
-      parsed.point_cache_dir = arg.substr(std::strlen("--point-cache="));
-      if (parsed.point_cache_dir.empty()) {
-        std::fprintf(stderr, "zombieland: --point-cache= needs a directory\n");
-        return false;
-      }
-    } else if (arg == "--no-point-cache") {
-      parsed.no_point_cache = true;
     } else if (arg == "--fail-on-delta") {
       parsed.fail_on_delta = true;
     } else if (arg == "--tolerance") {
@@ -221,20 +201,6 @@ bool ParseFlags(int argc, char** argv, int first, ParsedArgs& parsed) {
     } else {
       parsed.names.emplace_back(arg);
     }
-  }
-  if (parsed.options.smoke || SmokeEnvEnabled()) {
-    parsed.options.smoke = true;
-  }
-  // Environment opt-in (how CI turns the cache on without touching the
-  // command lines baked into check.sh); --no-point-cache beats both forms.
-  if (parsed.point_cache_dir.empty()) {
-    if (const char* env = std::getenv("ZOMBIE_POINT_CACHE_DIR");
-        env != nullptr && env[0] != '\0') {
-      parsed.point_cache_dir = env;
-    }
-  }
-  if (parsed.no_point_cache) {
-    parsed.point_cache_dir.clear();
   }
   return true;
 }
@@ -271,23 +237,13 @@ bool WriteOutput(const std::string& text, const std::string& out_path) {
 // artifact doubles as a perf trajectory.
 std::string Combine(const std::vector<report::Report>& reports,
                     const RunOptions& options,
-                    const std::vector<double>* timings = nullptr,
-                    const PointCache* cache = nullptr) {
+                    const std::vector<double>* timings = nullptr) {
   if (options.format == report::Format::kJson) {
-    if (reports.size() == 1 && timings == nullptr && cache == nullptr) {
+    if (reports.size() == 1 && timings == nullptr) {
       return reports[0].RenderJson();
     }
     std::string out = "{\n  \"schema\": \"zombieland.scenario.reports/v1\",\n";
     out += std::string("  \"smoke\": ") + (options.smoke ? "true" : "false") + ",\n";
-    if (cache != nullptr) {
-      // Sits beside "timings" (diff reads only "reports", so extra keys are
-      // invisible to the gate).  Note a cold and a warm run differ here by
-      // construction — byte-identity checks compare warm runs to each other.
-      out += report::StrPrintf(
-          "  \"point_cache\": {\"hits\": %llu, \"misses\": %llu},\n",
-          static_cast<unsigned long long>(cache->hits()),
-          static_cast<unsigned long long>(cache->misses()));
-    }
     if (timings != nullptr) {
       out += "  \"timings\": {";
       for (std::size_t i = 0; i < reports.size(); ++i) {
@@ -391,15 +347,10 @@ int CmdRun(ParsedArgs& parsed) {
   std::vector<Result<report::Report>> results(
       scenarios.size(), Result<report::Report>(ErrorCode::kUnavailable, "not run"));
   std::vector<double> seconds(scenarios.size(), 0.0);
-  std::unique_ptr<PointCache> cache;
-  if (!parsed.point_cache_dir.empty()) {
-    cache = std::make_unique<PointCache>(parsed.point_cache_dir);
-  }
   {
     WorkQueue queue(parsed.jobs);
     for (RunOptions& scenario_options : options) {
       scenario_options.work_queue = &queue;
-      scenario_options.point_cache = cache.get();
     }
     queue.RunBatch(scenarios.size(), [&](std::size_t i) {
       // Feeds only the --timings wall-clock table, which is excluded from
@@ -448,17 +399,8 @@ int CmdRun(ParsedArgs& parsed) {
     return 1;
   }
 
-  if (cache != nullptr) {
-    std::fprintf(stderr,
-                 "zombieland: point cache '%s': %llu hit%s, %llu miss%s\n",
-                 cache->dir().c_str(),
-                 static_cast<unsigned long long>(cache->hits()),
-                 cache->hits() == 1 ? "" : "s",
-                 static_cast<unsigned long long>(cache->misses()),
-                 cache->misses() == 1 ? "" : "es");
-  }
   std::string out = Combine(reports, parsed.options,
-                            parsed.timings ? &report_seconds : nullptr, cache.get());
+                            parsed.timings ? &report_seconds : nullptr);
   if (parsed.options.format == report::Format::kJson) {
     if (Status status = report::ValidateJson(out); !status.ok()) {
       std::fprintf(stderr, "zombieland: combined JSON invalid: %s\n",

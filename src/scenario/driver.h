@@ -7,10 +7,8 @@
 //   zombieland run --all --smoke --format=json      # the CI smoke pass
 //   zombieland diff old.json new.json               # cross-run metric deltas
 //
-// Smoke mode is also enabled by ZOMBIE_BENCH_SMOKE=1 (the historical bench
-// convention; the ctest bench_smoke label relies on it).  JSON output is
-// self-checked against the report schema before it is emitted — a scenario
-// whose document does not validate fails the run.
+// JSON output is self-checked against the report schema before it is
+// emitted — a scenario whose document does not validate fails the run.
 #ifndef ZOMBIELAND_SRC_SCENARIO_DRIVER_H_
 #define ZOMBIELAND_SRC_SCENARIO_DRIVER_H_
 

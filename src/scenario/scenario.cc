@@ -1,16 +1,13 @@
 #include "src/scenario/scenario.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cerrno>
 #include <chrono>
 #include <cmath>
-#include <thread>
 
 #include "src/common/logging.h"
 #include "src/common/report.h"
 #include "src/common/work_queue.h"
-#include "src/scenario/point_cache.h"
 #include "src/scenario/testbed.h"
 
 namespace zombie::scenario {
@@ -717,67 +714,12 @@ void RunContext::ForEachSweepPoint(report::Report& report, const PointFn& fn) co
   }
   report.set_point_timings(options_.timings);
 
-  // The per-point cache engages only when the scenario vouched for point
-  // purity and no fault plan perturbs this run.  The key folds in everything
-  // a point's result can depend on: the binary itself, the scenario name,
-  // smoke mode, every --set override and --filter (filters shift zipped-axis
-  // pairings), and the point's own axis bindings.
-  PointCache* cache = (options_.point_cache != nullptr && spec_.cacheable_points &&
-                       options_.fault_plan == nullptr)
-                          ? options_.point_cache
-                          : nullptr;
-  auto cache_key = [&](const SweepPoint& point) {
-    std::string text = PointCache::BinaryFingerprint();
-    text += '\n';
-    text += spec_.name;
-    text += options_.smoke ? "\nsmoke" : "\nfull";
-    for (const auto& [key, value] : options_.params) {
-      text += "\nset:" + key + '=' + value;
-    }
-    for (const auto& [key, value] : options_.filters) {
-      text += "\nfilter:" + key + '=' + value;
-    }
-    for (std::size_t a = 0; a < spec_.sweep.axes.size(); ++a) {
-      text += "\naxis:" + spec_.sweep.axes[a].param + '=' + point.values_[a];
-    }
-    return spec_.name + '-' + PointCache::HashKeyText(text);
-  };
-  auto replay = [&](const CachedPoint& cached, report::SweepPointRecord& record) {
-    for (const report::SweepCellWrite& cell : cached.cells) {
-      if (!report.CellInGrid(cell)) {
-        return false;  // stale grid shape: treat as a miss
-      }
-    }
-    for (const report::SweepCellWrite& cell : cached.cells) {
-      report.ApplySweepCell(cell);
-    }
-    record.metrics = cached.metrics;
-    return true;
-  };
-
   auto run_point = [&](std::size_t i) {
     // wall_seconds is the explicitly non-deterministic per-point timing
     // field; --timings output is excluded from the byte-identical/diff gates.
     // ZLINT-ALLOW(wall-clock): timing field only, never a simulated metric.
     const auto start = std::chrono::steady_clock::now();
-    if (cache != nullptr) {
-      const std::string key = cache_key(points[i]);
-      CachedPoint cached;
-      if (cache->Load(key, &cached) && replay(cached, records[i])) {
-        cache->CountHit();
-      } else {
-        cache->CountMiss();
-        CachedPoint fresh;
-        {
-          report::ScopedCellCapture capture(&fresh.cells);
-          fn(points[i], records[i]);
-        }
-        fresh.metrics = records[i].metrics;
-        cache->Store(key, fresh);
-      }
-    } else {
-      fn(points[i], records[i]);
-    }
+    fn(points[i], records[i]);
     records[i].wall_seconds =
         // ZLINT-ALLOW(wall-clock): see `start` above — timing field only.
         std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
@@ -790,32 +732,8 @@ void RunContext::ForEachSweepPoint(report::Report& report, const PointFn& fn) co
     options_.work_queue->RunBatch(points.size(), run_point);
     return;
   }
-  const int jobs = std::clamp<int>(
-      options_.point_jobs, 1,
-      static_cast<int>(std::max<std::size_t>(points.size(), 1)));
-  if (jobs <= 1) {
-    for (std::size_t i = 0; i < points.size(); ++i) {
-      run_point(i);
-    }
-    return;
-  }
-  std::atomic<std::size_t> next{0};
-  auto worker = [&] {
-    while (true) {
-      const std::size_t i = next.fetch_add(1);
-      if (i >= points.size()) {
-        return;
-      }
-      run_point(i);
-    }
-  };
-  std::vector<std::thread> pool;
-  pool.reserve(static_cast<std::size_t>(jobs));
-  for (int t = 0; t < jobs; ++t) {
-    pool.emplace_back(worker);
-  }
-  for (std::thread& thread : pool) {
-    thread.join();
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    run_point(i);
   }
 }
 

@@ -40,7 +40,6 @@ class WorkQueue;
 
 namespace zombie::scenario {
 
-class PointCache;
 class Testbed;
 
 struct RunOptions {
@@ -53,24 +52,16 @@ struct RunOptions {
   // i.e. after any `--set` axis replacement).
   std::map<std::string, std::string, std::less<>> filters;
   // The shared worker budget of a driver run (`run [--all] -j N`): when set,
-  // ForEachSweepPoint submits its points to this queue instead of spawning
-  // point_jobs threads, so scenarios and sweep points draw from one budget.
-  // Borrowed, never owned; must outlive the run.
+  // ForEachSweepPoint submits its points to this queue, so scenarios and
+  // sweep points draw from one budget; when null, points run serially in
+  // grid order.  Borrowed, never owned; must outlive the run.
   WorkQueue* work_queue = nullptr;
-  // Worker threads for ForEachSweepPoint when no work_queue is shared
-  // (sweep points are independent by construction).
-  int point_jobs = 1;
   // Record per-point wall-clock into the report's points section (--timings).
   bool timings = false;
   // Fault-injection override for the faults_* scenario family: when set,
   // the scenario replays this plan instead of its built-in one.  Borrowed,
   // never owned; must outlive the run.
   const cloud::FaultPlan* fault_plan = nullptr;
-  // Per-point result cache (driver `--point-cache` / ZOMBIE_POINT_CACHE_DIR):
-  // sweep points of scenarios that opted in via CacheablePoints() replay
-  // cached records instead of re-running.  Ignored while a fault_plan is
-  // active (injected faults break point purity).  Borrowed, never owned.
-  PointCache* point_cache = nullptr;
 };
 
 // One point of an expanded sweep: a binding of every axis parameter to one
@@ -160,9 +151,9 @@ class RunContext {
   // no sweep.
   std::vector<SweepPoint> SweepPoints() const;
 
-  // Runs `fn` over every sweep point, scheduling points across up to
-  // RunOptions::point_jobs worker threads (points are independent by
-  // construction), and records one report::SweepPointRecord per point in
+  // Runs `fn` over every sweep point, on RunOptions::work_queue when one is
+  // shared (points are independent by construction) and serially in grid
+  // order otherwise, and records one report::SweepPointRecord per point in
   // grid order: axis bindings up front, `fn`-recorded metrics and wall-clock
   // as each point completes.  Each invocation owns its record slot, and all
   // report writes a point makes must be index-addressed (SweepTable::Set,
@@ -249,12 +240,6 @@ class ScenarioBuilder {
   // Declares the sweep grid; every axis must name a declared parameter.
   ScenarioBuilder& Sweep(SweepSpec sweep) {
     spec_.sweep = std::move(sweep);
-    return *this;
-  }
-  // Opts the scenario's sweep points into the per-point result cache (see
-  // ScenarioSpec::cacheable_points for the purity contract this asserts).
-  ScenarioBuilder& CacheablePoints() {
-    spec_.cacheable_points = true;
     return *this;
   }
   ScenarioBuilder& Runner(Scenario::RunFn run) {

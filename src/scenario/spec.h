@@ -158,7 +158,7 @@ struct ScenarioSpec {
   std::string title;        // one-line human title
   std::string description;  // a sentence for `zombieland list`
 
-  // Smoke mode (--smoke / ZOMBIE_BENCH_SMOKE=1) caps every access stream at
+  // Smoke mode (--smoke) caps every access stream at
   // this many accesses so a full catalog run stays executable in CI.
   std::uint64_t smoke_scale = 20'000;
 
@@ -172,12 +172,6 @@ struct ScenarioSpec {
   std::vector<ParamSpec> params;
   SweepSpec sweep;
 
-  // Opt-in for the per-point result cache: the scenario promises each sweep
-  // point's record and table cells are a pure function of (binary, name,
-  // smoke, params, filters, axis bindings) — no wall-clock-derived metrics,
-  // no cross-point state.  Scenarios that read exec state after the sweep or
-  // record timing-dependent numbers must leave this off.
-  bool cacheable_points = false;
 };
 
 }  // namespace zombie::scenario

@@ -383,6 +383,14 @@ TEST(CliRunTest, AllScenariosFailingEmitsNothingAndExitsOne) {
   EXPECT_TRUE(ReadAll(out).empty());
 }
 
+TEST(CliRunTest, OutOfRangeJobCountsAndEmptyOutAreUsageErrors) {
+  for (const char* jobs : {"4294967297", "200000", "1025"}) {
+    SCOPED_TRACE(jobs);
+    EXPECT_EQ(RunCli({"zombieland", "run", "gate_ok", "--smoke", "-j", jobs}), 2);
+  }
+  EXPECT_EQ(RunCli({"zombieland", "run", "gate_ok", "--smoke", "--out="}), 2);
+}
+
 TEST(CliRunTest, OutFileOpenErrorsAreDiagnosedAndExitOne) {
   EXPECT_EQ(RunCli({"zombieland", "run", "gate_ok", "--smoke",
                     "--out=/no/such/dir/x.json"}),

@@ -59,7 +59,6 @@
 #include "src/remotemem/wire.h"
 #include "src/scenario/diff.h"
 #include "src/scenario/driver.h"
-#include "src/scenario/point_cache.h"
 #include "src/scenario/registry.h"
 #include "src/scenario/scenario.h"
 #include "src/scenario/spec.h"

@@ -8,6 +8,7 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdio>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -65,9 +66,14 @@ TEST(ForEachSweepPointTest, RecordsAxesMetricsInGridOrder) {
 
 TEST(ForEachSweepPointTest, ParallelSchedulingMatchesSerialByteForByte) {
   const ScenarioSpec spec = TwoAxisSpec();
-  auto render = [&](int jobs) {
+  // budget 0 renders without a queue: the serial, grid-order path.
+  auto render = [&](int budget) {
     RunOptions options;
-    options.point_jobs = jobs;
+    std::unique_ptr<WorkQueue> queue;
+    if (budget > 0) {
+      queue = std::make_unique<WorkQueue>(budget);
+      options.work_queue = queue.get();
+    }
     RunContext ctx(spec, options);
     Report r("s", "t");
     auto grid = r.AddSweepTable("g", "", "fraction", {"0.2", "0.5", "0.8"},
@@ -79,7 +85,8 @@ TEST(ForEachSweepPointTest, ParallelSchedulingMatchesSerialByteForByte) {
     });
     return r.RenderJson();
   };
-  const std::string serial = render(1);
+  const std::string serial = render(0);
+  EXPECT_EQ(serial, render(1));
   EXPECT_EQ(serial, render(4));
   EXPECT_EQ(serial, render(16));  // more workers than points
   EXPECT_NE(serial.find("\"points\""), std::string::npos);

@@ -578,8 +578,8 @@ void CheckPrintfFamily(const SourceFile& file, std::vector<Finding>* out) {
   for (std::size_t i = 0; i < file.code.size(); ++i) {
     if (std::regex_search(file.code[i], kPrintfRe)) {
       Emit(out, file, i + 1, "printf-family",
-           "printf-family emission in library code; route diagnostics "
-           "through src/common/logging.h (LogMessage / FatalMessage)");
+           "printf-family emission in library code; return a Status, or "
+           "abort through src/common/logging.h (FatalMessage)");
     }
   }
 }

@@ -1,9 +1,9 @@
 // zombie-lint: project-invariant static analysis for the zombieland tree.
 //
 // The repo's gates (golden victim sequences, byte-identical -j N runs, the
-// blocking diff gate, point-cache replay) all rest on invariants that the
-// compiler and sanitizers cannot check: seeded determinism, non-discardable
-// fallibles, and a handful of header/registry conventions.  zombie-lint is a
+// blocking diff gate) all rest on invariants that the compiler and
+// sanitizers cannot check: seeded determinism, non-discardable fallibles,
+// and a handful of header/registry conventions.  zombie-lint is a
 // dependency-free lexical/heuristic pass that encodes those invariants as a
 // typed rule registry with per-rule severity and path scope.
 //
