@@ -28,7 +28,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <span>
 #include <string>
@@ -36,6 +35,7 @@
 #include <vector>
 
 #include "src/common/env.h"
+#include "src/common/report.h"
 #include "src/hv/backend.h"
 #include "src/scenario/diff.h"
 #include "src/hv/pager.h"
@@ -202,10 +202,16 @@ int DeriveFloors(const std::string& baseline_path, const std::string& tolerances
     have_tolerances = true;
   }
 
+  auto baseline_doc = zombie::report::ParseJson(baseline_json);
+  if (!baseline_doc.ok()) {
+    std::fprintf(stderr, "perf gate: baseline '%s': %s\n", baseline_path.c_str(),
+                 baseline_doc.status().ToString().c_str());
+    return 2;
+  }
+
   for (const FloorSpec& spec : specs) {
-    const std::string key = std::string("\"") + spec.json_key + "\":";
-    const std::size_t at = baseline_json.find(key);
-    if (at == std::string::npos) {
+    const zombie::report::JsonValue* value = baseline_doc.value().Find(spec.json_key);
+    if (value == nullptr) {
       std::fprintf(stderr,
                    "perf gate: baseline '%s' is missing required key \"%s\" — the\n"
                    "checked-in BENCH_hotloop.json predates this gate; regenerate it with\n"
@@ -213,7 +219,7 @@ int DeriveFloors(const std::string& baseline_path, const std::string& tolerances
                    baseline_path.c_str(), spec.json_key, spec.metric);
       return 2;
     }
-    const double baseline = std::atof(baseline_json.c_str() + at + key.size());
+    const double baseline = value->is_number() ? value->number : 0.0;
     if (baseline <= 0.0) {
       std::fprintf(stderr, "perf gate: baseline '%s' key \"%s\" is non-positive\n",
                    baseline_path.c_str(), spec.json_key);

@@ -1,7 +1,7 @@
 # ctest gate: the zombie-lint exit-code contract, exercised end to end at the
 # CLI over the fixture mini-trees in tests/lint_fixtures/:
 #   0 — clean tree, fully-suppressed tree, --list-rules, findings demoted to
-#       warning (without --werror)
+#       warning (without --werror), a partial scan of a test-only header
 #   1 — findings at error severity; warnings under --werror
 #   2 — usage errors (unknown option/rule, bad severity level) and IO errors
 #       (nonexistent root or path)
@@ -38,6 +38,9 @@ expect_exit("rule catalog listing" 0 --list-rules)
 expect_exit("violations tree" 1 --root=${FIXTURES}/violations)
 expect_exit("single violating file" 1
             --root=${FIXTURES}/violations src/naked_new.cc)
+# A partial scan cannot see every includer, so test-only-header stays quiet.
+expect_exit("test-only header, partial scan" 0
+            --root=${FIXTURES}/violations src/test_only_header.h)
 
 # Severity plumbing: demoted findings pass without --werror, fail with it.
 expect_exit("demoted to warning" 0

@@ -36,8 +36,9 @@
 #             pass so the shard workers run under the race detector (no floor
 #             gate — instrumentation overhead would always trip it)
 #   bench     Release build (build-bench/) + the bench_smoke label: the
-#             three micro_* binaries plus a `zombieland run --smoke` of
-#             every paper figure/table/ablation (no per-figure wrapper binaries)
+#             three micro_* binaries plus scenario_cli.run_all_smoke_table,
+#             one `zombieland run --all --smoke` table render of every paper
+#             figure/table/ablation (no per-figure tests or binaries)
 #   lint      static analysis: zombie-lint over the whole tree (BLOCKING —
 #             any finding fails the stage; suppressions need a written
 #             reason), the `lint` ctest label (engine unit tests, fixture

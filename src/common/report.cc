@@ -400,221 +400,10 @@ std::string Report::Penalty(double percent) {
 std::string Report::Int(std::uint64_t v) { return std::to_string(v); }
 
 // ---------------------------------------------------------------------------
-// Minimal recursive-descent JSON validator.
-// ---------------------------------------------------------------------------
-
-namespace {
-
-class JsonParser {
- public:
-  explicit JsonParser(std::string_view text) : text_(text) {}
-
-  Status Validate() {
-    SkipWs();
-    Status status = Value();
-    if (!status.ok()) {
-      return status;
-    }
-    SkipWs();
-    if (pos_ != text_.size()) {
-      return Error("trailing content after top-level value");
-    }
-    return Status::Ok();
-  }
-
- private:
-  Status Error(const std::string& what) const {
-    return Status(ErrorCode::kInvalidArgument,
-                  "JSON error at offset " + std::to_string(pos_) + ": " + what);
-  }
-
-  void SkipWs() {
-    while (pos_ < text_.size() &&
-           (text_[pos_] == ' ' || text_[pos_] == '\t' || text_[pos_] == '\n' ||
-            text_[pos_] == '\r')) {
-      ++pos_;
-    }
-  }
-
-  bool Eat(char c) {
-    if (pos_ < text_.size() && text_[pos_] == c) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-
-  Status Value() {
-    if (++depth_ > 64) {
-      return Error("nesting too deep");
-    }
-    struct DepthGuard {
-      int& d;
-      ~DepthGuard() { --d; }
-    } guard{depth_};
-    if (pos_ >= text_.size()) {
-      return Error("unexpected end of input");
-    }
-    switch (text_[pos_]) {
-      case '{':
-        return Object();
-      case '[':
-        return Array();
-      case '"':
-        return String();
-      case 't':
-        return Literal("true");
-      case 'f':
-        return Literal("false");
-      case 'n':
-        return Literal("null");
-      default:
-        return Number();
-    }
-  }
-
-  Status Object() {
-    ++pos_;  // '{'
-    SkipWs();
-    if (Eat('}')) {
-      return Status::Ok();
-    }
-    while (true) {
-      SkipWs();
-      if (pos_ >= text_.size() || text_[pos_] != '"') {
-        return Error("expected object key string");
-      }
-      Status status = String();
-      if (!status.ok()) {
-        return status;
-      }
-      SkipWs();
-      if (!Eat(':')) {
-        return Error("expected ':' after object key");
-      }
-      SkipWs();
-      status = Value();
-      if (!status.ok()) {
-        return status;
-      }
-      SkipWs();
-      if (Eat('}')) {
-        return Status::Ok();
-      }
-      if (!Eat(',')) {
-        return Error("expected ',' or '}' in object");
-      }
-    }
-  }
-
-  Status Array() {
-    ++pos_;  // '['
-    SkipWs();
-    if (Eat(']')) {
-      return Status::Ok();
-    }
-    while (true) {
-      SkipWs();
-      Status status = Value();
-      if (!status.ok()) {
-        return status;
-      }
-      SkipWs();
-      if (Eat(']')) {
-        return Status::Ok();
-      }
-      if (!Eat(',')) {
-        return Error("expected ',' or ']' in array");
-      }
-    }
-  }
-
-  Status String() {
-    ++pos_;  // '"'
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_];
-      if (c == '"') {
-        ++pos_;
-        return Status::Ok();
-      }
-      if (static_cast<unsigned char>(c) < 0x20) {
-        return Error("unescaped control character in string");
-      }
-      if (c == '\\') {
-        ++pos_;
-        if (pos_ >= text_.size()) {
-          break;
-        }
-        const char esc = text_[pos_];
-        if (esc == 'u') {
-          for (int i = 0; i < 4; ++i) {
-            ++pos_;
-            if (pos_ >= text_.size() || !std::isxdigit(static_cast<unsigned char>(text_[pos_]))) {
-              return Error("bad \\u escape");
-            }
-          }
-        } else if (esc != '"' && esc != '\\' && esc != '/' && esc != 'b' &&
-                   esc != 'f' && esc != 'n' && esc != 'r' && esc != 't') {
-          return Error("bad escape character");
-        }
-      }
-      ++pos_;
-    }
-    return Error("unterminated string");
-  }
-
-  Status Literal(std::string_view word) {
-    if (text_.substr(pos_, word.size()) != word) {
-      return Error("bad literal");
-    }
-    pos_ += word.size();
-    return Status::Ok();
-  }
-
-  Status Number() {
-    const std::size_t start = pos_;
-    if (Eat('-')) {
-    }
-    if (pos_ >= text_.size() || !std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
-      return Error("expected value");
-    }
-    while (pos_ < text_.size() && std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
-      ++pos_;
-    }
-    if (Eat('.')) {
-      if (pos_ >= text_.size() || !std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
-        return Error("digits required after decimal point");
-      }
-      while (pos_ < text_.size() && std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
-        ++pos_;
-      }
-    }
-    if (pos_ < text_.size() && (text_[pos_] == 'e' || text_[pos_] == 'E')) {
-      ++pos_;
-      if (pos_ < text_.size() && (text_[pos_] == '+' || text_[pos_] == '-')) {
-        ++pos_;
-      }
-      if (pos_ >= text_.size() || !std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
-        return Error("digits required in exponent");
-      }
-      while (pos_ < text_.size() && std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
-        ++pos_;
-      }
-    }
-    return start == pos_ ? Error("expected number") : Status::Ok();
-  }
-
-  std::string_view text_;
-  std::size_t pos_ = 0;
-  int depth_ = 0;
-};
-
-}  // namespace
-
-Status ValidateJson(std::string_view text) { return JsonParser(text).Validate(); }
-
-// ---------------------------------------------------------------------------
-// DOM-building parser (same grammar as the validator above).
+// Minimal recursive-descent JSON reader.  It is stricter than RFC 8259 where
+// a looser reading could silently change a gate: a repeated object key (a
+// tolerance file's second "default" would otherwise win), a number beyond
+// double range and a leading zero are all errors.
 // ---------------------------------------------------------------------------
 
 const JsonValue* JsonValue::Find(std::string_view key) const {
@@ -720,6 +509,9 @@ class JsonReader {
       std::string key;
       if (Status status = String(key); !status.ok()) {
         return status;
+      }
+      if (out.Find(key) != nullptr) {
+        return Error("duplicate object key \"" + key + "\"");
       }
       SkipWs();
       if (!Eat(':')) {
@@ -855,10 +647,13 @@ class JsonReader {
 
   Status Number(JsonValue& out) {
     const std::size_t start = pos_;
-    if (Eat('-')) {
-    }
+    Eat('-');
     if (pos_ >= text_.size() || !std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
       return Error("expected value");
+    }
+    if (text_[pos_] == '0' && pos_ + 1 < text_.size() &&
+        std::isdigit(static_cast<unsigned char>(text_[pos_ + 1]))) {
+      return Error("leading zero in number");
     }
     while (pos_ < text_.size() && std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
       ++pos_;
@@ -886,6 +681,9 @@ class JsonReader {
     out.kind = JsonValue::Kind::kNumber;
     const std::string owned(text_.substr(start, pos_ - start));
     out.number = std::strtod(owned.c_str(), nullptr);
+    if (!std::isfinite(out.number)) {
+      return Error("number out of range");
+    }
     return Status::Ok();
   }
 
@@ -899,6 +697,8 @@ class JsonReader {
 Result<JsonValue> ParseJson(std::string_view text) {
   return JsonReader(text).Parse();
 }
+
+Status ValidateJson(std::string_view text) { return ParseJson(text).status(); }
 
 Status ValidateReportJson(std::string_view text) {
   Status status = ValidateJson(text);

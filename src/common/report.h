@@ -182,9 +182,8 @@ class Report {
   std::vector<SweepPointRecord> points_;
 };
 
-// Minimal JSON syntax checker (objects, arrays, strings, numbers, literals)
-// used by the driver's --format=json self-check and the tests; returns
-// kInvalidArgument with a position on the first syntax error.
+// JSON syntax check used by the driver's --format=json self-check and the
+// tests: the status of ParseJson(text).
 [[nodiscard]] Status ValidateJson(std::string_view text);
 
 // Schema check for a rendered report document: syntactically valid JSON that
@@ -225,7 +224,8 @@ struct JsonValue {
 };
 
 // Full parse into the document model; kInvalidArgument with an offset on the
-// first syntax error (same grammar as ValidateJson).
+// first syntax error.  A repeated key within one object, a number outside
+// double range (1e999) and a leading zero (01) are errors too.
 [[nodiscard]] Result<JsonValue> ParseJson(std::string_view text);
 
 }  // namespace zombie::report

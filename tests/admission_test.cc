@@ -1,11 +1,8 @@
-// Tests for admission control (Section 4.4 guarantee) and the event-driven
-// rack runtime (heartbeats, consolidation, hourly swap refresh).
+// Tests for admission control (Section 4.4 guarantee): rack and tenant
+// budgets, CPU overcommit, the token bucket and atomic resize.
 #include <gtest/gtest.h>
 
 #include "src/cloud/admission.h"
-#include "src/cloud/rack.h"
-#include "src/cloud/runtime.h"
-#include "src/common/event_queue.h"
 
 namespace zombie::cloud {
 namespace {
@@ -18,10 +15,6 @@ hv::VmSpec MakeVm(hv::VmId id, Bytes reserved, std::uint32_t cpus) {
   vm.vcpus = cpus;
   return vm;
 }
-
-// ---------------------------------------------------------------------------
-// Admission control.
-// ---------------------------------------------------------------------------
 
 TEST(Admission, AdmitsWithinBudget) {
   AdmissionController admission;
@@ -160,86 +153,6 @@ TEST(Admission, ResizeAppliesDeltaAtomically) {
   EXPECT_EQ(admission.tenant_memory(1), 12 * kGiB);
   // Resizing a VM that was never admitted is its own verdict.
   EXPECT_EQ(admission.Resize(7, 1 * kGiB, 1), AdmissionReject::kUnknownVm);
-}
-
-// ---------------------------------------------------------------------------
-// RackRuntime over the event queue.
-// ---------------------------------------------------------------------------
-
-class RuntimeTest : public ::testing::Test {
- protected:
-  RuntimeTest() {
-    config_.buff_size = 4 * kMiB;
-    config_.materialize_memory = false;
-    rack_ = std::make_unique<Rack>(config_);
-    auto profile = acpi::MachineProfile::HpCompaqElite8300();
-    rack_->AddServer("a", profile, {8, 16 * kGiB});
-    rack_->AddServer("b", profile, {8, 16 * kGiB});
-  }
-
-  RackConfig config_;
-  std::unique_ptr<Rack> rack_;
-  EventQueue queue_;
-};
-
-TEST_F(RuntimeTest, HeartbeatsFlowOnSchedule) {
-  RackRuntime runtime(rack_.get(), &queue_);
-  runtime.Start();
-  queue_.RunUntil(1 * kSecond);
-  // 100 ms period -> 10 beats in a second.
-  EXPECT_EQ(runtime.heartbeats_sent(), 10u);
-  EXPECT_FALSE(rack_->plane().secondary(0).failed_over());
-}
-
-TEST_F(RuntimeTest, SilentPrimaryFailsOverWithinThreeBeats) {
-  RackRuntime runtime(rack_.get(), &queue_);
-  runtime.Start();
-  queue_.RunUntil(500 * kMillisecond);
-  rack_->FailPrimaryController();
-  // Within three heartbeat periods the monitor triggers failover, after
-  // which the (promoted) primary resumes beating.
-  queue_.RunUntil(900 * kMillisecond);
-  EXPECT_TRUE(rack_->primary_alive());
-  EXPECT_TRUE(rack_->plane().secondary(0).failed_over());
-}
-
-TEST_F(RuntimeTest, PeriodicHooksFire) {
-  RuntimeConfig rc;
-  rc.consolidation_period = 10 * kMinute;
-  rc.swap_refresh_period = 1 * kHour;
-  RackRuntime runtime(rack_.get(), &queue_, rc);
-  int consolidations = 0;
-  int refreshes = 0;
-  runtime.set_consolidation_hook([&] { ++consolidations; });
-  runtime.set_swap_refresh_hook([&] { ++refreshes; });
-  runtime.Start();
-  queue_.RunUntil(2 * kHour);
-  EXPECT_EQ(consolidations, 12);
-  EXPECT_EQ(refreshes, 2);
-  EXPECT_EQ(runtime.consolidation_rounds(), 12u);
-  EXPECT_EQ(runtime.swap_refreshes(), 2u);
-}
-
-TEST_F(RuntimeTest, StopHaltsAllProcesses) {
-  RackRuntime runtime(rack_.get(), &queue_);
-  runtime.Start();
-  queue_.RunUntil(300 * kMillisecond);
-  const auto beats = runtime.heartbeats_sent();
-  runtime.Stop();
-  queue_.RunUntil(2 * kSecond);
-  EXPECT_EQ(runtime.heartbeats_sent(), beats);
-  // Restartable.
-  runtime.Start();
-  queue_.RunUntil(3 * kSecond);
-  EXPECT_GT(runtime.heartbeats_sent(), beats);
-}
-
-TEST_F(RuntimeTest, StartIsIdempotent) {
-  RackRuntime runtime(rack_.get(), &queue_);
-  runtime.Start();
-  runtime.Start();  // no double scheduling
-  queue_.RunUntil(1 * kSecond);
-  EXPECT_EQ(runtime.heartbeats_sent(), 10u);
 }
 
 }  // namespace

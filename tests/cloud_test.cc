@@ -1,13 +1,12 @@
 // Unit and integration tests for the cloud layer: server bookkeeping, the
 // wired rack (Fig. 7), placement (Section 5.1), Neat consolidation
-// (Section 5.2), the Oasis baseline and the Fig. 4 rack-energy estimator.
+// (Section 5.2) and the Fig. 4 rack-energy estimator.
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <vector>
 
 #include "src/cloud/consolidation.h"
-#include "src/cloud/oasis.h"
 #include "src/cloud/placement.h"
 #include "src/cloud/rack.h"
 #include "src/cloud/rack_energy.h"
@@ -323,36 +322,6 @@ TEST_F(ConsolidationTest, EmptyPlanWhenBalanced) {
   ASSERT_TRUE(servers_[1]->HostVm(MakeVm(2, 4 * kGiB, 4), 4 * kGiB).ok());
   NeatPlanner planner(ConsolidationConfig{ConsolidationMode::kZombieStack, 0.20, 0.90, 0.30});
   EXPECT_TRUE(planner.Plan(Hosts()).empty());
-}
-
-// ---------------------------------------------------------------------------
-// Oasis.
-// ---------------------------------------------------------------------------
-
-TEST_F(PlacementTest, OasisPartiallyMigratesIdleVms) {
-  // s1 underused with one idle VM; s2 has room for the WSS only.
-  ASSERT_TRUE(servers_[0]->HostVm(MakeVm(1, 8 * kGiB, 1, /*wss=*/2 * kGiB), 8 * kGiB).ok());
-  ASSERT_TRUE(servers_[1]->HostVm(MakeVm(2, 13 * kGiB, 5), 13 * kGiB).ok());
-
-  OasisPlanner planner;
-  std::map<hv::VmId, double> util{{1, 0.0}, {2, 0.5}};
-  const auto plan = planner.Plan(Hosts(), util);
-  ASSERT_EQ(plan.partial_migrations.size(), 1u);
-  EXPECT_EQ(plan.partial_migrations[0].wss_moved, 2 * kGiB);
-  EXPECT_EQ(plan.partial_migrations[0].cold_parked, 6 * kGiB);
-  EXPECT_EQ(plan.hosts_to_suspend.size(), 1u);
-  EXPECT_EQ(plan.total_cold_parked, 6 * kGiB);
-  EXPECT_EQ(plan.memory_servers_needed, 1u);
-}
-
-TEST_F(PlacementTest, OasisBusyVmsMoveInFull) {
-  ASSERT_TRUE(servers_[0]->HostVm(MakeVm(1, 4 * kGiB, 1), 4 * kGiB).ok());
-  OasisPlanner planner;
-  std::map<hv::VmId, double> util{{1, 0.5}};  // busy
-  const auto plan = planner.Plan(Hosts(), util);
-  ASSERT_EQ(plan.full_migrations.size(), 1u);
-  EXPECT_TRUE(plan.partial_migrations.empty());
-  EXPECT_EQ(plan.memory_servers_needed, 0u);
 }
 
 // ---------------------------------------------------------------------------

@@ -2,8 +2,9 @@
 // zombie-first allocation across shards, the shards=1 plane pinned to the
 // ids and grants of the classic single controller, lease grant/renew/expiry
 // semantics, expiry cleanup (orphaned buffers must be 0), deferred cleanup
-// while a shard's primary is down, per-shard failover, and the detailed
-// escalation statuses of GS_reclaim / GS_alloc_ext.
+// while a shard's primary is down, per-shard failover, the detailed
+// escalation statuses of GS_reclaim / GS_alloc_ext, and surplus-zombie
+// retirement.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -430,6 +431,37 @@ TEST(ControllerEscalation, GsAllocExtReportsEscalationLedger) {
   EXPECT_EQ(message.find("AS_get_free_mem(host 3)"), std::string::npos) << message;
   // All-or-nothing: the one granted buffer was rolled back.
   EXPECT_EQ(plane.FreeRemoteBytes(), kBuff);
+}
+
+// ---------------------------------------------------------------------------
+// Surplus-zombie retirement (Section 4.4 deep sleep).
+// ---------------------------------------------------------------------------
+
+TEST(SurplusZombies, OnlyFullyFreeZombiesBeyondSlack) {
+  auto plane = OneShardPlane({1, 2, 3});
+  ASSERT_TRUE(plane.GsGotoZombie(1, MakeGrants(4, 1)).ok());
+  ASSERT_TRUE(plane.GsGotoZombie(2, MakeGrants(4, 2)).ok());
+  // Host 1 serves an allocation; host 2 is fully free.
+  ASSERT_TRUE(plane.GsAllocExt(3, kBuff).ok());
+
+  // Keeping >= 4 buffers of slack allows retiring host 2 only.
+  const auto surplus = plane.SurplusZombies(3 * kBuff);
+  ASSERT_EQ(surplus.size(), 1u);
+  EXPECT_EQ(surplus[0], 2u);
+  // Requiring more slack than remains forbids retirement.
+  EXPECT_TRUE(plane.SurplusZombies(5 * kBuff).empty());
+}
+
+TEST(SurplusZombies, RetireRemovesBuffers) {
+  auto plane = OneShardPlane({1, 2});
+  ASSERT_TRUE(plane.GsGotoZombie(1, MakeGrants(2, 1)).ok());
+  ASSERT_TRUE(plane.RetireZombie(1).ok());
+  EXPECT_EQ(plane.FreeRemoteBytes(), 0u);
+  // Retiring a non-zombie or a serving zombie fails.
+  EXPECT_EQ(plane.RetireZombie(2).code(), ErrorCode::kFailedPrecondition);
+  ASSERT_TRUE(plane.GsGotoZombie(2, MakeGrants(1, 2)).ok());
+  ASSERT_TRUE(plane.GsAllocExt(1, kBuff).ok());
+  EXPECT_EQ(plane.RetireZombie(2).code(), ErrorCode::kConflict);
 }
 
 }  // namespace

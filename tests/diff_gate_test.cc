@@ -12,6 +12,7 @@
 
 #include <cstdio>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/common/report.h"
@@ -107,6 +108,30 @@ TEST(ParseToleranceFileTest, RejectsBadFiles) {
     EXPECT_NE(options.status().ToString().find("tolerances.json"),
               std::string::npos)
         << options.status().ToString();
+  }
+}
+
+// A repeated key used to be read last-wins, so a trailing "ignore" silently
+// disarmed the gate.  Each repeat is an error naming the key and the file.
+TEST(ParseToleranceFileTest, RejectsRepeatedKeys) {
+  const std::pair<const char*, const char*> cases[] = {
+      {"{\"schema\": \"zombieland.diff.tolerances/v1\", \"default\": \"0\", "
+       "\"default\": \"ignore\"}",
+       "default"},
+      {"{\"metrics\": {\"joules\": \"0\"}, \"metrics\": {\"joules\": \"ignore\"}}",
+       "metrics"},
+      {"{\"metrics\": {\"joules\": \"0\", \"wall_seconds\": \"ignore\", "
+       "\"joules\": \"ignore\"}}",
+       "joules"},
+  };
+  for (const auto& [json, key] : cases) {
+    auto options = ParseToleranceFile(json, "tolerances.json");
+    ASSERT_FALSE(options.ok()) << json;
+    const std::string message = options.status().ToString();
+    EXPECT_NE(message.find("tolerances.json"), std::string::npos) << message;
+    EXPECT_NE(message.find("duplicate object key \"" + std::string(key) + "\""),
+              std::string::npos)
+        << message;
   }
 }
 

@@ -18,11 +18,9 @@
 #include "src/cloud/admission.h"
 #include "src/cloud/consolidation.h"
 #include "src/cloud/faults.h"
-#include "src/cloud/oasis.h"
 #include "src/cloud/placement.h"
 #include "src/cloud/rack.h"
 #include "src/cloud/rack_energy.h"
-#include "src/cloud/runtime.h"
 #include "src/cloud/server.h"
 #include "src/common/env.h"
 #include "src/common/event_queue.h"
@@ -43,7 +41,6 @@
 #include "src/hv/params.h"
 #include "src/hv/replacement.h"
 #include "src/hv/sharded_pager.h"
-#include "src/hv/split_driver.h"
 #include "src/hv/vm.h"
 #include "src/migration/migration.h"
 #include "src/rdma/fabric.h"
@@ -56,7 +53,6 @@
 #include "src/remotemem/secondary_controller.h"
 #include "src/remotemem/sharded_plane.h"
 #include "src/remotemem/types.h"
-#include "src/remotemem/wire.h"
 #include "src/scenario/diff.h"
 #include "src/scenario/driver.h"
 #include "src/scenario/registry.h"
@@ -70,7 +66,6 @@
 #include "src/sim/cooling.h"
 #include "src/sim/dc_sim.h"
 #include "src/sim/trace.h"
-#include "src/sim/trace_io.h"
 #include "src/workloads/access_pattern.h"
 #include "src/workloads/app_models.h"
 #include "src/workloads/runner.h"

@@ -1,7 +1,7 @@
 // Integration tests: full-stack scenarios exercising several modules
 // together — the complete zombie lifecycle over the rack, workloads paging
-// against real zombie memory, consolidation followed by suspension, the
-// RPC-wired control path, and the surplus deep-sleep policy.
+// against real zombie memory, consolidation followed by suspension, and the
+// surplus deep-sleep policy.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -12,7 +12,6 @@
 #include "src/cloud/rack.h"
 #include "src/hv/backend.h"
 #include "src/migration/migration.h"
-#include "src/remotemem/wire.h"
 #include "src/workloads/app_models.h"
 #include "src/workloads/runner.h"
 
@@ -162,50 +161,7 @@ TEST(Integration, ConsolidateThenSuspendDropsPower) {
 }
 
 // ---------------------------------------------------------------------------
-// Scenario 4: the GS_* control path over the fabric, against a rack whose
-// controller node is a real server.
-// ---------------------------------------------------------------------------
-
-TEST(Integration, RpcControlPathAgainstRackController) {
-  Rack rack(TestRack());
-  auto profile = acpi::MachineProfile::HpCompaqElite8300();
-  Server& ctr_box = rack.AddServer("ctr", profile, {8, 16 * kGiB});
-  Server& agent_box = rack.AddServer("agent", profile, {8, 16 * kGiB});
-  ctr_box.set_role(Role::kGlobalController);
-
-  rdma::RpcServer rpc_server(&rack.verbs(), ctr_box.node());
-  remotemem::ControllerEndpoint endpoint(&rack.plane(), &rpc_server);
-  rdma::RpcRouter router(&rack.verbs());
-  router.AddServer(&rpc_server);
-  remotemem::ControllerClient client(&router, agent_box.node(), ctr_box.node());
-
-  // Delegate over the wire on behalf of the agent server.
-  std::vector<remotemem::BufferGrant> grants;
-  for (int i = 0; i < 4; ++i) {
-    rdma::MrAccess access;
-    access.materialize = false;
-    auto rkey = rack.verbs().RegisterRegion(agent_box.node(), 4 * kMiB, access);
-    ASSERT_TRUE(rkey.ok());
-    grants.push_back({remotemem::kInvalidBuffer, rkey.value(), 4 * kMiB, agent_box.id(),
-                      remotemem::BufferType::kZombie});
-  }
-  auto ids = client.GotoZombie(agent_box.id(), grants);
-  ASSERT_TRUE(ids.ok()) << ids.status().ToString();
-  EXPECT_EQ(rack.plane().FreeRemoteBytes(), 16 * kMiB);
-
-  // The mirrored secondary saw every wire-driven operation.
-  EXPECT_GE(rack.plane().secondary(0).mirrored_ops(), 4u);
-
-  // When the controller's host suspends, the control path fails cleanly
-  // (the RPC daemon needs a CPU) — this is why the secondary exists.
-  ASSERT_TRUE(ctr_box.machine().Suspend(acpi::SleepState::kS3).ok());
-  auto blocked = client.AllocExt(agent_box.id(), 4 * kMiB);
-  EXPECT_FALSE(blocked.ok());
-  EXPECT_EQ(blocked.code(), ErrorCode::kUnavailable);
-}
-
-// ---------------------------------------------------------------------------
-// Scenario 5: surplus zombies sink to S3 and leave the pool consistent.
+// Scenario 4: surplus zombies sink to S3 and leave the pool consistent.
 // ---------------------------------------------------------------------------
 
 TEST(Integration, SurplusZombiesDeepSleep) {
@@ -236,7 +192,7 @@ TEST(Integration, SurplusZombiesDeepSleep) {
 }
 
 // ---------------------------------------------------------------------------
-// Scenario 6: migration decision integrated with rack state — migrating a
+// Scenario 5: migration decision integrated with rack state — migrating a
 // VM between hosts whose remote part stays in place.
 // ---------------------------------------------------------------------------
 

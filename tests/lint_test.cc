@@ -216,6 +216,7 @@ TEST(LintFixtures, ViolationFilesAreNamedAfterTheirRule) {
                          "src/allow_missing_reason.cc"));
   EXPECT_TRUE(HasFinding(result, "allow-unknown-rule",
                          "src/allow_unknown_rule.cc"));
+  EXPECT_TRUE(HasFinding(result, "test-only-header", "src/test_only_header.h"));
 }
 
 TEST(LintFixtures, IncludeSelfcheckNamesTheMissingHeader) {
@@ -228,6 +229,20 @@ TEST(LintFixtures, IncludeSelfcheckNamesTheMissingHeader) {
   EXPECT_EQ(it->file, "tests/include_selfcheck.cc");
   EXPECT_EQ(it->line, 0u);
   EXPECT_NE(it->message.find("src/missing.h"), std::string::npos);
+}
+
+TEST(LintFixtures, TestOnlyHeaderIgnoresTestIncluders) {
+  const LintResult result = LintFixtureTree("violations");
+  const auto it = std::find_if(
+      result.findings.begin(), result.findings.end(), [](const Finding& f) {
+        return f.rule == "test-only-header" && f.file == "src/test_only_header.h";
+      });
+  // tests/test_only_header_test.cc includes it, but only src/, tools/ and
+  // bench/ includers count; the finding anchors on the header as a whole.
+  ASSERT_NE(it, result.findings.end());
+  EXPECT_EQ(it->line, 0u);
+  EXPECT_EQ(it->severity, Severity::kError);
+  EXPECT_NE(it->message.find("src/test_only_header.h"), std::string::npos);
 }
 
 TEST(LintFixtures, FindingsAreSortedByFileLineRule) {
@@ -245,7 +260,8 @@ TEST(LintFixtures, FindingsAreSortedByFileLineRule) {
 TEST(LintFixtures, CleanTreeHasNoFindings) {
   const LintResult result = LintFixtureTree("clean");
   EXPECT_TRUE(result.io_errors.empty());
-  EXPECT_EQ(result.files_scanned, 3u);  // clean.h, clean.cc, include_selfcheck.cc
+  // clean.h, clean.cc, its tools/ consumer clean_main.cc, include_selfcheck.cc
+  EXPECT_EQ(result.files_scanned, 4u);
   EXPECT_TRUE(result.findings.empty())
       << "unexpected finding: "
       << (result.findings.empty() ? "" : FormatFinding(result.findings[0]));
@@ -287,8 +303,10 @@ TEST(LintFixtures, ExplicitFilePathScansJustThatFile) {
   const LintResult result = LintFixtureTree("violations", options);
   EXPECT_EQ(result.files_scanned, 1u);
   EXPECT_TRUE(HasFinding(result, "naked-new", "src/naked_new.cc"));
-  // Partial scans must not fabricate include-selfcheck noise.
+  // Partial scans must not fabricate include-selfcheck or test-only-header
+  // noise: both rules need the whole tree in view.
   EXPECT_FALSE(HasFinding(result, "include-selfcheck", ""));
+  EXPECT_FALSE(HasFinding(result, "test-only-header", ""));
 }
 
 TEST(LintFixtures, BadRootIsAnIoErrorNotAFinding) {

@@ -4,24 +4,33 @@
 //  * the buffer DB conserves buffers through random operation sequences;
 //  * the Sz energy estimate respects physical orderings for any plausible
 //    machine;
-//  * migration estimates dominate correctly across the parameter space.
+//  * migration estimates dominate correctly across the parameter space;
+//  * the JSON reader returns a value or an error, never crashes, on mutants
+//    of a rendered report and of bench/tolerances.json.
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <map>
 #include <memory>
+#include <sstream>
+#include <string>
+#include <string_view>
 #include <tuple>
 #include <utility>
 #include <vector>
 
 #include "src/acpi/energy_model.h"
+#include "src/common/report.h"
 #include "src/common/rng.h"
 #include "src/hv/backend.h"
 #include "src/hv/pager.h"
 #include "src/hv/replacement.h"
 #include "src/migration/migration.h"
 #include "src/remotemem/buffer_db.h"
+#include "src/scenario/diff.h"
 #include "src/workloads/app_models.h"
 #include "src/workloads/runner.h"
 
@@ -490,6 +499,86 @@ TEST(MigrationProperty, ZombieNeverMovesMoreBytesThanPreCopy) {
               static_cast<Bytes>(local_fraction * static_cast<double>(vm.reserved_memory)) +
                   kPageSize);
   }
+}
+
+// ---------------------------------------------------------------------------
+// ParseJson under mutation: byte flips, deletions, insertions and
+// truncations of well-formed documents.  Every mutant must come back as a
+// value or a kInvalidArgument status (the ASan lane checks memory safety).
+// ---------------------------------------------------------------------------
+
+#ifndef ZOMBIE_TOLERANCES_JSON
+#error "the build must define ZOMBIE_TOLERANCES_JSON=<path to bench/tolerances.json>"
+#endif
+
+std::string RenderedReportForMutation() {
+  report::Report r("mutant_seed", "a \"quoted\" title");
+  r.Text("== text with a tab\t and a newline ==\n");
+  auto& table = r.AddTable("t", "Table", {"policy", "fraction", "seconds"});
+  table.Row({"FIFO", "0.2", "1.5e-3"});
+  table.Row({"LRU", "0.5", "-0"});
+  r.Metric("joules", 123456.789);
+  r.Metric("tiny", 1e-17);
+  r.Metric("zero", 0.0);
+  auto& points = r.MutablePoints();
+  points.resize(2);
+  points[0].axes = {{"policy", "FIFO"}, {"fraction", "0.2"}};
+  points[0].Metric("exec_seconds", 2.5);
+  points[1].axes = {{"policy", "LRU"}, {"fraction", "0.5"}};
+  points[1].Metric("exec_seconds", 100.0 - 46.16);
+  return r.RenderJson();
+}
+
+TEST(ParseJsonTest, MutantsNeverCrash) {
+  ScopedSeedReporter seed_reporter;
+  std::ifstream in(ZOMBIE_TOLERANCES_JSON, std::ios::binary);
+  ASSERT_TRUE(in) << "cannot read " << ZOMBIE_TOLERANCES_JSON;
+  std::ostringstream tolerances;
+  tolerances << in.rdbuf();
+  const std::string originals[] = {RenderedReportForMutation(), tolerances.str()};
+  for (const std::string& original : originals) {
+    ASSERT_TRUE(report::ParseJson(original).ok());
+  }
+
+  constexpr std::string_view kAlphabet = "{}[]:,\"\\-+.eE0123456789 tfnu";
+  Rng rng(TestSeed(716));
+  std::size_t rejected = 0;
+  for (int i = 0; i < 20000; ++i) {
+    std::string mutant = originals[i % 2];
+    const int edits = 1 + static_cast<int>(rng.NextBelow(3));
+    for (int e = 0; e < edits && !mutant.empty(); ++e) {
+      const std::size_t at = rng.NextBelow(mutant.size());
+      const char c = kAlphabet[rng.NextBelow(kAlphabet.size())];
+      switch (rng.NextBelow(4)) {
+        case 0:
+          mutant[at] = c;
+          break;
+        case 1:
+          mutant.erase(at, 1);
+          break;
+        case 2:
+          mutant.insert(mutant.begin() + static_cast<std::ptrdiff_t>(at), c);
+          break;
+        default:
+          mutant.resize(at);
+          break;
+      }
+    }
+    auto parsed = report::ParseJson(mutant);
+    if (!parsed.ok()) {
+      ++rejected;
+      ASSERT_EQ(parsed.code(), ErrorCode::kInvalidArgument) << mutant;
+      ASSERT_EQ(parsed.status().message().rfind("JSON error at offset ", 0), 0u)
+          << parsed.status().message();
+    }
+    // The tolerance reader sits on top; it must fail as cleanly.
+    auto options = scenario::ParseToleranceFile(mutant, "mutant.json");
+    if (!options.ok()) {
+      ASSERT_EQ(options.code(), ErrorCode::kInvalidArgument) << mutant;
+    }
+  }
+  // The mutator must actually break documents, or the test proves nothing.
+  EXPECT_GT(rejected, 10000u);
 }
 
 }  // namespace

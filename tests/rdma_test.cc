@@ -1,8 +1,10 @@
 // Unit tests for the RDMA fabric simulator: fabric pricing, verbs semantics
-// (including the zombie one-sided-access property), RPC over RDMA.
+// (including the zombie one-sided-access property), RPC over RDMA and its
+// payload codec.
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "src/rdma/fabric.h"
@@ -319,6 +321,68 @@ TEST(PayloadCodec, UnderrunDetected) {
   PayloadReader r2(p);
   // A string header larger than the remaining bytes must fail cleanly.
   EXPECT_FALSE(r2.GetString().ok());
+}
+
+// The payload encoding is the fabric's wire format; its boundary cases keep
+// the WireCodec suite name they have always been reported under.
+TEST(WireCodec, PrimitiveRoundTripsIncludingBoundaryValues) {
+  PayloadWriter writer;
+  writer.PutU64(0);
+  writer.PutU64(~0ULL);
+  writer.PutU64(0x0123456789ABCDEFULL);
+  writer.PutU32(0);
+  writer.PutU32(0xFFFFFFFFu);
+  writer.PutString("");
+  writer.PutString(std::string("nul\0inside", 10));
+  const Payload payload = writer.Take();
+  // 3*8 + 2*4 + (4+0) + (4+10) bytes of little-endian data.
+  EXPECT_EQ(payload.size(), 24u + 8u + 4u + 14u);
+
+  PayloadReader reader(payload);
+  auto a = reader.GetU64();
+  auto b = reader.GetU64();
+  auto c = reader.GetU64();
+  auto d = reader.GetU32();
+  auto e = reader.GetU32();
+  auto s1 = reader.GetString();
+  auto s2 = reader.GetString();
+  ASSERT_TRUE(a.ok());
+  ASSERT_TRUE(b.ok());
+  ASSERT_TRUE(c.ok());
+  ASSERT_TRUE(d.ok());
+  ASSERT_TRUE(e.ok());
+  ASSERT_TRUE(s1.ok());
+  ASSERT_TRUE(s2.ok());
+  EXPECT_EQ(a.value(), 0u);
+  EXPECT_EQ(b.value(), ~0ULL);
+  EXPECT_EQ(c.value(), 0x0123456789ABCDEFULL);
+  EXPECT_EQ(d.value(), 0u);
+  EXPECT_EQ(e.value(), 0xFFFFFFFFu);
+  EXPECT_EQ(s1.value(), "");
+  EXPECT_EQ(s2.value(), std::string("nul\0inside", 10));
+  EXPECT_TRUE(reader.AtEnd());
+}
+
+TEST(WireCodec, PrimitiveUnderrunsRejected) {
+  const Payload empty;
+  {
+    PayloadReader reader(empty);
+    EXPECT_EQ(reader.GetU64().code(), ErrorCode::kInvalidArgument);
+  }
+  {
+    PayloadReader reader(empty);
+    EXPECT_EQ(reader.GetU32().code(), ErrorCode::kInvalidArgument);
+  }
+  {
+    PayloadReader reader(empty);
+    EXPECT_EQ(reader.GetString().code(), ErrorCode::kInvalidArgument);
+  }
+  // A string whose length prefix promises more bytes than remain.
+  PayloadWriter writer;
+  writer.PutU32(100);
+  const Payload lying = writer.Take();
+  PayloadReader reader(lying);
+  EXPECT_EQ(reader.GetString().code(), ErrorCode::kInvalidArgument);
 }
 
 }  // namespace

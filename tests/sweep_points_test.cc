@@ -460,6 +460,15 @@ TEST(ParseJsonTest, RejectsMalformedInput) {
   EXPECT_FALSE(report::ParseJson("[1, 2").ok());
   EXPECT_FALSE(report::ParseJson("{} trailing").ok());
   EXPECT_FALSE(report::ParseJson("\"unterminated").ok());
+  // A repeated key, a number beyond double range and a leading zero.
+  for (const char* bad : {"{\"a\": 1, \"a\": 2}", "{\"o\": {\"k\": 1, \"k\": 1}}",
+                          "1e999", "-1e999", "01", "-01"}) {
+    EXPECT_FALSE(report::ParseJson(bad).ok()) << bad;
+  }
+  // Their legal neighbours still parse.
+  for (const char* good : {"[{\"a\": 1}, {\"a\": 2}]", "0", "-0", "0.5", "1e308"}) {
+    EXPECT_TRUE(report::ParseJson(good).ok()) << good;
+  }
 }
 
 TEST(ParseJsonTest, RoundTripsARenderedReport) {

@@ -41,6 +41,10 @@ const std::vector<RuleInfo>& RuleTable() {
       {"include-selfcheck", Severity::kError,
        "every header under src/ must appear in tests/include_selfcheck.cc "
        "(also enforced at configure time by cmake/include_selfcheck.cmake)"},
+      {"test-only-header", Severity::kError,
+       "a header under src/ that nothing in src/, tools/ or bench/ includes "
+       "(besides its own .cc) is code only tests consume; delete it with its "
+       "tests, or give it a real caller"},
       {"scenario-registration", Severity::kError,
        "ZOMBIE_REGISTER_SCENARIO entries in src/ belong in "
        "src/scenario/catalog_*.cc so the catalog stays discoverable"},
@@ -617,6 +621,35 @@ void CheckIncludeSelfcheck(const std::vector<SourceFile>& files,
   }
 }
 
+// test-only-header: every src/**/*.h has an includer under src/, tools/ or
+// bench/ other than its paired .cc.  Needs the whole tree in view, so it
+// only runs on a full scan (no explicit path arguments).
+void CheckTestOnlyHeader(const std::vector<SourceFile>& files,
+                         std::vector<Finding>* out) {
+  static const std::regex kIncludeRe(R"(^\s*#\s*include\s+"(src/[^"]+\.h)\")");
+  std::set<std::string> consumed;
+  for (const SourceFile& f : files) {
+    if (!InSrcOrTools(f) && !StartsWith(f.path, "bench/")) {
+      continue;
+    }
+    for (const std::string& line : f.raw) {
+      std::smatch m;
+      if (std::regex_search(line, m, kIncludeRe) &&
+          f.path != m[1].str().substr(0, m[1].length() - 2) + ".cc") {
+        consumed.insert(m[1].str());
+      }
+    }
+  }
+  for (const SourceFile& f : files) {
+    if (InSrc(f) && EndsWith(f.path, ".h") && consumed.count(f.path) == 0) {
+      Emit(out, f, 0, "test-only-header",
+           "header '" + f.path +
+               "' has no includer under src/, tools/ or bench/ besides its "
+               "own .cc; only tests consume it");
+    }
+  }
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -720,6 +753,9 @@ LintResult RunLint(const Options& options) {
     CheckPrintfFamily(file, &findings);
   }
   CheckIncludeSelfcheck(files, &findings);
+  if (options.paths.empty()) {
+    CheckTestOnlyHeader(files, &findings);
+  }
 
   // Apply severity overrides, drop rules forced off.
   for (Finding& f : findings) {
