@@ -38,7 +38,12 @@
 #   bench     Release build (build-bench/) + the bench_smoke label: the
 #             three micro_* binaries plus scenario_cli.run_all_smoke_table,
 #             one `zombieland run --all --smoke` table render of every paper
-#             figure/table/ablation (no per-figure tests or binaries)
+#             figure/table/ablation (no per-figure tests or binaries); then
+#             the layered benchmark's self-test (python3 perfbench/selftest.py:
+#             metric names and units match BENCHMARK.json, fingerprints are
+#             reproducible and match perfbench/fingerprints.json, and a
+#             corrupted fingerprint file is reported — the check that catches
+#             a speedup that simulates less work)
 #   lint      static analysis: zombie-lint over the whole tree (BLOCKING —
 #             any finding fails the stage; suppressions need a written
 #             reason), the `lint` ctest label (engine unit tests, fixture
@@ -236,6 +241,7 @@ for stage in "${stages[@]}"; do
       cmake -B build-bench -S . -DCMAKE_BUILD_TYPE=Release "${cmake_args[@]}"
       cmake --build build-bench -j "${jobs}"
       ctest --test-dir build-bench -L bench_smoke --output-on-failure -j "${jobs}"
+      python3 perfbench/selftest.py
       ;;
   esac
   stage_names+=("${stage}")

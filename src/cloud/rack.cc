@@ -74,12 +74,11 @@ Server& Rack::AddServer(std::string hostname, acpi::MachineProfile profile,
 }
 
 Server* Rack::FindServer(remotemem::ServerId id) {
-  for (auto& s : servers_) {
-    if (s->id() == id) {
-      return s.get();
-    }
+  // Ids are minted 1, 2, 3... in AddServer and servers_ never shrinks.
+  if (id == 0 || id > servers_.size()) {
+    return nullptr;
   }
-  return nullptr;
+  return servers_[id - 1].get();
 }
 
 Status Rack::PushToZombie(remotemem::ServerId id) {

@@ -33,22 +33,29 @@ Status Server::HostVm(const hv::VmSpec& vm, Bytes local_bytes) {
   if (local_bytes > vm.reserved_memory) {
     return Status(ErrorCode::kInvalidArgument, "local share exceeds reserved memory");
   }
-  if (UsedCpus() + vm.vcpus > capacity_.cpus) {
+  if (used_cpus_ + vm.vcpus > capacity_.cpus) {
     return Status(ErrorCode::kOutOfMemory, "no vCPU capacity");
   }
-  if (UsedLocalMemory() + local_bytes > capacity_.memory - lent_memory_) {
+  if (used_local_ + local_bytes > capacity_.memory - lent_memory_) {
     return Status(ErrorCode::kOutOfMemory, "no local memory capacity");
   }
   vms_.emplace(vm.id, vm);
   vm_local_bytes_.emplace(vm.id, local_bytes);
+  used_cpus_ += vm.vcpus;
+  used_local_ += local_bytes;
   return Status::Ok();
 }
 
 Status Server::DropVm(hv::VmId vm) {
-  if (vms_.erase(vm) == 0) {
+  auto hosted = vms_.find(vm);
+  if (hosted == vms_.end()) {
     return Status(ErrorCode::kNotFound, "VM not hosted here");
   }
-  vm_local_bytes_.erase(vm);
+  auto local = vm_local_bytes_.find(vm);
+  used_cpus_ -= hosted->second.vcpus;
+  used_local_ -= local->second;
+  vms_.erase(hosted);
+  vm_local_bytes_.erase(local);
   return Status::Ok();
 }
 
@@ -57,24 +64,8 @@ Bytes Server::LocalBytesOf(hv::VmId vm) const {
   return it == vm_local_bytes_.end() ? 0 : it->second;
 }
 
-std::uint32_t Server::UsedCpus() const {
-  std::uint32_t used = 0;
-  for (const auto& [id, vm] : vms_) {
-    used += vm.vcpus;
-  }
-  return used;
-}
-
-Bytes Server::UsedLocalMemory() const {
-  Bytes used = 0;
-  for (const auto& [id, bytes] : vm_local_bytes_) {
-    used += bytes;
-  }
-  return used;
-}
-
 Bytes Server::FreeLocalMemory() const {
-  const Bytes used = UsedLocalMemory() + lent_memory_;
+  const Bytes used = used_local_ + lent_memory_;
   return used >= capacity_.memory ? 0 : capacity_.memory - used;
 }
 
@@ -82,7 +73,7 @@ double Server::CpuUtilization() const {
   if (capacity_.cpus == 0) {
     return 0.0;
   }
-  return std::min(1.0, static_cast<double>(UsedCpus()) / static_cast<double>(capacity_.cpus));
+  return std::min(1.0, static_cast<double>(used_cpus_) / static_cast<double>(capacity_.cpus));
 }
 
 }  // namespace zombie::cloud

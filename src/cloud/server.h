@@ -61,8 +61,9 @@ class Server {
   const std::map<hv::VmId, hv::VmSpec>& vms() const { return vms_; }
   Bytes LocalBytesOf(hv::VmId vm) const;
 
-  std::uint32_t UsedCpus() const;
-  Bytes UsedLocalMemory() const;
+  // Running totals over the hosted VMs, kept by HostVm / DropVm.
+  std::uint32_t UsedCpus() const { return used_cpus_; }
+  Bytes UsedLocalMemory() const { return used_local_; }
   Bytes FreeLocalMemory() const;
   double CpuUtilization() const;  // booked-cpu proxy in [0,1]
 
@@ -78,6 +79,8 @@ class Server {
   rdma::NodeId node_ = rdma::kInvalidNode;
   std::map<hv::VmId, hv::VmSpec> vms_;
   std::map<hv::VmId, Bytes> vm_local_bytes_;
+  std::uint32_t used_cpus_ = 0;
+  Bytes used_local_ = 0;
   Bytes lent_memory_ = 0;
 };
 

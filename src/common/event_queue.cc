@@ -1,5 +1,7 @@
 #include "src/common/event_queue.h"
 
+#include <algorithm>
+
 namespace zombie {
 
 EventQueue::EventId EventQueue::ScheduleAt(SimTime when, Callback cb) {
@@ -7,7 +9,8 @@ EventQueue::EventId EventQueue::ScheduleAt(SimTime when, Callback cb) {
     when = clock_.now();
   }
   const EventId id = next_id_++;
-  heap_.push(Event{when, next_seq_++, id, std::move(cb)});
+  heap_.push_back(Event{when, next_seq_++, id, std::move(cb)});
+  std::push_heap(heap_.begin(), heap_.end(), Later());
   pending_ids_.insert(id);
   return id;
 }
@@ -22,10 +25,16 @@ bool EventQueue::Cancel(EventId id) {
   return true;
 }
 
+EventQueue::Event EventQueue::PopTop() {
+  std::pop_heap(heap_.begin(), heap_.end(), Later());
+  Event ev = std::move(heap_.back());
+  heap_.pop_back();
+  return ev;
+}
+
 bool EventQueue::PopAndRun() {
   while (!heap_.empty()) {
-    Event ev = heap_.top();
-    heap_.pop();
+    Event ev = PopTop();
     if (cancelled_.erase(ev.id) > 0) {
       continue;  // skip cancelled event
     }
@@ -48,9 +57,9 @@ std::size_t EventQueue::Run() {
 std::size_t EventQueue::RunUntil(SimTime deadline) {
   std::size_t n = 0;
   while (!heap_.empty()) {
-    const Event& top = heap_.top();
+    const Event& top = heap_.front();
     if (cancelled_.erase(top.id) > 0) {
-      heap_.pop();  // drop cancelled entries without consuming the deadline
+      PopTop();  // drop cancelled entries without consuming the deadline
       continue;
     }
     if (top.when > deadline) {

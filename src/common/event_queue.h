@@ -10,7 +10,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <queue>
 #include <unordered_set>
 #include <utility>
 #include <vector>
@@ -67,10 +66,12 @@ class EventQueue {
     }
   };
 
+  // Moves the earliest event out of the heap.
+  Event PopTop();
   bool PopAndRun();
 
   SimClock clock_;
-  std::priority_queue<Event, std::vector<Event>, Later> heap_;
+  std::vector<Event> heap_;  // a binary heap under Later: front() fires next
   std::uint64_t next_seq_ = 0;
   EventId next_id_ = 1;
   std::unordered_set<EventId> pending_ids_;

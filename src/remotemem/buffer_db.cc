@@ -1,6 +1,7 @@
 #include "src/remotemem/buffer_db.h"
 
 #include <algorithm>
+#include <functional>
 
 namespace zombie::remotemem {
 
@@ -12,60 +13,90 @@ namespace {
 
 bool IdLess(const BufferRecord& record, BufferId id) { return record.id < id; }
 
+constexpr std::size_t kNoOrdinal = SIZE_MAX;
+
 }  // namespace
 
+BufferDb::BufferDb(BufferId id_base, BufferId id_stride)
+    : id_base_(id_base), id_stride_(id_stride == 0 ? 1 : id_stride) {}
+
+std::size_t BufferDb::OrdinalOf(BufferId id) const {
+  if (id < id_base_) {
+    return kNoOrdinal;
+  }
+  const BufferId delta = id - id_base_;
+  const BufferId ordinal = id_stride_ == 1 ? delta : delta / id_stride_;
+  if (ordinal * id_stride_ != delta || ordinal >= kNoOrdinal) {
+    return kNoOrdinal;
+  }
+  return static_cast<std::size_t>(ordinal);
+}
+
 std::optional<std::size_t> BufferDb::PositionOf(BufferId id) const {
-  auto it = position_.find(id);
-  if (it == position_.end()) {
-    return std::nullopt;
+  const std::size_t ordinal = OrdinalOf(id);
+  if (ordinal < slot_.size()) {
+    const std::uint32_t pos = slot_[ordinal];
+    if (pos == kNoRecord) {
+      return std::nullopt;
+    }
+    return pos;
   }
-  if (it->second < stale_from_) {
-    return it->second;
-  }
-  // The record sits in the shifted tail; its stored position may lag.
-  auto tail = records_.begin() + static_cast<std::ptrdiff_t>(stale_from_);
-  auto found = std::lower_bound(tail, records_.end(), id, IdLess);
+  // Outside the table: the sorted records are the index.
+  auto found = std::lower_bound(records_.begin(), records_.end(), id, IdLess);
   if (found == records_.end() || found->id != id) {
     return std::nullopt;
   }
   return static_cast<std::size_t>(found - records_.begin());
 }
 
-const BufferRecord* BufferDb::FindRecord(BufferId id) const {
-  const std::optional<std::size_t> pos = PositionOf(id);
-  return pos.has_value() ? &records_[*pos] : nullptr;
+void BufferDb::CoverOrdinal(std::size_t ordinal) {
+  if (ordinal < slot_.size() || ordinal >= TableBound()) {
+    return;
+  }
+  const std::size_t first = slot_.size();
+  slot_.resize(ordinal + 1, kNoRecord);
+  // Records of the newly covered ordinals were inserted while outside the
+  // table; point the table at them.
+  const BufferId first_id = id_base_ + static_cast<BufferId>(first) * id_stride_;
+  auto it = std::lower_bound(records_.begin(), records_.end(), first_id, IdLess);
+  for (; it != records_.end(); ++it) {
+    const std::size_t covered = OrdinalOf(it->id);
+    if (covered < slot_.size()) {
+      slot_[covered] = static_cast<std::uint32_t>(it - records_.begin());
+    }
+  }
 }
 
-BufferRecord* BufferDb::FindMutable(BufferId id) {
-  if (stale_from_ != kAllFresh) {
-    for (std::size_t i = stale_from_; i < records_.size(); ++i) {
-      position_[records_[i].id] = i;
+void BufferDb::Repoint(std::size_t from) {
+  for (std::size_t i = from; i < records_.size(); ++i) {
+    const std::size_t ordinal = OrdinalOf(records_[i].id);
+    if (ordinal < slot_.size()) {
+      slot_[ordinal] = static_cast<std::uint32_t>(i);
     }
-    stale_from_ = kAllFresh;
   }
-  return const_cast<BufferRecord*>(FindRecord(id));
 }
 
 void BufferDb::AddFree(const BufferRecord& record) {
   ++free_count_;
   free_bytes_ += record.size;
   std::vector<BufferId>& ids = free_by_host_[static_cast<std::size_t>(record.type)][record.host];
-  if (ids.empty() || ids.back() < record.id) {
+  if (ids.empty() || ids.back() > record.id) {
     ids.push_back(record.id);
   } else {
-    ids.insert(std::lower_bound(ids.begin(), ids.end(), record.id), record.id);
+    ids.insert(std::lower_bound(ids.begin(), ids.end(), record.id, std::greater<>()),
+               record.id);
   }
 }
 
 void BufferDb::RemoveFree(const BufferRecord& record) {
   --free_count_;
   free_bytes_ -= record.size;
-  FreeIndex& index = free_by_host_[static_cast<std::size_t>(record.type)];
-  auto host = index.find(record.host);
-  std::vector<BufferId>& ids = host->second;
-  ids.erase(std::lower_bound(ids.begin(), ids.end(), record.id));
-  if (ids.empty()) {
-    index.erase(host);
+  std::vector<BufferId>& ids =
+      free_by_host_[static_cast<std::size_t>(record.type)].find(record.host)->second;
+  if (ids.back() == record.id) {
+    ids.pop_back();
+  } else {
+    ids.erase(std::lower_bound(ids.begin(), ids.end(), record.id, std::greater<>()));
   }
 }
 
@@ -73,19 +104,23 @@ Status BufferDb::Insert(const BufferRecord& record) {
   if (record.id == kInvalidBuffer) {
     return Status(ErrorCode::kInvalidArgument, "buffer id 0 is reserved");
   }
-  if (position_.contains(record.id)) {
+  if (PositionOf(record.id).has_value()) {
     return Status(ErrorCode::kConflict, "duplicate buffer id");
   }
+  ++inserted_;
+  const std::size_t ordinal = OrdinalOf(record.id);
+  CoverOrdinal(ordinal);
   // Controller-assigned ids are monotonic, so the common case is an append.
   if (records_.empty() || records_.back().id < record.id) {
     records_.push_back(record);
-    position_[record.id] = records_.size() - 1;
+    if (ordinal < slot_.size()) {
+      slot_[ordinal] = static_cast<std::uint32_t>(records_.size() - 1);
+    }
   } else {
     auto it = std::lower_bound(records_.begin(), records_.end(), record.id, IdLess);
     const auto pos = static_cast<std::size_t>(it - records_.begin());
     records_.insert(it, record);
-    position_[record.id] = pos;
-    stale_from_ = std::min(stale_from_, pos);
+    Repoint(pos);
   }
   if (record.user == kNilServer) {
     AddFree(record);
@@ -93,52 +128,111 @@ Status BufferDb::Insert(const BufferRecord& record) {
   return Status::Ok();
 }
 
-Status BufferDb::Erase(BufferId id) {
-  const std::optional<std::size_t> pos = PositionOf(id);
-  if (!pos.has_value()) {
-    return Status(ErrorCode::kNotFound, "unknown buffer id");
+Status BufferDb::EraseAll(std::span<const BufferId> ids) {
+  if (ids.empty()) {
+    return Status::Ok();
   }
-  position_.erase(id);
-  if (records_[*pos].user == kNilServer) {
-    RemoveFree(records_[*pos]);
+  std::vector<std::size_t> doomed;
+  doomed.reserve(ids.size());
+  for (BufferId id : ids) {
+    const std::optional<std::size_t> pos = PositionOf(id);
+    if (!pos.has_value()) {
+      return Status(ErrorCode::kNotFound, "unknown buffer id");
+    }
+    doomed.push_back(*pos);
   }
-  records_.erase(records_.begin() + static_cast<std::ptrdiff_t>(*pos));
-  stale_from_ = std::min(stale_from_, *pos);
+  std::sort(doomed.begin(), doomed.end());
+  if (std::adjacent_find(doomed.begin(), doomed.end()) != doomed.end()) {
+    return Status(ErrorCode::kNotFound, "unknown buffer id");  // listed twice
+  }
+  for (std::size_t pos : doomed) {
+    const BufferRecord& rec = records_[pos];
+    if (rec.user == kNilServer) {
+      RemoveFree(rec);
+    }
+    if (const std::size_t ordinal = OrdinalOf(rec.id); ordinal < slot_.size()) {
+      slot_[ordinal] = kNoRecord;
+    }
+  }
+  // One compaction pass over the records from the first erased one.
+  std::size_t out = doomed.front();
+  std::size_t next = 0;
+  for (std::size_t i = doomed.front(); i < records_.size(); ++i) {
+    if (next < doomed.size() && doomed[next] == i) {
+      ++next;
+      continue;
+    }
+    records_[out++] = records_[i];
+  }
+  records_.resize(out);
+  Repoint(doomed.front());
   return Status::Ok();
 }
 
 std::optional<BufferRecord> BufferDb::Find(BufferId id) const {
-  const BufferRecord* record = FindRecord(id);
-  if (record == nullptr) {
+  const std::optional<std::size_t> pos = PositionOf(id);
+  if (!pos.has_value()) {
     return std::nullopt;
   }
-  return *record;
+  return records_[*pos];
 }
 
-Status BufferDb::Assign(BufferId id, ServerId user) {
-  BufferRecord* record = FindMutable(id);
-  if (record == nullptr) {
-    return Status(ErrorCode::kNotFound, "unknown buffer id");
+Status BufferDb::AssignAll(std::span<const BufferId> ids, ServerId user) {
+  for (BufferId id : ids) {
+    const std::optional<std::size_t> pos = PositionOf(id);
+    if (!pos.has_value()) {
+      return Status(ErrorCode::kNotFound, "unknown buffer id");
+    }
+    if (records_[*pos].user != kNilServer) {
+      return Status(ErrorCode::kConflict, "buffer already allocated");
+    }
   }
-  if (record->user != kNilServer) {
-    return Status(ErrorCode::kConflict, "buffer already allocated");
+  if (user == kNilServer) {
+    return Status::Ok();  // assigning to nobody leaves every buffer free
   }
-  if (user != kNilServer) {
-    RemoveFree(*record);
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    BufferRecord& rec = records_[*PositionOf(ids[i])];
+    if (rec.user != kNilServer) {
+      // Listed twice: undo this call's assignments.
+      for (std::size_t j = 0; j < i; ++j) {
+        BufferRecord& undone = records_[*PositionOf(ids[j])];
+        if (undone.user != kNilServer) {
+          undone.user = kNilServer;
+          AddFree(undone);
+        }
+      }
+      return Status(ErrorCode::kConflict, "buffer already allocated");
+    }
+    RemoveFree(rec);
+    rec.user = user;
   }
-  record->user = user;
   return Status::Ok();
 }
 
+std::size_t BufferDb::ReleaseHeld(std::span<const BufferId> ids, ServerId holder) {
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    const std::optional<std::size_t> pos = PositionOf(ids[i]);
+    if (!pos.has_value()) {
+      continue;
+    }
+    BufferRecord& rec = records_[*pos];
+    if (rec.user != holder) {
+      return i;
+    }
+    if (rec.user != kNilServer) {
+      rec.user = kNilServer;
+      AddFree(rec);
+    }
+  }
+  return ids.size();
+}
+
 Status BufferDb::Release(BufferId id) {
-  BufferRecord* record = FindMutable(id);
-  if (record == nullptr) {
+  const std::optional<std::size_t> pos = PositionOf(id);
+  if (!pos.has_value()) {
     return Status(ErrorCode::kNotFound, "unknown buffer id");
   }
-  if (record->user != kNilServer) {
-    record->user = kNilServer;
-    AddFree(*record);
-  }
+  (void)ReleaseHeld({&id, 1}, records_[*pos].user);
   return Status::Ok();
 }
 
@@ -153,14 +247,46 @@ void BufferDb::RetypeHost(ServerId host, BufferType type) {
       type == BufferType::kZombie ? BufferType::kActive : BufferType::kZombie;
   FreeIndex& from = free_by_host_[static_cast<std::size_t>(other)];
   auto moved = from.find(host);
-  if (moved == from.end()) {
+  if (moved == from.end() || moved->second.empty()) {
     return;
   }
   std::vector<BufferId>& ids = free_by_host_[static_cast<std::size_t>(type)][host];
   const auto middle = static_cast<std::ptrdiff_t>(ids.size());
   ids.insert(ids.end(), moved->second.begin(), moved->second.end());
-  std::inplace_merge(ids.begin(), ids.begin() + middle, ids.end());
-  from.erase(moved);
+  std::inplace_merge(ids.begin(), ids.begin() + middle, ids.end(), std::greater<>());
+  moved->second.clear();
+}
+
+BufferDb::FreeIndex BufferDb::FreeByHost(BufferType type) const {
+  FreeIndex ascending;
+  for (const auto& [host, ids] : free_by_host_[static_cast<std::size_t>(type)]) {
+    if (!ids.empty()) {
+      ascending.emplace_hint(ascending.end(), host,
+                             std::vector<BufferId>(ids.rbegin(), ids.rend()));
+    }
+  }
+  return ascending;
+}
+
+std::vector<BufferId> BufferDb::PickFree(BufferType type, std::size_t want) const {
+  const FreeIndex& index = free_by_host_[static_cast<std::size_t>(type)];
+  std::vector<BufferId> picks;
+  picks.reserve(want);
+  for (std::size_t round = 0; picks.size() < want; ++round) {
+    const std::size_t before = picks.size();
+    for (const auto& [host, ids] : index) {
+      if (picks.size() == want) {
+        break;
+      }
+      if (round < ids.size()) {
+        picks.push_back(ids[ids.size() - 1 - round]);
+      }
+    }
+    if (picks.size() == before) {
+      break;
+    }
+  }
+  return picks;
 }
 
 std::vector<BufferRecord> BufferDb::BuffersOfHost(ServerId host) const {
@@ -220,18 +346,25 @@ void BufferDb::Load(const std::vector<BufferRecord>& records) {
   records_ = records;
   std::sort(records_.begin(), records_.end(),
             [](const BufferRecord& a, const BufferRecord& b) { return a.id < b.id; });
-  position_.clear();
-  position_.reserve(records_.size());
-  stale_from_ = kAllFresh;
+  inserted_ += records_.size();
+  slot_.clear();
+  // Ordinals ascend with ids, so the first one the bound admits from the top
+  // sizes the table.
+  for (auto it = records_.rbegin(); it != records_.rend(); ++it) {
+    if (const std::size_t ordinal = OrdinalOf(it->id); ordinal < TableBound()) {
+      CoverOrdinal(ordinal);
+      break;
+    }
+  }
   for (auto& index : free_by_host_) {
     index.clear();
   }
   free_count_ = 0;
   free_bytes_ = 0;
-  for (std::size_t i = 0; i < records_.size(); ++i) {
-    position_[records_[i].id] = i;
-    if (records_[i].user == kNilServer) {
-      AddFree(records_[i]);
+  // Descending ids, so every free list grows at its back.
+  for (auto it = records_.rbegin(); it != records_.rend(); ++it) {
+    if (it->user == kNilServer) {
+      AddFree(*it);
     }
   }
 }

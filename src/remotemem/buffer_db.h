@@ -7,17 +7,22 @@
 // Storage is a flat vector kept sorted by id.  Ids are handed out
 // monotonically by the controller, so inserts are amortised appends.  The
 // controller sits on the allocation path of every RAM-Ext VM boot, so the
-// queries on the allocate / release / placement paths are indexed, and
-// every mutator keeps the indexes consistent with the records:
+// allocate / release / reclaim paths cost what the buffers they touch cost,
+// and every mutator keeps the indexes consistent with the records:
 //   - the free count and free bytes are maintained totals (O(1));
-//   - a free index per buffer type maps each host to its free ids,
-//     ascending, so allocation touches only the buffers it grants;
-//   - an id -> position hash map makes Find / Assign / Release O(1).  An
-//     Erase or a middle Insert shifts the records after it; rather than
-//     re-point that tail on every shift (a wake erases a host's buffers one
-//     by one), it only marks the tail stale.  Lookups in a stale tail fall
-//     back to a binary search over it, and the next Assign or Release
-//     re-points it in one pass.
+//   - a free index per buffer type maps each host to its free ids, stored
+//     descending: allocation takes a host's lowest ids and a release usually
+//     returns low ids, so both pop or push at the back.  FreeByHost presents
+//     the index ascending;
+//   - the id lookup is a dense table keyed by the id's mint ordinal,
+//     (id - id_base) / id_stride (the owning controller's id sequence,
+//     ControllerConfig).  It grows only to ordinals below twice the records
+//     ever inserted, so its size is bounded by the records minted, not by an
+//     id's magnitude; an id outside the table falls back to a binary search
+//     over the sorted records.
+// Assign, Release and Erase are batch calls over a list of ids (one GS_*
+// operation is one call); the per-id forms are one-element batches.  Erase
+// compacts the records in one pass and re-points the shifted tail.
 // The queries that still scan every record — BuffersOfHost, BuffersUsedBy,
 // ReclaimOrderForHost, AllocatedCountOfHost and TotalBytes — run only on
 // wake, lease expiry, retire and verification paths.
@@ -26,9 +31,10 @@
 
 #include <array>
 #include <cstddef>
+#include <cstdint>
 #include <map>
 #include <optional>
-#include <unordered_map>
+#include <span>
 #include <vector>
 
 #include "src/common/result.h"
@@ -42,23 +48,43 @@ class BufferDb {
   // no free buffer of the type have no entry.
   using FreeIndex = std::map<ServerId, std::vector<BufferId>>;
 
+  // `id_base` / `id_stride` describe the id sequence the owner mints; they
+  // size the lookup table only and never change a result.
+  explicit BufferDb(BufferId id_base = 1, BufferId id_stride = 1);
+
   // Inserts a record; id must be fresh.
   [[nodiscard]] Status Insert(const BufferRecord& record);
-  [[nodiscard]] Status Erase(BufferId id);
   std::optional<BufferRecord> Find(BufferId id) const;
 
-  // Marks a free buffer as used by `user`.
-  [[nodiscard]] Status Assign(BufferId id, ServerId user);
-  // Returns a buffer to the free pool.
+  // Marks free buffers as used by `user`.  Every id is checked before any
+  // changes: an unknown id fails with kNotFound, an allocated (or repeated)
+  // one with kConflict, and then nothing changes.
+  [[nodiscard]] Status AssignAll(std::span<const BufferId> ids, ServerId user);
+  // Returns buffers `holder` uses to the free pool, in order, as GS_release
+  // does: an unknown id is skipped (its host already took it back), and the
+  // first id not held by `holder` stops the call, leaving the ids before it
+  // released.  A free buffer counts as held by kNilServer.  Returns the
+  // number of ids consumed: ids.size(), or the index of the stopping id.
+  std::size_t ReleaseHeld(std::span<const BufferId> ids, ServerId holder);
+  // Drops buffers, compacting the records in one pass.  Every id must name
+  // a distinct record, else kNotFound and nothing changes.
+  [[nodiscard]] Status EraseAll(std::span<const BufferId> ids);
+
+  // One-element forms of the batch calls.
+  [[nodiscard]] Status Assign(BufferId id, ServerId user) { return AssignAll({&id, 1}, user); }
+  // Returns a buffer to the free pool, whoever holds it.
   [[nodiscard]] Status Release(BufferId id);
+  [[nodiscard]] Status Erase(BufferId id) { return EraseAll({&id, 1}); }
+
   // Flips the type of all buffers of `host` (zombie <-> active) when the
   // host changes power state without reclaiming.
   void RetypeHost(ServerId host, BufferType type);
 
   // The free index of one buffer type (hosts ascending, ids ascending).
-  const FreeIndex& FreeByHost(BufferType type) const {
-    return free_by_host_[static_cast<std::size_t>(type)];
-  }
+  FreeIndex FreeByHost(BufferType type) const;
+  // Up to `want` free ids of one type, round-robin across hosts: round r
+  // takes each host's r-th lowest free id, hosts ascending.
+  std::vector<BufferId> PickFree(BufferType type, std::size_t want) const;
 
   // Queries (all results ordered by id).
   std::vector<BufferRecord> BuffersOfHost(ServerId host) const;
@@ -85,23 +111,32 @@ class BufferDb {
   const std::vector<BufferRecord>& records() const { return records_; }
 
  private:
+  static constexpr std::uint32_t kNoRecord = UINT32_MAX;
+
+  // Mint ordinal of `id`, or SIZE_MAX if `id` is not in the sequence.
+  std::size_t OrdinalOf(BufferId id) const;
   // Index of `id` in records_, if present.
   std::optional<std::size_t> PositionOf(BufferId id) const;
-  const BufferRecord* FindRecord(BufferId id) const;
-  // Re-points a stale tail first, so mutating lookups stay O(1).
-  BufferRecord* FindMutable(BufferId id);
+  // The table never covers an ordinal at or past this bound.
+  std::size_t TableBound() const { return 2 * inserted_ + 64; }
+  // Extends the table to cover `ordinal` if the bound allows it.
+  void CoverOrdinal(std::size_t ordinal);
+  // Re-points the table at records_[from, end).
+  void Repoint(std::size_t from);
   // Free-pool bookkeeping for one record entering / leaving the pool.
   void AddFree(const BufferRecord& record);
   void RemoveFree(const BufferRecord& record);
 
-  static constexpr std::size_t kAllFresh = static_cast<std::size_t>(-1);
-
+  BufferId id_base_;
+  BufferId id_stride_;
   std::vector<BufferRecord> records_;  // sorted by id
-  std::unordered_map<BufferId, std::size_t> position_;  // id -> index in records_
-  // position_ is exact for records_[0, stale_from_); entries at or past it
-  // may lag behind an Erase or middle Insert (kAllFresh: nothing lags).
-  std::size_t stale_from_ = kAllFresh;
-  std::array<FreeIndex, 2> free_by_host_;  // indexed by BufferType
+  // Mint ordinal -> index in records_ (kNoRecord: no such record).  Exact
+  // for every ordinal below its size.
+  std::vector<std::uint32_t> slot_;
+  std::size_t inserted_ = 0;  // records ever inserted or loaded
+  // Indexed by BufferType.  Ids descending; a host whose list empties keeps
+  // its (empty) entry.
+  std::array<FreeIndex, 2> free_by_host_;
   std::size_t free_count_ = 0;
   Bytes free_bytes_ = 0;
 };

@@ -5,15 +5,14 @@
 namespace zombie::remotemem {
 
 GlobalMemoryController::GlobalMemoryController(ControllerConfig config)
-    : config_(config), next_buffer_id_(config.id_base) {}
+    : config_(config), db_(config.id_base, config.id_stride), next_buffer_id_(config.id_base) {}
 
 void GlobalMemoryController::RegisterServer(ServerId server) {
   // "Initially all servers are designated active, and state is updated as
   // they are pushed to Sz" (Section 4.2).
   servers_.Register(server);
   // Registration is mirrored so a promoted secondary knows every server.
-  Mirror({MirrorOp::Kind::kServerState, {}, kInvalidBuffer, server, BufferType::kZombie,
-          false});
+  Mirror({.kind = MirrorOp::Kind::kServerState, .server = server, .is_zombie = false});
 }
 
 void GlobalMemoryController::Restore(const std::vector<BufferRecord>& records,
@@ -48,6 +47,14 @@ void GlobalMemoryController::Mirror(const MirrorOp& op) {
   }
 }
 
+void GlobalMemoryController::EraseAndMirror(const std::vector<BufferId>& ids) {
+  if (ids.empty()) {
+    return;
+  }
+  (void)db_.EraseAll(ids);
+  Mirror({.kind = MirrorOp::Kind::kErase, .buffers = ids});
+}
+
 Result<std::vector<BufferId>> GlobalMemoryController::InsertGrants(
     ServerId host, const std::vector<BufferGrant>& buffers, BufferType type) {
   if (!servers_.Contains(host)) {
@@ -75,7 +82,7 @@ Result<std::vector<BufferId>> GlobalMemoryController::InsertGrants(
     if (!st.ok()) {
       return st;
     }
-    Mirror({MirrorOp::Kind::kInsert, rec, rec.id, host, type, false});
+    Mirror({.kind = MirrorOp::Kind::kInsert, .record = rec});
     ids.push_back(rec.id);
   }
   return ids;
@@ -88,13 +95,13 @@ Result<std::vector<BufferId>> GlobalMemoryController::GsGotoZombie(
   }
   // Any slack the host was lending while active becomes zombie memory.
   db_.RetypeHost(host, BufferType::kZombie);
-  Mirror({MirrorOp::Kind::kRetypeHost, {}, kInvalidBuffer, host, BufferType::kZombie, false});
+  Mirror({.kind = MirrorOp::Kind::kRetypeHost, .server = host, .type = BufferType::kZombie});
   auto ids = InsertGrants(host, buffers, BufferType::kZombie);
   if (!ids.ok()) {
     return ids;
   }
   servers_.SetZombie(host, true);
-  Mirror({MirrorOp::Kind::kServerState, {}, kInvalidBuffer, host, BufferType::kZombie, true});
+  Mirror({.kind = MirrorOp::Kind::kServerState, .server = host, .is_zombie = true});
   return ids;
 }
 
@@ -161,13 +168,10 @@ Result<std::vector<BufferId>> GlobalMemoryController::GsReclaim(ServerId host,
       return Status(ErrorCode::kUnavailable, failures);
     }
   }
-  for (BufferId id : reclaimed) {
-    (void)db_.Erase(id);
-    Mirror({MirrorOp::Kind::kErase, {}, id, host, BufferType::kZombie, false});
-  }
+  EraseAndMirror(reclaimed);
   // A host reclaiming memory is waking up.
   servers_.SetZombie(host, false);
-  Mirror({MirrorOp::Kind::kServerState, {}, kInvalidBuffer, host, BufferType::kZombie, false});
+  Mirror({.kind = MirrorOp::Kind::kServerState, .server = host, .is_zombie = false});
   return reclaimed;
 }
 
@@ -180,47 +184,33 @@ std::vector<BufferGrant> GlobalMemoryController::TakeFreeOfType(ServerId user,
   // failure."
   //
   // Round r takes each host's r-th free id, hosts ascending and ids
-  // ascending within a host, straight from the free index.  Every pick is
-  // made before the first Assign changes that index.
-  const BufferDb::FreeIndex& free_by_host = db_.FreeByHost(type);
-  std::vector<BufferId> picks;
-  picks.reserve(want);
-  for (std::size_t round = 0; picks.size() < want; ++round) {
-    const std::size_t before = picks.size();
-    for (const auto& [host, ids] : free_by_host) {
-      if (picks.size() == want) {
-        break;
-      }
-      if (round < ids.size()) {
-        picks.push_back(ids[round]);
-      }
-    }
-    if (picks.size() == before) {
-      break;
-    }
+  // ascending within a host.  Every pick is made before the one AssignAll
+  // changes the free index.
+  const std::vector<BufferId> picks = db_.PickFree(type, want);
+  if (picks.empty()) {
+    return {};
   }
+  (void)db_.AssignAll(picks, user);
+  Mirror({.kind = MirrorOp::Kind::kAssign, .buffers = picks, .server = user});
   std::vector<BufferGrant> grants;
   grants.reserve(picks.size());
   for (BufferId id : picks) {
     const BufferRecord rec = *db_.Find(id);
-    (void)db_.Assign(id, user);
-    Mirror({MirrorOp::Kind::kAssign, {}, id, user, rec.type, false});
     grants.push_back({rec.id, rec.rkey, rec.size, rec.host, rec.type});
   }
   return grants;
 }
 
 Status GlobalMemoryController::GsRelease(ServerId user, const std::vector<BufferId>& buffers) {
-  for (BufferId id : buffers) {
-    auto rec = db_.Find(id);
-    if (!rec.has_value()) {
-      continue;  // already reclaimed by its host — nothing to release
-    }
-    if (rec->user != user) {
-      return Status(ErrorCode::kNotFound, "buffer not held by user");
-    }
-    (void)db_.Release(id);
-    Mirror({MirrorOp::Kind::kRelease, {}, id, user, rec->type, false});
+  // An id already reclaimed by its host is skipped; the first id `user`
+  // does not hold stops the release, with the ids before it released.
+  const std::span<const BufferId> released =
+      std::span<const BufferId>(buffers).first(db_.ReleaseHeld(buffers, user));
+  if (!released.empty()) {
+    Mirror({.kind = MirrorOp::Kind::kRelease, .buffers = released, .server = user});
+  }
+  if (released.size() < buffers.size()) {
+    return Status(ErrorCode::kNotFound, "buffer not held by user");
   }
   return Status::Ok();
 }
@@ -232,10 +222,11 @@ Status GlobalMemoryController::RetireZombie(ServerId host) {
   if (db_.AllocatedCountOfHost(host) > 0) {
     return Status(ErrorCode::kConflict, "zombie still serves allocated buffers");
   }
+  std::vector<BufferId> retired;
   for (const auto& rec : db_.BuffersOfHost(host)) {
-    (void)db_.Erase(rec.id);
-    Mirror({MirrorOp::Kind::kErase, {}, rec.id, host, BufferType::kZombie, false});
+    retired.push_back(rec.id);
   }
+  EraseAndMirror(retired);
   return Status::Ok();
 }
 
@@ -244,14 +235,10 @@ std::vector<BufferId> GlobalMemoryController::DropHostBuffers(ServerId host) {
   for (const auto& rec : db_.BuffersOfHost(host)) {
     dropped.push_back(rec.id);
   }
-  for (BufferId id : dropped) {
-    (void)db_.Erase(id);
-    Mirror({MirrorOp::Kind::kErase, {}, id, host, BufferType::kZombie, false});
-  }
+  EraseAndMirror(dropped);
   if (servers_.Contains(host) && servers_.IsZombie(host)) {
     servers_.SetZombie(host, false);
-    Mirror({MirrorOp::Kind::kServerState, {}, kInvalidBuffer, host, BufferType::kZombie,
-            false});
+    Mirror({.kind = MirrorOp::Kind::kServerState, .server = host, .is_zombie = false});
   }
   return dropped;
 }
@@ -261,9 +248,9 @@ std::vector<BufferId> GlobalMemoryController::ReleaseBuffersUsedBy(ServerId user
   for (const auto& rec : db_.BuffersUsedBy(user)) {
     released.push_back(rec.id);
   }
-  for (BufferId id : released) {
-    (void)db_.Release(id);
-    Mirror({MirrorOp::Kind::kRelease, {}, id, user, BufferType::kZombie, false});
+  if (!released.empty()) {
+    (void)db_.ReleaseHeld(released, user);
+    Mirror({.kind = MirrorOp::Kind::kRelease, .buffers = released, .server = user});
   }
   return released;
 }

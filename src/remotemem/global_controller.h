@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <functional>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -24,7 +25,9 @@
 
 namespace zombie::remotemem {
 
-// A mutating operation, as mirrored to the secondary controller.
+// A mutating operation, as mirrored to the secondary controller.  One GS_*
+// call is one op: a batch op carries every id the primary changed, and the
+// secondary applies it with the same BufferDb batch call.
 struct MirrorOp {
   enum class Kind : std::uint8_t {
     kInsert,
@@ -34,9 +37,15 @@ struct MirrorOp {
     kRetypeHost,
     kServerState,
   } kind;
-  BufferRecord record;       // kInsert
-  BufferId buffer = kInvalidBuffer;  // kErase/kAssign/kRelease
-  ServerId server = kNilServer;      // kAssign(user)/kRetypeHost/kServerState
+  // kInsert: the new record.
+  BufferRecord record = {};
+  // kErase/kAssign/kRelease: the ids, in the order the primary applied them.
+  // The span points into the primary's own list and is valid only for the
+  // duration of ApplyMirrored; a sink that keeps the op must copy it.
+  std::span<const BufferId> buffers = {};
+  // kAssign: the new user; kRelease: the holder the ids were released from;
+  // kRetypeHost/kServerState: the server.
+  ServerId server = kNilServer;
   BufferType type = BufferType::kZombie;  // kRetypeHost
   bool is_zombie = false;                 // kServerState
 };
@@ -148,6 +157,8 @@ class GlobalMemoryController {
                                              const std::vector<BufferGrant>& buffers,
                                              BufferType type);
   void Mirror(const MirrorOp& op);
+  // Erases `ids` with one batch call and mirrors them as one op.
+  void EraseAndMirror(const std::vector<BufferId>& ids);
 
   ControllerConfig config_;
   BufferDb db_;

@@ -10,13 +10,13 @@ void SecondaryController::ApplyMirrored(const MirrorOp& op) {
       servers_.Register(op.record.host);
       break;
     case MirrorOp::Kind::kErase:
-      (void)replica_.Erase(op.buffer);
+      (void)replica_.EraseAll(op.buffers);
       break;
     case MirrorOp::Kind::kAssign:
-      (void)replica_.Assign(op.buffer, op.server);
+      (void)replica_.AssignAll(op.buffers, op.server);
       break;
     case MirrorOp::Kind::kRelease:
-      (void)replica_.Release(op.buffer);
+      (void)replica_.ReleaseHeld(op.buffers, op.server);
       break;
     case MirrorOp::Kind::kRetypeHost:
       replica_.RetypeHost(op.server, op.type);

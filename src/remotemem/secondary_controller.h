@@ -27,7 +27,10 @@ struct SecondaryConfig {
 
 class SecondaryController final : public MirrorSink {
  public:
-  explicit SecondaryController(SecondaryConfig config = {}) : config_(config) {}
+  // `primary` is the mirrored controller's config; its id sequence sizes the
+  // replica's lookup table.
+  explicit SecondaryController(SecondaryConfig config = {}, const ControllerConfig& primary = {})
+      : config_(config), replica_(primary.id_base, primary.id_stride) {}
 
   const SecondaryConfig& config() const { return config_; }
 

@@ -48,7 +48,8 @@ ShardedControlPlane::ShardedControlPlane(PlaneConfig config) : config_(config) {
   for (std::size_t k = 0; k < shards_.size(); ++k) {
     Shard& shard = shards_[k];
     shard.primary = std::make_unique<GlobalMemoryController>(ShardControllerConfig(k));
-    shard.secondary = std::make_unique<SecondaryController>(config_.secondary);
+    shard.secondary =
+        std::make_unique<SecondaryController>(config_.secondary, ShardControllerConfig(k));
     shard.primary->set_mirror(shard.secondary.get());
   }
 }
@@ -184,9 +185,12 @@ Result<std::vector<BufferGrant>> ShardedControlPlane::GsAllocExt(ServerId user,
     if (!escalation_log.empty()) {
       detail += "; " + escalation_log;
     }
+    std::vector<BufferId> granted;
+    granted.reserve(grants.size());
     for (const auto& g : grants) {
-      (void)shards_[ShardOfBuffer(g.id)].primary->GsRelease(user, {g.id});
+      granted.push_back(g.id);
     }
+    (void)GsRelease(user, granted);
     return Status(ErrorCode::kOutOfMemory, detail);
   }
   return grants;

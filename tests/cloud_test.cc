@@ -3,7 +3,9 @@
 // (Section 5.2) and the Fig. 4 rack-energy estimator.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "src/cloud/consolidation.h"
@@ -11,6 +13,7 @@
 #include "src/cloud/rack.h"
 #include "src/cloud/rack_energy.h"
 #include "src/cloud/server.h"
+#include "src/common/rng.h"
 
 namespace zombie::cloud {
 namespace {
@@ -69,6 +72,55 @@ TEST(Server, PartialLocalHosting) {
   EXPECT_EQ(s.UsedLocalMemory(), 4 * kGiB);
 }
 
+// Random HostVm / DropVm sequences, rejected calls included, keep the
+// running totals equal to a sum over the hosted VMs.
+TEST(Server, RunningTotalsMatchHostedVms) {
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(seed);
+    Server s(1, "s1", acpi::MachineProfile::HpCompaqElite8300(), {8, 16 * kGiB});
+    std::vector<hv::VmId> hosted;
+    hv::VmId next_id = 1;
+    for (int step = 0; step < 400; ++step) {
+      const auto op = rng.NextBelow(6);
+      if (op == 0 && !hosted.empty()) {
+        const hv::VmId dup = hosted[rng.NextBelow(hosted.size())];
+        EXPECT_EQ(s.HostVm(MakeVm(dup, 1 * kGiB, 1), 0).code(), ErrorCode::kConflict);
+      } else if (op == 1) {
+        EXPECT_EQ(s.HostVm(MakeVm(next_id++, 1 * kGiB, 9), 0).code(),
+                  ErrorCode::kOutOfMemory);  // more vCPUs than the host has
+      } else if (op == 2) {
+        EXPECT_EQ(s.HostVm(MakeVm(next_id++, 1 * kGiB, 1), 2 * kGiB).code(),
+                  ErrorCode::kInvalidArgument);  // local share > reservation
+      } else if (op == 3 && !hosted.empty()) {
+        const std::size_t i = rng.NextBelow(hosted.size());
+        ASSERT_TRUE(s.DropVm(hosted[i]).ok());
+        EXPECT_EQ(s.DropVm(hosted[i]).code(), ErrorCode::kNotFound);
+        hosted.erase(hosted.begin() + static_cast<std::ptrdiff_t>(i));
+      } else {
+        // May also be refused for lack of vCPUs or local memory.
+        const Bytes reserved = (1 + rng.NextBelow(6)) * kGiB;
+        const Bytes local = rng.NextBelow(reserved / kGiB + 1) * kGiB;
+        const auto vcpus = static_cast<std::uint32_t>(1 + rng.NextBelow(3));
+        if (s.HostVm(MakeVm(next_id, reserved, vcpus), local).ok()) {
+          hosted.push_back(next_id);
+        }
+        ++next_id;
+      }
+      std::uint32_t cpus = 0;
+      Bytes local = 0;
+      for (const auto& [id, vm] : s.vms()) {
+        cpus += vm.vcpus;
+        local += s.LocalBytesOf(id);
+      }
+      ASSERT_EQ(s.vms().size(), hosted.size());
+      ASSERT_EQ(s.UsedCpus(), cpus);
+      ASSERT_EQ(s.UsedLocalMemory(), local);
+      ASSERT_EQ(s.FreeLocalMemory(), 16 * kGiB - local);
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Rack integration (Fig. 7 wiring).
 // ---------------------------------------------------------------------------
@@ -96,6 +148,16 @@ TEST_F(RackTest, PushToZombieDelegatesMemory) {
   // The zombie still serves one-sided RDMA.
   EXPECT_TRUE(rack_.fabric().NodeMemoryAccessible(server->node()));
   EXPECT_FALSE(rack_.fabric().NodeCanInitiate(server->node()));
+}
+
+TEST_F(RackTest, FindServerResolvesEveryAddedId) {
+  EXPECT_EQ(rack_.FindServer(0), nullptr);
+  EXPECT_EQ(rack_.FindServer(static_cast<remotemem::ServerId>(rack_.servers().size() + 1)),
+            nullptr);
+  EXPECT_EQ(rack_.FindServer(UINT32_MAX), nullptr);
+  for (const auto& server : rack_.servers()) {
+    EXPECT_EQ(rack_.FindServer(server->id()), server.get());
+  }
 }
 
 TEST_F(RackTest, PushToZombieRefusedWithVms) {

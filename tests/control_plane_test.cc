@@ -222,6 +222,40 @@ TEST_F(ShardedPlaneTest, AllocationOrderGolden) {
   EXPECT_EQ(AllocationOrderTrace(2), two_shards);
 }
 
+TEST_F(ShardedPlaneTest, ReleaseStopsAtBufferHeldByAnotherUser) {
+  for (std::size_t shards : {1u, 2u}) {
+    SCOPED_TRACE(std::to_string(shards) + " shard(s)");
+    auto plane = MakePlane(shards);
+    ASSERT_TRUE(plane.GsGotoZombie(kZ1, MakeGrants(4, kZ1)).ok());
+    ASSERT_TRUE(plane.GsGotoZombie(kZ2, MakeGrants(4, kZ2)).ok());
+    auto mine = plane.GsAllocExt(kUserA, 4 * kBuff);
+    auto theirs = plane.GsAllocExt(kUserB, 1 * kBuff);
+    ASSERT_TRUE(mine.ok());
+    ASSERT_TRUE(theirs.ok());
+    const auto& a = mine.value();
+    const BufferId foreign = theirs.value()[0].id;
+
+    // kUserB's buffer sits third: the two ids before it are released, the
+    // ones after it stay allocated, and the error names the cause.
+    const Status st = plane.GsRelease(kUserA, {a[0].id, a[1].id, foreign, a[2].id, a[3].id});
+    EXPECT_EQ(st.code(), ErrorCode::kNotFound);
+    EXPECT_EQ(st.message(), "buffer not held by user");
+    const std::vector<std::pair<BufferId, ServerId>> expected = {
+        {a[0].id, kNilServer}, {a[1].id, kNilServer}, {foreign, kUserB},
+        {a[2].id, kUserA},     {a[3].id, kUserA},
+    };
+    for (const auto& [id, user] : expected) {
+      const std::size_t k = plane.ShardOfBuffer(id);
+      for (const BufferDb* db : {&plane.primary(k).db(), &plane.secondary(k).replica()}) {
+        auto rec = db->Find(id);
+        ASSERT_TRUE(rec.has_value()) << "buffer " << id;
+        EXPECT_EQ(rec->user, user) << "buffer " << id;
+      }
+    }
+    EXPECT_TRUE(plane.CheckInvariants().ok());
+  }
+}
+
 // Lends `wanted` bytes of active slack whenever AS_get_free_mem asks, and
 // records who was asked.
 class LendingAgents final : public AgentDirectory {

@@ -1,7 +1,8 @@
 // Property-based and parameterized sweeps over the core invariants:
 //  * the pager never exceeds its frame budget and conserves pages;
 //  * penalties are monotone in local memory and device speed;
-//  * the buffer DB conserves buffers through random operation sequences;
+//  * the buffer DB conserves buffers through random operation sequences,
+//    and its batch calls match one-id-at-a-time application;
 //  * the Sz energy estimate respects physical orderings for any plausible
 //    machine;
 //  * migration estimates dominate correctly across the parameter space;
@@ -9,12 +10,14 @@
 //    of a rendered report and of bench/tolerances.json.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstddef>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <map>
 #include <memory>
+#include <span>
 #include <sstream>
 #include <string>
 #include <string_view>
@@ -30,6 +33,7 @@
 #include "src/hv/replacement.h"
 #include "src/migration/migration.h"
 #include "src/remotemem/buffer_db.h"
+#include "src/remotemem/secondary_controller.h"
 #include "src/scenario/diff.h"
 #include "src/workloads/app_models.h"
 #include "src/workloads/runner.h"
@@ -428,6 +432,198 @@ TEST(BufferDbProperty, RandomOpsRoundTripAndStaySorted) {
       }
     }
     check();
+  }
+}
+
+// Random batches of AssignAll / ReleaseHeld / EraseAll, with unknown,
+// already-free and repeated ids, against the per-id model of the test above
+// (an id -> record map changed one id at a time):
+//   - an assign or erase batch succeeds exactly when applying its ids one at
+//     a time would, and otherwise changes nothing.  The error code is that of
+//     the first id failing on the state before the call (kNotFound unknown,
+//     kConflict allocated), else kConflict for an assign repeat and
+//     kNotFound for an erase repeat;
+//   - a release batch consumes its ids in order, skipping unknown ones, up
+//     to the first one its holder does not hold.
+// A SecondaryController fed the same MirrorOps must keep a record-identical
+// replica.  The db uses a sharded id layout (base 2, stride 2) and now and
+// then inserts a far, out-of-sequence id, so both the lookup table and its
+// binary-search fallback are exercised.  The free totals and the FreeByHost
+// view are checked after every step.
+TEST(BufferDbProperty, RandomBatchesMatchPerIdModel) {
+  using remotemem::BufferId;
+  using remotemem::BufferRecord;
+  using remotemem::kNilServer;
+  using remotemem::MirrorOp;
+  using remotemem::ServerId;
+  ScopedSeedReporter seed_reporter;
+  for (std::uint64_t salt = 21; salt <= 24; ++salt) {
+    Rng rng(TestSeed(salt));
+    const remotemem::ControllerConfig layout{.id_base = 2, .id_stride = 2};
+    remotemem::BufferDb db(layout.id_base, layout.id_stride);
+    remotemem::SecondaryController secondary({}, layout);
+    std::map<BufferId, BufferRecord> model;
+    BufferId next_id = layout.id_base;
+    BufferId next_far_id = BufferId{1} << 40;
+
+    auto mirror = [&](MirrorOp::Kind kind, std::span<const BufferId> ids, ServerId server) {
+      secondary.ApplyMirrored({.kind = kind, .buffers = ids, .server = server});
+    };
+    auto check = [&] {
+      std::size_t free_count = 0;
+      Bytes free_bytes = 0;
+      std::array<remotemem::BufferDb::FreeIndex, 2> free_index;
+      ASSERT_EQ(db.records().size(), model.size());
+      auto rec = db.records().begin();
+      for (const auto& [id, expected] : model) {
+        ASSERT_EQ(rec->id, id);
+        EXPECT_EQ(rec->user, expected.user) << "id " << id;
+        EXPECT_EQ(rec->host, expected.host) << "id " << id;
+        EXPECT_EQ(rec->type, expected.type) << "id " << id;
+        if (expected.user == kNilServer) {
+          ++free_count;
+          free_bytes += expected.size;
+          free_index[static_cast<std::size_t>(expected.type)][expected.host].push_back(id);
+        }
+        ++rec;
+      }
+      EXPECT_EQ(db.free_count(), free_count);
+      EXPECT_EQ(db.FreeBytes(), free_bytes);
+      for (auto type : {remotemem::BufferType::kZombie, remotemem::BufferType::kActive}) {
+        EXPECT_EQ(db.FreeByHost(type), free_index[static_cast<std::size_t>(type)]);
+      }
+      // The mirrored replica is record-identical.
+      const auto& replica = secondary.replica().records();
+      ASSERT_EQ(replica.size(), db.records().size());
+      for (std::size_t i = 0; i < replica.size(); ++i) {
+        const BufferRecord& a = db.records()[i];
+        const BufferRecord& b = replica[i];
+        ASSERT_TRUE(a.id == b.id && a.offset == b.offset && a.size == b.size &&
+                    a.type == b.type && a.host == b.host && a.user == b.user &&
+                    a.rkey == b.rkey)
+            << "replica diverged at buffer " << a.id;
+      }
+      EXPECT_EQ(secondary.replica().free_count(), db.free_count());
+    };
+    // A batch of 1-8 ids: mostly known ones, some unknown (erased, off the
+    // id sequence or never minted) and some repeats.
+    auto random_batch = [&] {
+      std::vector<BufferId> batch(1 + rng.NextBelow(8));
+      for (std::size_t i = 0; i < batch.size(); ++i) {
+        const auto pick = rng.NextBelow(10);
+        if (pick == 0) {
+          batch[i] = 1 + rng.NextBelow(next_id + 2);  // often unknown
+        } else if (pick == 1 && i > 0) {
+          batch[i] = batch[rng.NextBelow(i)];  // a repeat
+        } else {
+          auto it = model.begin();
+          std::advance(it, static_cast<long>(rng.NextBelow(model.size())));
+          batch[i] = it->first;
+        }
+      }
+      return batch;
+    };
+
+    for (int step = 0; step < 1500; ++step) {
+      const auto op = rng.NextBelow(4);
+      if (op == 0 || model.size() < 4) {
+        BufferRecord rec;
+        if (rng.NextBool(0.02)) {
+          rec.id = next_far_id;
+          next_far_id += 2 * (1 + rng.NextBelow(1000));
+        } else {
+          rec.id = next_id;
+          next_id += layout.id_stride * (1 + rng.NextBelow(2));  // some gaps
+        }
+        rec.size = (1 + rng.NextBelow(4)) * kMiB;
+        rec.host = static_cast<ServerId>(1 + rng.NextBelow(4));
+        rec.type = rng.NextBool(0.5) ? remotemem::BufferType::kZombie
+                                     : remotemem::BufferType::kActive;
+        rec.rkey = rec.id * 7;
+        ASSERT_TRUE(db.Insert(rec).ok());
+        secondary.ApplyMirrored({.kind = MirrorOp::Kind::kInsert, .record = rec});
+        model[rec.id] = rec;
+      } else if (op == 1) {
+        const std::vector<BufferId> batch = random_batch();
+        const ServerId user =
+            rng.NextBool(0.1) ? kNilServer : static_cast<ServerId>(101 + rng.NextBelow(4));
+        // Per-id model, on a copy so a failing batch changes nothing.
+        auto after = model;
+        bool ok = true;
+        for (BufferId id : batch) {
+          auto it = after.find(id);
+          if (it == after.end() || it->second.user != kNilServer) {
+            ok = false;
+            break;
+          }
+          it->second.user = user;
+        }
+        ErrorCode code = ErrorCode::kOk;
+        if (!ok) {
+          code = ErrorCode::kConflict;  // a repeat, unless an id fails outright
+          for (BufferId id : batch) {
+            auto it = model.find(id);
+            if (it == model.end() || it->second.user != kNilServer) {
+              code = it == model.end() ? ErrorCode::kNotFound : ErrorCode::kConflict;
+              break;
+            }
+          }
+        }
+        const Status st = db.AssignAll(batch, user);
+        ASSERT_EQ(st.code(), code) << "assign batch of " << batch.size();
+        if (ok) {
+          model = std::move(after);
+          mirror(MirrorOp::Kind::kAssign, batch, user);
+        }
+      } else if (op == 2) {
+        const std::vector<BufferId> batch = random_batch();
+        const ServerId holder =
+            rng.NextBool(0.1) ? kNilServer : static_cast<ServerId>(101 + rng.NextBelow(4));
+        std::size_t consumed = 0;
+        for (; consumed < batch.size(); ++consumed) {
+          auto it = model.find(batch[consumed]);
+          if (it == model.end()) {
+            continue;
+          }
+          if (it->second.user != holder) {
+            break;
+          }
+          it->second.user = kNilServer;
+        }
+        ASSERT_EQ(db.ReleaseHeld(batch, holder), consumed);
+        if (consumed > 0) {
+          mirror(MirrorOp::Kind::kRelease, std::span<const BufferId>(batch).first(consumed),
+                 holder);
+        }
+      } else {
+        const std::vector<BufferId> batch = random_batch();
+        auto after = model;
+        bool ok = true;
+        for (BufferId id : batch) {
+          if (after.erase(id) == 0) {
+            ok = false;
+            break;
+          }
+        }
+        const Status st = db.EraseAll(batch);
+        ASSERT_EQ(st.code(), ok ? ErrorCode::kOk : ErrorCode::kNotFound);
+        if (ok) {
+          model = std::move(after);
+          mirror(MirrorOp::Kind::kErase, batch, kNilServer);
+          for (BufferId id : batch) {
+            EXPECT_FALSE(db.Find(id).has_value());
+          }
+        }
+      }
+      check();
+      if (step % 100 == 0) {
+        for (const auto& [id, rec] : model) {
+          auto found = db.Find(id);
+          ASSERT_TRUE(found.has_value()) << "id " << id;
+          EXPECT_EQ(found->user, rec.user);
+        }
+      }
+    }
   }
 }
 
