@@ -1,12 +1,11 @@
 // Component micro-benchmarks (google-benchmark): the host-side overhead of
-// the simulated RDMA verbs, RPC layer and remote extent — i.e. how cheap the
-// simulator itself is, and the simulated costs it reports.
+// the simulated RDMA verbs and fabric pricing — i.e. how cheap the simulator
+// itself is, and the simulated costs it reports.
 #include <benchmark/benchmark.h>
 
 #include <vector>
 
 #include "src/rdma/fabric.h"
-#include "src/rdma/rpc.h"
 #include "src/rdma/verbs.h"
 
 namespace {
@@ -15,10 +14,6 @@ using zombie::rdma::Fabric;
 using zombie::rdma::MrAccess;
 using zombie::rdma::NodeId;
 using zombie::rdma::NodePort;
-using zombie::rdma::Payload;
-using zombie::rdma::PayloadWriter;
-using zombie::rdma::RpcRouter;
-using zombie::rdma::RpcServer;
 using zombie::rdma::Verbs;
 
 struct Harness {
@@ -86,28 +81,5 @@ void BM_FabricPricingOnly(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_FabricPricingOnly);
-
-void BM_RpcEcho(benchmark::State& state) {
-  Harness h;
-  // RPC daemons need a CPU: re-attach b as an active node.
-  NodePort port;
-  port.name = "c";
-  port.can_initiate = [] { return true; };
-  port.memory_accessible = [] { return true; };
-  const NodeId c = h.fabric.Attach(std::move(port));
-  RpcServer server(&h.verbs, c);
-  server.RegisterMethod("echo", [](const Payload& req, PayloadWriter& out) {
-    out.PutRaw(req);
-    return zombie::Status::Ok();
-  });
-  RpcRouter router(&h.verbs);
-  router.AddServer(&server);
-  Payload request(64);
-  for (auto _ : state) {
-    auto response = router.Call(h.a, c, "echo", request);
-    benchmark::DoNotOptimize(response);
-  }
-}
-BENCHMARK(BM_RpcEcho);
 
 }  // namespace

@@ -2,8 +2,8 @@
 # Full local verification, split into the stages the CI workflow runs as its
 # matrix (.github/workflows/ci.yml).  Run from anywhere inside the repo.
 #
-#   scripts/check.sh                  # tier1 scenario faults serve diff perf asan
-#   scripts/check.sh --fast           # same minus the sanitizer stage
+#   scripts/check.sh                  # lint tier1 scenario faults serve diff perf asan tsan
+#   scripts/check.sh --fast           # same minus the sanitizer stages (asan, tsan)
 #   scripts/check.sh tier1 scenario   # just the named stages
 #
 # Stages:

@@ -85,9 +85,6 @@ SleepState Ospm::Wake() {
   firmware_->Wake();
   devices_->ResumeAll();
   current_state_ = SleepState::kS0;
-  if (post_wake_hook_) {
-    post_wake_hook_(from);
-  }
   return from;
 }
 

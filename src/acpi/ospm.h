@@ -46,10 +46,6 @@ class Ospm {
   // server's OS receives the suspend to Sz signal, it signals its
   // remote-mem-mgr to trigger memory delegation", Section 4.3).
   void set_pre_zombie_hook(std::function<void()> hook) { pre_zombie_hook_ = std::move(hook); }
-  // Hook invoked after wake, before user work resumes (memory reclaim).
-  void set_post_wake_hook(std::function<void(SleepState)> hook) {
-    post_wake_hook_ = std::move(hook);
-  }
 
   // Call trace of the last transition (function names as in Fig. 6).
   const std::vector<std::string>& call_trace() const { return call_trace_; }
@@ -73,7 +69,6 @@ class Ospm {
   Firmware* firmware_;
   SleepState current_state_ = SleepState::kS0;
   std::function<void()> pre_zombie_hook_;
-  std::function<void(SleepState)> post_wake_hook_;
   std::vector<std::string> call_trace_;
   std::vector<std::string> last_suspended_devices_;
 };

@@ -25,8 +25,7 @@ bool NeatPlanner::FitsForMigration(const Server& host, const hv::VmSpec& vm,
   return host.FreeLocalMemory() >= incoming_memory + RequiredLocalMemory(vm);
 }
 
-ConsolidationPlan NeatPlanner::Plan(const std::vector<Server*>& hosts,
-                                    remotemem::ServerId lru_zombie) const {
+ConsolidationPlan NeatPlanner::Plan(const std::vector<Server*>& hosts) const {
   ConsolidationPlan plan;
 
   // Step 1 & 2: classify hosts.
@@ -126,7 +125,7 @@ ConsolidationPlan NeatPlanner::Plan(const std::vector<Server*>& hosts,
     }
   }
 
-  // Steps 2-4: offload overloaded hosts; wake a zombie when nothing fits.
+  // Steps 2-4: offload overloaded hosts.
   for (Server* source : overloaded) {
     // Move the smallest VMs first until below the threshold (common Neat
     // heuristic: minimise migration cost).
@@ -149,13 +148,6 @@ ConsolidationPlan NeatPlanner::Plan(const std::vector<Server*>& hosts,
       if (target != nullptr) {
         plan.migrations.push_back({vm.id, source->id(), target->id()});
         shed += vm.vcpus;
-      } else if (lru_zombie != remotemem::kNilServer &&
-                 std::find(plan.hosts_to_wake.begin(), plan.hosts_to_wake.end(), lru_zombie) ==
-                     plan.hosts_to_wake.end()) {
-        // Wake the zombie with the fewest shared buffers and send the VM
-        // there next round.
-        plan.hosts_to_wake.push_back(lru_zombie);
-        break;
       }
       if (util_after <= config_.overload_cpu_threshold &&
           static_cast<double>(source->UsedCpus() - shed) /

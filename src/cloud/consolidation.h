@@ -4,12 +4,13 @@
 //   3. select the VMs to migrate;
 //   4. place the selected VMs (waking suspended hosts if necessary).
 //
-// The ZombieStack variant differs from vanilla Neat in three ways:
+// The ZombieStack variant differs from vanilla Neat in two ways:
 //   * emptied hosts go to Sz (memory lent to the pool) instead of S3;
 //   * the placement constraint is relaxed — a target only needs a fraction
-//     of the VM's working set locally (30% per the paper);
-//   * when a wake-up is unavoidable, it prefers GS_get_lru_zombie(), the
-//     zombie serving the fewest allocated buffers.
+//     of the VM's working set locally (30% per the paper).
+// Waking a suspended host when nothing fits (the paper's preference for the
+// zombie serving the fewest allocated buffers) is modelled by the DC
+// simulator (sim/dc_sim.cc), not planned here.
 #ifndef ZOMBIELAND_SRC_CLOUD_CONSOLIDATION_H_
 #define ZOMBIELAND_SRC_CLOUD_CONSOLIDATION_H_
 
@@ -47,24 +48,19 @@ struct MigrationOrder {
 struct ConsolidationPlan {
   std::vector<MigrationOrder> migrations;
   std::vector<remotemem::ServerId> hosts_to_suspend;
-  std::vector<remotemem::ServerId> hosts_to_wake;
 
-  bool empty() const {
-    return migrations.empty() && hosts_to_suspend.empty() && hosts_to_wake.empty();
-  }
+  bool empty() const { return migrations.empty() && hosts_to_suspend.empty(); }
 };
 
 // Pure planner: inspects hosts and produces a plan; the caller (rack or DC
-// simulator) executes it.  `lru_zombie` supplies GS_get_lru_zombie() when a
-// wake-up is needed (ignored in kNeat mode, which wakes any suspended host).
+// simulator) executes it.
 class NeatPlanner {
  public:
   explicit NeatPlanner(ConsolidationConfig config = {}) : config_(config) {}
 
   const ConsolidationConfig& config() const { return config_; }
 
-  ConsolidationPlan Plan(const std::vector<Server*>& hosts,
-                         remotemem::ServerId lru_zombie = remotemem::kNilServer) const;
+  ConsolidationPlan Plan(const std::vector<Server*>& hosts) const;
 
  private:
   // True if `host` can absorb `vm` under the mode's memory constraint.

@@ -14,33 +14,17 @@ Rack::Rack(RackConfig config)
           .shards = config.controller_shards == 0 ? 1 : config.controller_shards,
           .lease = {.ttl = config.lease_ttl},
           .secondary = {}}),
-      agents_(this),
-      rpc_router_(&verbs_) {
+      agents_(this) {
   plane_.set_agents(&agents_);
-  // One fabric node + lease-renewal RPC endpoint per controller shard.  The
-  // node is always reachable: it models the controller slot (primary plus
-  // warm standby), which survives a primary-process crash.
+  // One fabric node per controller shard.  The node is always reachable: it
+  // models the controller slot (primary plus warm standby), which survives a
+  // primary-process crash.
   for (std::size_t k = 0; k < plane_.shard_count(); ++k) {
     rdma::NodePort port;
     port.name = "ctrl-shard-" + std::to_string(k);
     port.can_initiate = [] { return true; };
     port.memory_accessible = [] { return true; };
-    const rdma::NodeId node = fabric_.Attach(std::move(port));
-    shard_nodes_.push_back(node);
-    auto rpc = std::make_unique<rdma::RpcServer>(&verbs_, node);
-    rpc->RegisterMethod(
-        "lease.renew",
-        [this](const rdma::Payload& request, rdma::PayloadWriter& response) -> Status {
-          rdma::PayloadReader reader(request);
-          auto host = reader.GetU32();
-          if (!host.ok()) {
-            return host.status();
-          }
-          response.PutU64(plane_.RenewLease(host.value(), clock_.now()));
-          return Status::Ok();
-        });
-    rpc_router_.AddServer(rpc.get());
-    shard_rpc_.push_back(std::move(rpc));
+    shard_nodes_.push_back(fabric_.Attach(std::move(port)));
   }
 }
 
@@ -57,11 +41,6 @@ Server& Rack::AddServer(std::string hostname, acpi::MachineProfile profile,
     return acpi::CpuPowered(raw->machine().ospm().current_state());
   };
   port.memory_accessible = [raw] { return raw->machine().ServesRemoteMemory(); };
-  port.wake_armed = [raw] { return acpi::WakeCapable(raw->machine().state()); };
-  port.on_wake_packet = [this, raw]() -> Duration {
-    auto latency = WakeServer(raw->id());
-    return latency.ok() ? latency.value() : 0;
-  };
   raw->set_node(fabric_.Attach(std::move(port)));
 
   plane_.RegisterServer(id);
@@ -121,24 +100,14 @@ Status Rack::PushToZombie(remotemem::ServerId id) {
   return Status::Ok();
 }
 
-Status Rack::PushToSleep(remotemem::ServerId id, acpi::SleepState state) {
-  Server* server = FindServer(id);
-  if (server == nullptr) {
-    return Status(ErrorCode::kNotFound, "unknown server");
-  }
-  if (!server->vms().empty()) {
-    return Status(ErrorCode::kFailedPrecondition, "server still hosts VMs");
-  }
-  return server->machine().Suspend(state);
-}
-
 Result<Duration> Rack::WakeServer(remotemem::ServerId id) {
   Server* server = FindServer(id);
   if (server == nullptr) {
     return Status(ErrorCode::kNotFound, "unknown server");
   }
-  const Duration latency = server->machine().WakeOnLan();
-  // Reclaim everything the server had lent.
+  // Reclaim everything the server had lent before waking it: a reclaim the
+  // control plane refuses (its home shard is down) leaves the zombie asleep
+  // and still lending, so a retry pays the full exit latency.
   if (server->lent_memory() > 0) {
     auto reclaimed = managers_.at(id)->ReclaimOnWake(server->lent_memory());
     if (!reclaimed.ok()) {
@@ -146,32 +115,9 @@ Result<Duration> Rack::WakeServer(remotemem::ServerId id) {
     }
     server->set_lent_memory(0);
   }
+  const Duration latency = server->machine().WakeOnLan();
   server->set_role(Role::kActive);
   return latency;
-}
-
-std::size_t Rack::DeepSleepSurplusZombies(Bytes keep_free_bytes) {
-  std::size_t slept = 0;
-  for (remotemem::ServerId id : plane_.SurplusZombies(keep_free_bytes)) {
-    Server* server = FindServer(id);
-    if (server == nullptr) {
-      continue;
-    }
-    if (!plane_.RetireZombie(id).ok()) {
-      continue;
-    }
-    // The zombie's regions are gone from the pool; wake it briefly (the
-    // firmware path) and push it straight into S3.  Its manager drops the
-    // now-retired delegation bookkeeping.
-    server->machine().WakeOnLan();
-    managers_.at(id)->ForgetDelegations();
-    server->set_lent_memory(0);
-    if (server->machine().Suspend(acpi::SleepState::kS3).ok()) {
-      server->set_role(Role::kActive);
-      ++slept;
-    }
-  }
-  return slept;
 }
 
 Status Rack::KillHost(remotemem::ServerId id) {
@@ -219,11 +165,16 @@ void Rack::RenewLeases(SimTime now) {
     }
     const rdma::NodeId ctrl = shard_nodes_[plane_.ShardOfHost(id)];
     if (fabric_.NodeCanInitiate(server->node())) {
-      // S0 host: renew over the RPC layer.  A partition (or any transport
-      // failure) is a missed heartbeat — the lease drifts toward expiry.
-      rdma::PayloadWriter request;
-      request.PutU32(id);
-      (void)rpc_router_.Call(server->node(), ctrl, "lease.renew", request.payload());
+      // S0 host: one request/response exchange with its shard — the 4-byte
+      // host id out, the 8-byte lease epoch back.  A partition (or any
+      // transport failure) is a missed heartbeat: the lease drifts toward
+      // expiry.
+      if (fabric_.PriceOneSided(server->node(), ctrl, 4).ok()) {
+        (void)plane_.RenewLease(id, now);
+        if (fabric_.PriceOneSided(ctrl, server->node(), 8).ok()) {
+          fabric_.NoteTransfer(12);
+        }
+      }
     } else if (fabric_.NodeMemoryAccessible(server->node())) {
       // Zombie host: no CPU to send anything, so the controller side probes
       // liveness with a one-sided read (the NIC answers from Sz).

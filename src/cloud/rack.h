@@ -4,10 +4,10 @@
 //
 // Liveness is lease-based and runs in simulated time: every server holds a
 // TTL lease with the control plane; Tick() advances the clock one period,
-// renews leases (S0 hosts over the RPC layer, zombies via a controller-side
-// one-sided probe — a zombie has no CPU to call anything), sweeps expired
-// leases (cleanup keeps buffer-ownership invariants), and pumps the
-// controller heartbeat/failover protocol.  Fault hooks (KillHost,
+// renews leases (S0 hosts with one priced request/response exchange,
+// zombies via a controller-side one-sided probe — a zombie has no CPU to
+// call anything), sweeps expired leases (cleanup keeps buffer-ownership
+// invariants), and pumps the controller heartbeat/failover protocol.  Fault hooks (KillHost,
 // SetShardPartition, DropHeartbeatsUntil, FailShardPrimary) make
 // controller-loss, host-loss, partitions and flaky heartbeats first-class
 // simulated events (driven by cloud::FaultInjector).
@@ -25,7 +25,6 @@
 #include "src/common/result.h"
 #include "src/common/sim_clock.h"
 #include "src/rdma/fabric.h"
-#include "src/rdma/rpc.h"
 #include "src/rdma/verbs.h"
 #include "src/remotemem/memory_manager.h"
 #include "src/remotemem/sharded_plane.h"
@@ -65,7 +64,6 @@ class Rack {
   remotemem::ShardedControlPlane& plane() { return plane_; }
   const remotemem::ShardedControlPlane& plane() const { return plane_; }
   remotemem::RemoteMemoryManager& manager(remotemem::ServerId id) { return *managers_.at(id); }
-  rdma::Verbs& verbs() { return verbs_; }
   rdma::Fabric& fabric() { return fabric_; }
   SimTime now() const { return clock_.now(); }
 
@@ -73,24 +71,11 @@ class Rack {
   // Pushes a server into Sz: its manager delegates memory, then OSPM runs
   // the Fig. 6 path.  Fails if the server still hosts VMs.
   [[nodiscard]] Status PushToZombie(remotemem::ServerId id);
-  // Suspends without lending (plain S3; the Section 4.4 deep-sleep case for
-  // surplus zombies).
-  [[nodiscard]] Status PushToSleep(remotemem::ServerId id, acpi::SleepState state);
-  // Wakes a server and reclaims its lent memory.  Returns wake latency.
+  // Reclaims a server's lent memory, then wakes it.  Returns the wake
+  // latency.  A failed reclaim leaves the server asleep and still lending.
   [[nodiscard]] Result<Duration> WakeServer(remotemem::ServerId id);
 
-  // Section 4.4 surplus policy: push fully-idle zombies beyond
-  // `keep_free_bytes` of pool slack into plain S3 (their memory leaves the
-  // pool).  Returns how many servers were deep-slept.
-  std::size_t DeepSleepSurplusZombies(Bytes keep_free_bytes);
-
   // ---- Controller failures ------------------------------------------------
-  // Shard-0 compatibility wrappers around the sharded fault surface.
-  void FailPrimaryController() { plane_.FailShardPrimary(0); }
-  // Brings a silenced (but not yet replaced) primary back — models a
-  // transient hiccup recovering before the failover threshold.
-  void RevivePrimaryController() { plane_.ReviveShardPrimary(0); }
-  bool primary_alive() const { return plane_.shard_alive(0); }
   void FailShardPrimary(std::size_t shard) { plane_.FailShardPrimary(shard); }
   void ReviveShardPrimary(std::size_t shard) { plane_.ReviveShardPrimary(shard); }
 
@@ -132,8 +117,8 @@ class Rack {
     Rack* rack_;
   };
 
-  // Sends one host's lease renewal (RPC for S0 hosts, one-sided liveness
-  // probe for zombies).  Dead, partitioned or heartbeat-dropped hosts miss
+  // Sends one host's lease renewal (a priced request/response exchange for
+  // S0 hosts, a one-sided liveness probe for zombies).  Dead, partitioned or heartbeat-dropped hosts miss
   // their renewal and drift toward expiry.
   void RenewLeases(SimTime now);
 
@@ -143,13 +128,10 @@ class Rack {
   remotemem::ShardedControlPlane plane_;
   Agents agents_;
   SimClock clock_;
-  // One fabric node + RPC endpoint per controller shard.  The node models
-  // the controller *slot* (primary + warm standby share it), so it stays
-  // reachable across a primary crash — only partitions or host death break
-  // the renewal path.
+  // One fabric node per controller shard.  The node models the controller
+  // *slot* (primary + warm standby share it), so it stays reachable across a
+  // primary crash — only partitions or host death break the renewal path.
   std::vector<rdma::NodeId> shard_nodes_;
-  std::vector<std::unique_ptr<rdma::RpcServer>> shard_rpc_;
-  rdma::RpcRouter rpc_router_;
   std::vector<std::unique_ptr<Server>> servers_;
   std::map<remotemem::ServerId, std::unique_ptr<remotemem::RemoteMemoryManager>> managers_;
   std::map<remotemem::ServerId, SimTime> heartbeat_drop_until_;

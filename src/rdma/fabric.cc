@@ -69,42 +69,4 @@ Result<Duration> Fabric::PriceOneSided(NodeId initiator, NodeId target, Bytes by
   return params_.OneSidedCost(bytes);
 }
 
-Result<Duration> Fabric::SendWakePacket(NodeId initiator, NodeId target) {
-  auto init_it = ports_.find(initiator);
-  auto target_it = ports_.find(target);
-  if (init_it == ports_.end() || target_it == ports_.end()) {
-    return Status(ErrorCode::kNotFound, "node not attached to fabric");
-  }
-  if (!NodeCanInitiate(initiator)) {
-    return Status(ErrorCode::kFailedPrecondition,
-                  "wake initiator " + NodeName(initiator) + " has no running CPU");
-  }
-  const NodePort& port = target_it->second;
-  if (!port.wake_armed || !port.wake_armed()) {
-    return Status(ErrorCode::kUnavailable,
-                  "target " + NodeName(target) + " has no armed WoL NIC");
-  }
-  ZOMBIE_RETURN_IF_ERROR(CheckLink(initiator, target));
-  const Duration flight = params_.base_latency + params_.SerializationDelay(102);  // magic pkt
-  const Duration wake = port.on_wake_packet ? port.on_wake_packet() : 0;
-  NoteTransfer(102);
-  return flight + wake;
-}
-
-Result<Duration> Fabric::PriceTwoSided(NodeId initiator, NodeId target, Bytes bytes) const {
-  if (!ports_.contains(initiator) || !ports_.contains(target)) {
-    return Status(ErrorCode::kNotFound, "node not attached to fabric");
-  }
-  if (!NodeCanInitiate(initiator)) {
-    return Status(ErrorCode::kFailedPrecondition,
-                  "initiator " + NodeName(initiator) + " has no running CPU");
-  }
-  if (!NodeCanInitiate(target)) {
-    return Status(ErrorCode::kUnavailable,
-                  "target " + NodeName(target) + " has no running CPU for send/recv");
-  }
-  ZOMBIE_RETURN_IF_ERROR(CheckLink(initiator, target));
-  return params_.OneSidedCost(bytes) + params_.completion_poll_cost;
-}
-
 }  // namespace zombie::rdma

@@ -50,10 +50,6 @@ struct NodePort {
   std::function<bool()> can_initiate;
   // DRAM + NIC + PCIe path powered: may be the target of one-sided ops.
   std::function<bool()> memory_accessible;
-  // NIC armed for Wake-on-LAN (S3/S4/Sz keep the WoL well powered).  The
-  // handler performs the wake and returns the exit latency.
-  std::function<bool()> wake_armed;
-  std::function<Duration()> on_wake_packet;
   std::string name;
 };
 
@@ -73,13 +69,6 @@ class Fabric {
 
   // Validates an initiator->target one-sided operation and returns its cost.
   [[nodiscard]] Result<Duration> PriceOneSided(NodeId initiator, NodeId target, Bytes bytes) const;
-  // Two-sided (send/recv) needs a live CPU on both ends.
-  [[nodiscard]] Result<Duration> PriceTwoSided(NodeId initiator, NodeId target, Bytes bytes) const;
-
-  // Delivers a Wake-on-LAN magic packet.  The initiator needs a CPU; the
-  // target needs an armed WoL NIC (any sleep state keeping the standby
-  // well).  Returns packet flight time plus the target's wake latency.
-  [[nodiscard]] Result<Duration> SendWakePacket(NodeId initiator, NodeId target);
 
   // ---- Link failures (derecho-style is_broken + failure upcall) ----------
   // Marks the a<->b link as partitioned (or heals it).  A broken link fails
@@ -87,7 +76,6 @@ class Fabric {
   // the fabric is untouched.
   void SetLinkBroken(NodeId a, NodeId b, bool broken);
   bool IsLinkBroken(NodeId a, NodeId b) const;
-  std::size_t broken_link_count() const { return broken_links_.size(); }
   // Invoked (initiator, target) whenever an operation is attempted over a
   // broken link — the connection-failure notification a real transport
   // would deliver to the membership layer.

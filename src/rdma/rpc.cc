@@ -1,82 +1,9 @@
 #include "src/rdma/rpc.h"
 
 #include <bit>
-#include <cstring>
 #include <thread>
 
 namespace zombie::rdma {
-
-Result<const Payload*> RpcServer::Dispatch(const std::string& method, const Payload& request) {
-  auto it = handlers_.find(method);
-  if (it == handlers_.end()) {
-    return Status(ErrorCode::kNotFound, "no such RPC method: " + method);
-  }
-  ++dispatched_;
-  Payload& slot = response_ring_[ring_pos_];
-  ring_pos_ = (ring_pos_ + 1) % kRingSlots;
-  slot.clear();  // keeps capacity: the ring slot is registered memory
-  PayloadWriter writer(&slot);
-  Status status = it->second(request, writer);
-  if (!status.ok()) {
-    return status;
-  }
-  return static_cast<const Payload*>(&slot);
-}
-
-Status RpcRouter::CallInto(NodeId from, NodeId to, const std::string& method,
-                           const Payload& request, Payload& response, RpcCost* cost) {
-  auto it = servers_.find(to);
-  if (it == servers_.end()) {
-    return Status(ErrorCode::kUnavailable, "no RPC server on node " + std::to_string(to));
-  }
-  RpcServer* server = it->second;
-  // The server daemon runs on the CPU: an S0 requirement on both ends.
-  if (!verbs_->fabric().NodeCanInitiate(to)) {
-    return Status(ErrorCode::kUnavailable, "RPC server node is suspended");
-  }
-
-  // Price the pattern: request WRITE into the server ring, daemon poll wait,
-  // handler, response WRITE back, client poll.
-  const FabricParams& params = verbs_->fabric().params();
-  auto request_cost = verbs_->fabric().PriceOneSided(from, to, request.size());
-  if (!request_cost.ok()) {
-    return request_cost.status();
-  }
-
-  auto dispatched = server->Dispatch(method, request);
-  if (!dispatched.ok()) {
-    return dispatched.status();
-  }
-  const Payload& slot = *dispatched.value();
-
-  auto response_cost = verbs_->fabric().PriceOneSided(to, from, slot.size());
-  if (!response_cost.ok()) {
-    return response_cost.status();
-  }
-
-  if (cost != nullptr) {
-    // Expected daemon poll wait is half the poll interval; the client's poll
-    // on its response slot is an inbound (cheap) operation.
-    const Duration daemon_wait = server->poll_interval() / 2;
-    cost->client = request_cost.value() + daemon_wait + response_cost.value() +
-                   params.completion_poll_cost;
-    cost->server = response_cost.value();
-  }
-  verbs_->fabric().NoteTransfer(request.size() + slot.size());
-  // The WRITE into the client's poll slot: assign() reuses its capacity.
-  response.assign(slot.begin(), slot.end());
-  return Status::Ok();
-}
-
-Result<Payload> RpcRouter::Call(NodeId from, NodeId to, const std::string& method,
-                                const Payload& request, RpcCost* cost) {
-  Payload response;
-  Status status = CallInto(from, to, method, request, response, cost);
-  if (!status.ok()) {
-    return status;
-  }
-  return response;
-}
 
 void PayloadWriter::PutU64(std::uint64_t v) {
   for (int i = 0; i < 8; ++i) {
@@ -88,55 +15,6 @@ void PayloadWriter::PutU32(std::uint32_t v) {
   for (int i = 0; i < 4; ++i) {
     buf_->push_back(static_cast<std::byte>((v >> (8 * i)) & 0xff));
   }
-}
-
-void PayloadWriter::PutString(const std::string& s) {
-  PutU32(static_cast<std::uint32_t>(s.size()));
-  for (char c : s) {
-    buf_->push_back(static_cast<std::byte>(c));
-  }
-}
-
-void PayloadWriter::PutRaw(const Payload& bytes) {
-  buf_->insert(buf_->end(), bytes.begin(), bytes.end());
-}
-
-Result<std::uint64_t> PayloadReader::GetU64() {
-  if (pos_ + 8 > buf_.size()) {
-    return Status(ErrorCode::kInvalidArgument, "payload underrun (u64)");
-  }
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<std::uint64_t>(buf_[pos_ + i]) << (8 * i);
-  }
-  pos_ += 8;
-  return v;
-}
-
-Result<std::uint32_t> PayloadReader::GetU32() {
-  if (pos_ + 4 > buf_.size()) {
-    return Status(ErrorCode::kInvalidArgument, "payload underrun (u32)");
-  }
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= static_cast<std::uint32_t>(buf_[pos_ + i]) << (8 * i);
-  }
-  pos_ += 4;
-  return v;
-}
-
-Result<std::string> PayloadReader::GetString() {
-  auto len = GetU32();
-  if (!len.ok()) {
-    return len.status();
-  }
-  if (pos_ + len.value() > buf_.size()) {
-    return Status(ErrorCode::kInvalidArgument, "payload underrun (string)");
-  }
-  std::string s(len.value(), '\0');
-  std::memcpy(s.data(), buf_.data() + pos_, len.value());
-  pos_ += len.value();
-  return s;
 }
 
 bool ClientRing::TryAcquire(std::size_t* slot) {

@@ -1,19 +1,12 @@
-// RPC over RDMA (Section 4.1).
+// Client-side slots of the paper's RPC-over-RDMA framework (Section 4.1):
+// "the clients poll for the RPC results as RDMA inbound operations are
+// cheaper than outbound operations."
 //
-// "The communication framework implements RPC over RDMA.  In our
-// implementation, the clients poll for the RPC results as RDMA inbound
-// operations are cheaper than outbound operations."
-//
-// Model: the client WRITEs a request into the server's request ring, the
-// server daemon (a polling loop, only possible on an S0 node) executes the
-// handler and WRITEs the response into the client's response slot; the
-// client polls that slot.  Costs follow that message pattern.
-//
-// Buffer discipline: the hot paths never allocate in steady state.  Handlers
-// serialise straight into one of the server's reusable response-ring slots,
-// and CallInto() copies the bytes into a caller-owned response buffer whose
-// capacity is reused call over call — mirroring how the real rings recycle
-// their registered slots.
+// The data plane's batched remote faults (hv/fault_batch.h) serialise each
+// batch into a request slot of a shared ClientRing and read the ack from the
+// paired response slot.  PayloadWriter appends little-endian integers into a
+// slot payload whose capacity is reused call over call, mirroring how the
+// real rings recycle their registered buffers.
 #ifndef ZOMBIELAND_SRC_RDMA_RPC_H_
 #define ZOMBIELAND_SRC_RDMA_RPC_H_
 
@@ -21,117 +14,31 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
-#include <string>
-#include <unordered_map>
-#include <utility>
 #include <vector>
-
-#include "src/common/result.h"
-#include "src/common/units.h"
-#include "src/rdma/fabric.h"
-#include "src/rdma/verbs.h"
 
 namespace zombie::rdma {
 
-// Wire payloads are byte vectors; the rack protocol serialises into them.
+// Wire payloads are byte vectors.
 using Payload = std::vector<std::byte>;
 
-struct RpcCost {
-  Duration client = 0;  // time charged to the caller
-  Duration server = 0;  // time charged to the server daemon
-};
-
-// Simple length-prefixed serialisation.  A writer either owns its buffer or
-// appends into an external one (ring slots, reusable request buffers).
+// Appends little-endian integers into an external payload (a ring slot).
 class PayloadWriter {
  public:
-  PayloadWriter() : buf_(&owned_) {}
-  // Appends into `external`, which must outlive the writer.
-  explicit PayloadWriter(Payload* external) : buf_(external) {}
-
-  // buf_ aliases either owned_ or an external buffer; a copied/moved writer
-  // would keep writing into the source's storage.
-  PayloadWriter(const PayloadWriter&) = delete;
-  PayloadWriter& operator=(const PayloadWriter&) = delete;
+  // Appends into `target`, which must outlive the writer.
+  explicit PayloadWriter(Payload* target) : buf_(target) {}
 
   void PutU64(std::uint64_t v);
   void PutU32(std::uint32_t v);
-  void PutString(const std::string& s);
-  void PutRaw(const Payload& bytes);
 
   // Clears the target buffer but keeps its capacity (steady-state reuse).
   void Reset() { buf_->clear(); }
-  const Payload& payload() const { return *buf_; }
-  // Moves the buffer out (external targets are left empty — their capacity
-  // is gone, so prefer payload() on reused buffers).
-  Payload Take() { return std::move(*buf_); }
 
  private:
-  Payload owned_;
   Payload* buf_;
 };
 
-class PayloadReader {
- public:
-  explicit PayloadReader(const Payload& payload) : buf_(payload) {}
-
-  [[nodiscard]] Result<std::uint64_t> GetU64();
-  [[nodiscard]] Result<std::uint32_t> GetU32();
-  [[nodiscard]] Result<std::string> GetString();
-  bool AtEnd() const { return pos_ == buf_.size(); }
-
- private:
-  const Payload& buf_;
-  std::size_t pos_ = 0;
-};
-
-// Server side: registered method handlers plus a polled request ring.
-class RpcServer {
- public:
-  // Handlers serialise their response into `response` (already reset).  A
-  // non-OK return is a transport-level failure of the call; application
-  // errors are encoded into the response payload instead.
-  using Handler = std::function<Status(const Payload& request, PayloadWriter& response)>;
-
-  // Response slots recycled by the daemon, as the real rings do.
-  static constexpr std::size_t kRingSlots = 4;
-
-  RpcServer(Verbs* verbs, NodeId node) : verbs_(verbs), node_(node) {}
-
-  NodeId node() const { return node_; }
-
-  void RegisterMethod(const std::string& method, Handler handler) {
-    handlers_[method] = std::move(handler);
-  }
-  bool HasMethod(const std::string& method) const { return handlers_.contains(method); }
-
-  // Executes one request (called by the RpcRouter).  The response lives in a
-  // reusable ring slot: the pointer stays valid for the next kRingSlots - 1
-  // dispatches only.
-  [[nodiscard]] Result<const Payload*> Dispatch(const std::string& method, const Payload& request);
-
-  // Average daemon polling interval: a request written into the ring waits
-  // this long on average before the daemon notices it.
-  Duration poll_interval() const { return poll_interval_; }
-  void set_poll_interval(Duration d) { poll_interval_ = d; }
-
-  std::uint64_t dispatched() const { return dispatched_; }
-
- private:
-  Verbs* verbs_;
-  NodeId node_;
-  std::unordered_map<std::string, Handler> handlers_;
-  std::array<Payload, kRingSlots> response_ring_;
-  std::size_t ring_pos_ = 0;
-  Duration poll_interval_ = 5 * kMicrosecond;
-  std::uint64_t dispatched_ = 0;
-};
-
 // Client side of the ring discipline: a fixed set of request/response slot
-// pairs shared by concurrent fault lanes.  The server's response ring above
-// is single-threaded (the daemon recycles slots round-robin); the client
-// ring is the multi-producer mirror image — per-vCPU paging shards acquire a
+// pairs shared by concurrent fault lanes.  Per-vCPU paging shards acquire a
 // slot, serialise a batched remote-fault request into it, and release it,
 // exactly how the real rx/tx rings hand registered buffers to lanes.  Slot
 // payloads keep their capacity across acquisitions, so the steady state is
@@ -171,32 +78,6 @@ class ClientRing {
   std::atomic<std::uint32_t> free_mask_;  // bit i set = slot i free
   std::atomic<std::uint64_t> acquisitions_{0};
   std::array<Slot, kSlots> slots_;
-};
-
-// Routes calls between clients and servers on the same fabric and prices the
-// request/response message pattern.
-class RpcRouter {
- public:
-  explicit RpcRouter(Verbs* verbs) : verbs_(verbs) {}
-
-  void AddServer(RpcServer* server) { servers_[server->node()] = server; }
-  void RemoveServer(NodeId node) { servers_.erase(node); }
-  bool HasServer(NodeId node) const { return servers_.contains(node); }
-
-  // Synchronous call: client `from` invokes `method` on the server at `to`.
-  // The response bytes replace the contents of `response` (capacity reused —
-  // the caller's poll slot).  `response` must not alias `request`.  `cost`
-  // (optional) receives the priced client/server time.
-  [[nodiscard]] Status CallInto(NodeId from, NodeId to, const std::string& method, const Payload& request,
-                  Payload& response, RpcCost* cost = nullptr);
-
-  // Convenience wrapper returning a freshly-allocated response.
-  [[nodiscard]] Result<Payload> Call(NodeId from, NodeId to, const std::string& method,
-                       const Payload& request, RpcCost* cost = nullptr);
-
- private:
-  Verbs* verbs_;
-  std::unordered_map<NodeId, RpcServer*> servers_;
 };
 
 }  // namespace zombie::rdma

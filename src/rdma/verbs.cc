@@ -1,18 +1,8 @@
 #include "src/rdma/verbs.h"
 
-#include <algorithm>
 #include <cstring>
 
 namespace zombie::rdma {
-
-std::size_t CompletionQueue::Poll(std::span<Completion> out) {
-  std::size_t n = 0;
-  while (n < out.size() && !entries_.empty()) {
-    out[n++] = entries_.front();
-    entries_.pop_front();
-  }
-  return n;
-}
 
 Result<RKey> Verbs::RegisterRegion(NodeId owner, Bytes size, MrAccess access) {
   if (size == 0) {
@@ -57,8 +47,7 @@ Result<Duration> Verbs::CheckOneSided(NodeId initiator, const MemoryRegion& mr, 
 }
 
 Result<Duration> Verbs::Read(NodeId initiator, RKey rkey, Bytes remote_offset,
-                             std::span<std::byte> dst, CompletionQueue* cq,
-                             std::uint64_t wr_id) {
+                             std::span<std::byte> dst) {
   MemoryRegion* mr = FindRegion(rkey);
   if (mr == nullptr) {
     return Status(ErrorCode::kNotFound, "unknown rkey");
@@ -71,15 +60,11 @@ Result<Duration> Verbs::Read(NodeId initiator, RKey rkey, Bytes remote_offset,
     std::memcpy(dst.data(), mr->bytes().data() + remote_offset, dst.size());
   }
   fabric_->NoteTransfer(dst.size());
-  if (cq != nullptr) {
-    cq->Push({Completion::Op::kRead, wr_id, dst.size(), cost.value(), true});
-  }
   return cost;
 }
 
 Result<Duration> Verbs::Write(NodeId initiator, RKey rkey, Bytes remote_offset,
-                              std::span<const std::byte> src, CompletionQueue* cq,
-                              std::uint64_t wr_id) {
+                              std::span<const std::byte> src) {
   MemoryRegion* mr = FindRegion(rkey);
   if (mr == nullptr) {
     return Status(ErrorCode::kNotFound, "unknown rkey");
@@ -92,40 +77,7 @@ Result<Duration> Verbs::Write(NodeId initiator, RKey rkey, Bytes remote_offset,
     std::memcpy(mr->bytes().data() + remote_offset, src.data(), src.size());
   }
   fabric_->NoteTransfer(src.size());
-  if (cq != nullptr) {
-    cq->Push({Completion::Op::kWrite, wr_id, src.size(), cost.value(), true});
-  }
   return cost;
-}
-
-Result<Duration> Verbs::Send(NodeId initiator, NodeId target, std::vector<std::byte> payload,
-                             CompletionQueue* cq, std::uint64_t wr_id) {
-  auto cost = fabric_->PriceTwoSided(initiator, target, payload.size());
-  if (!cost.ok()) {
-    return cost;
-  }
-  const Bytes size = payload.size();
-  rx_queues_[target].push_back(std::move(payload));
-  fabric_->NoteTransfer(size);
-  if (cq != nullptr) {
-    cq->Push({Completion::Op::kSend, wr_id, size, cost.value(), true});
-  }
-  return cost;
-}
-
-Result<std::vector<std::byte>> Verbs::Recv(NodeId node) {
-  auto it = rx_queues_.find(node);
-  if (it == rx_queues_.end() || it->second.empty()) {
-    return Status(ErrorCode::kNotFound, "no pending message");
-  }
-  std::vector<std::byte> payload = std::move(it->second.front());
-  it->second.pop_front();
-  return payload;
-}
-
-bool Verbs::HasPending(NodeId node) const {
-  auto it = rx_queues_.find(node);
-  return it != rx_queues_.end() && !it->second.empty();
 }
 
 }  // namespace zombie::rdma

@@ -1,5 +1,5 @@
-// RDMA verbs over the simulated fabric: memory regions, queue pairs and
-// completion queues.
+// RDMA verbs over the simulated fabric: registered memory regions and
+// one-sided READ/WRITE.
 //
 // Data really moves: a MemoryRegion owns bytes, and READ/WRITE copy between
 // local and remote regions, so higher layers (hypervisor paging, swap
@@ -10,7 +10,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <span>
 #include <unordered_map>
@@ -62,34 +61,12 @@ class MemoryRegion {
   std::vector<std::byte> bytes_;
 };
 
-// Completion entry.
-struct Completion {
-  enum class Op { kRead, kWrite, kSend, kRecv } op;
-  std::uint64_t wr_id = 0;
-  Bytes bytes = 0;
-  Duration cost = 0;
-  bool success = true;
-};
-
-class CompletionQueue {
- public:
-  void Push(Completion c) { entries_.push_back(c); }
-  // Polls up to `max` completions into `out`; returns how many were drained.
-  std::size_t Poll(std::span<Completion> out);
-  std::size_t depth() const { return entries_.size(); }
-
- private:
-  std::deque<Completion> entries_;
-};
-
 // The verbs "device": registers MRs and executes one-sided operations.  One
 // instance per fabric; nodes share it (like a subnet-wide address space of
 // rkeys, which is how the rack protocol hands out buffer identities).
 class Verbs {
  public:
   explicit Verbs(Fabric* fabric) : fabric_(fabric) {}
-
-  Fabric& fabric() { return *fabric_; }
 
   // Registers `size` bytes on `owner`.  Returns the region's rkey.
   [[nodiscard]] Result<RKey> RegisterRegion(NodeId owner, Bytes size, MrAccess access = {});
@@ -102,20 +79,11 @@ class Verbs {
   // `dst`.  `initiator` must have a live CPU; the region's owner only needs
   // powered memory (the zombie property).  Returns the simulated cost.
   [[nodiscard]] Result<Duration> Read(NodeId initiator, RKey rkey, Bytes remote_offset,
-                        std::span<std::byte> dst, CompletionQueue* cq = nullptr,
-                        std::uint64_t wr_id = 0);
+                        std::span<std::byte> dst);
 
   // One-sided WRITE: copies `src` into the remote region at remote_offset.
   [[nodiscard]] Result<Duration> Write(NodeId initiator, RKey rkey, Bytes remote_offset,
-                         std::span<const std::byte> src, CompletionQueue* cq = nullptr,
-                         std::uint64_t wr_id = 0);
-
-  // Two-sided SEND: delivers `payload` to the target's receive queue.
-  [[nodiscard]] Result<Duration> Send(NodeId initiator, NodeId target, std::vector<std::byte> payload,
-                        CompletionQueue* cq = nullptr, std::uint64_t wr_id = 0);
-  // Receives the oldest pending message for `node`, if any.
-  [[nodiscard]] Result<std::vector<std::byte>> Recv(NodeId node);
-  bool HasPending(NodeId node) const;
+                         std::span<const std::byte> src);
 
  private:
   [[nodiscard]] Result<Duration> CheckOneSided(NodeId initiator, const MemoryRegion& mr, Bytes offset,
@@ -123,7 +91,6 @@ class Verbs {
 
   Fabric* fabric_;
   std::unordered_map<RKey, std::unique_ptr<MemoryRegion>> regions_;
-  std::unordered_map<NodeId, std::deque<std::vector<std::byte>>> rx_queues_;
   RKey next_rkey_ = 1;
 };
 

@@ -330,16 +330,6 @@ Bytes BufferDb::TotalBytes() const {
   return total;
 }
 
-std::size_t BufferDb::AllocatedCountOfHost(ServerId host) const {
-  std::size_t n = 0;
-  for (const auto& rec : records_) {
-    if (rec.host == host && rec.user != kNilServer) {
-      ++n;
-    }
-  }
-  return n;
-}
-
 std::vector<BufferRecord> BufferDb::Snapshot() const { return records_; }
 
 void BufferDb::Load(const std::vector<BufferRecord>& records) {

@@ -24,8 +24,8 @@
 // operation is one call); the per-id forms are one-element batches.  Erase
 // compacts the records in one pass and re-points the shifted tail.
 // The queries that still scan every record — BuffersOfHost, BuffersUsedBy,
-// ReclaimOrderForHost, AllocatedCountOfHost and TotalBytes — run only on
-// wake, lease expiry, retire and verification paths.
+// ReclaimOrderForHost and TotalBytes — run only on wake, lease expiry and
+// verification paths.
 #ifndef ZOMBIELAND_SRC_REMOTEMEM_BUFFER_DB_H_
 #define ZOMBIELAND_SRC_REMOTEMEM_BUFFER_DB_H_
 
@@ -98,10 +98,6 @@ class BufferDb {
   std::size_t free_count() const { return free_count_; }
   Bytes FreeBytes() const { return free_bytes_; }
   Bytes TotalBytes() const;
-
-  // Number of *allocated* buffers served by `host` (the LRU-zombie metric:
-  // Neat prefers waking the zombie with the fewest shared buffers).
-  std::size_t AllocatedCountOfHost(ServerId host) const;
 
   // Snapshot / replace, used by controller mirroring.
   std::vector<BufferRecord> Snapshot() const;

@@ -215,21 +215,6 @@ Status GlobalMemoryController::GsRelease(ServerId user, const std::vector<Buffer
   return Status::Ok();
 }
 
-Status GlobalMemoryController::RetireZombie(ServerId host) {
-  if (!IsZombie(host)) {
-    return Status(ErrorCode::kFailedPrecondition, "host is not a zombie");
-  }
-  if (db_.AllocatedCountOfHost(host) > 0) {
-    return Status(ErrorCode::kConflict, "zombie still serves allocated buffers");
-  }
-  std::vector<BufferId> retired;
-  for (const auto& rec : db_.BuffersOfHost(host)) {
-    retired.push_back(rec.id);
-  }
-  EraseAndMirror(retired);
-  return Status::Ok();
-}
-
 std::vector<BufferId> GlobalMemoryController::DropHostBuffers(ServerId host) {
   std::vector<BufferId> dropped;
   for (const auto& rec : db_.BuffersOfHost(host)) {

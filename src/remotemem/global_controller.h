@@ -59,8 +59,8 @@ class MirrorSink {
 
 // How the control plane reaches the per-server agents: the controller sends
 // US_reclaim from GS_reclaim; the plane also sends AS_get_free_mem.  The
-// rack layer implements this over RPC-over-RDMA; unit tests implement it
-// directly.
+// rack layer implements this by calling the managers; unit tests implement
+// it directly.
 class AgentDirectory {
  public:
   virtual ~AgentDirectory() = default;
@@ -138,11 +138,6 @@ class GlobalMemoryController {
   // Frees every buffer `user` was consuming (the consumer died; its
   // allocations return to the pool).  Returns the released buffer ids.
   std::vector<BufferId> ReleaseBuffersUsedBy(ServerId user);
-
-  // Drops all (free) buffers of `host` from the pool as it transitions to a
-  // state where its memory is unreachable (S3/S4).  Fails if any buffer of
-  // the host is still allocated.
-  [[nodiscard]] Status RetireZombie(ServerId host);
 
   // ---- Introspection -----------------------------------------------------
   const BufferDb& db() const { return db_; }

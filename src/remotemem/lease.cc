@@ -79,11 +79,4 @@ SimTime LeaseManager::deadline(ServerId host) const {
   return lease == nullptr ? 0 : lease->deadline;
 }
 
-void LeaseManager::Forget(ServerId host) {
-  auto it = std::lower_bound(
-      leases_.begin(), leases_.end(), host,
-      [](const Lease& l, ServerId h) { return l.host < h; });
-  if (it != leases_.end() && it->host == host) leases_.erase(it);
-}
-
 }  // namespace zombie::remotemem

@@ -2,8 +2,8 @@
 //
 // A controller grants every registered host a time-bounded lease over its
 // participation in the remote-memory pool.  Hosts renew by heartbeating
-// (S0 hosts over RPC, zombies via a controller-side one-sided liveness
-// probe — they have no CPU to send anything).  A lease that is not renewed
+// (S0 hosts with a request/response exchange, zombies via a controller-side
+// one-sided liveness probe — they have no CPU to send anything).  A lease that is not renewed
 // before its deadline expires: the control plane then drops the host's
 // hosted buffers (after US_reclaim notices to their users) and releases the
 // buffers the host was consuming, so ownership invariants survive a silent
@@ -59,7 +59,6 @@ class LeaseManager {
   // kInvalidSimTime semantics: 0 when the host never held a lease.
   SimTime deadline(ServerId host) const;
 
-  void Forget(ServerId host);
   std::size_t size() const { return leases_.size(); }
 
  private:

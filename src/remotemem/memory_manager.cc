@@ -5,9 +5,8 @@
 
 namespace zombie::remotemem {
 
-RemoteExtent::RemoteExtent(rdma::Verbs* verbs, rdma::NodeId local_node, Bytes buff_size,
-                           LocalStoreParams store)
-    : verbs_(verbs), local_node_(local_node), buff_size_(buff_size), store_(store) {}
+RemoteExtent::RemoteExtent(rdma::Verbs* verbs, rdma::NodeId local_node, Bytes buff_size)
+    : verbs_(verbs), local_node_(local_node), buff_size_(buff_size) {}
 
 void RemoteExtent::AddGrants(const std::vector<BufferGrant>& grants) {
   for (const auto& g : grants) {
@@ -42,7 +41,7 @@ Result<Duration> RemoteExtent::WritePage(std::uint64_t page_index,
   if (slot.reclaimed) {
     // Remote home gone: the page lives only in the mirror until re-homing.
     mirror_only_pages_.insert(page_index);
-    return store_.write_latency;  // degraded, synchronous local write
+    return kMirrorWriteLatency;  // degraded, synchronous local write
   }
   auto cost = verbs_->Write(local_node_, slot.grant.rkey, loc.offset,
                             data.empty() ? std::span<const std::byte>() : data);
@@ -65,7 +64,7 @@ Result<Duration> RemoteExtent::ReadPage(std::uint64_t page_index, std::span<std:
       return Status(ErrorCode::kNotFound, "page lost: buffer reclaimed before first write");
     }
     ++mirror_reads_;
-    return store_.read_latency;  // the paper's slower local-storage path
+    return kMirrorReadLatency;  // the paper's slower local-storage path
   }
   auto cost = verbs_->Read(local_node_, slot.grant.rkey, loc.offset, out);
   if (!cost.ok()) {
@@ -99,29 +98,6 @@ std::size_t RemoteExtent::OnBuffersReclaimed(const std::vector<BufferId>& reclai
     }
   }
   return affected;
-}
-
-std::size_t RemoteExtent::RehomeMirroredPages() {
-  // Move mirror-only pages into any live buffer slot (their logical index
-  // stays; physically we only need a live home).  In this model re-homing
-  // just requires the slot be live again — i.e. fresh grants replaced
-  // reclaimed slots.
-  std::size_t moved = 0;
-  std::vector<std::uint64_t> rehomed;
-  // Order-independent: each page is tested against its own slot in isolation,
-  // `moved` is a count, and the erase set is the same whatever the order.
-  // ZLINT-ALLOW(unordered-iter): per-element predicate + count, order-free.
-  for (std::uint64_t page : mirror_only_pages_) {
-    const Location loc = Locate(page);
-    if (loc.slot < buffers_.size() && !buffers_[loc.slot].reclaimed) {
-      rehomed.push_back(page);
-      ++moved;
-    }
-  }
-  for (std::uint64_t page : rehomed) {
-    mirror_only_pages_.erase(page);
-  }
-  return moved;
 }
 
 RemoteMemoryManager::RemoteMemoryManager(ServerId server, rdma::Verbs* verbs, rdma::NodeId node,
@@ -206,46 +182,15 @@ void RemoteMemoryManager::ForgetDelegations() {
   delegated_.clear();
 }
 
-Result<RemoteExtent*> RemoteMemoryManager::AllocExtension(Bytes size, LocalStoreParams store) {
+Result<RemoteExtent*> RemoteMemoryManager::AllocExtension(Bytes size) {
   auto grants = plane_->GsAllocExt(server_, size);
   if (!grants.ok()) {
     return grants.status();
   }
-  auto extent = std::make_unique<RemoteExtent>(verbs_, node_, plane_->buff_size(),
-                                               store);
+  auto extent = std::make_unique<RemoteExtent>(verbs_, node_, plane_->buff_size());
   extent->AddGrants(grants.value());
   extents_.push_back(std::move(extent));
   return extents_.back().get();
-}
-
-Result<RemoteExtent*> RemoteMemoryManager::AllocSwap(Bytes size, LocalStoreParams store) {
-  auto grants = plane_->GsAllocSwap(server_, size);
-  if (!grants.ok()) {
-    return grants.status();
-  }
-  auto extent = std::make_unique<RemoteExtent>(verbs_, node_, plane_->buff_size(),
-                                               store);
-  extent->AddGrants(grants.value());
-  extents_.push_back(std::move(extent));
-  return extents_.back().get();
-}
-
-Result<Bytes> RemoteMemoryManager::GrowSwapExtent(RemoteExtent* extent, Bytes additional) {
-  auto it = std::find_if(extents_.begin(), extents_.end(),
-                         [extent](const auto& e) { return e.get() == extent; });
-  if (it == extents_.end()) {
-    return Status(ErrorCode::kNotFound, "extent not owned by this manager");
-  }
-  auto grants = plane_->GsAllocSwap(server_, additional);
-  if (!grants.ok()) {
-    return grants.status();
-  }
-  Bytes added = 0;
-  for (const auto& grant : grants.value()) {
-    added += grant.size;
-  }
-  extent->AddGrants(grants.value());
-  return added;
 }
 
 Status RemoteMemoryManager::ReleaseExtent(RemoteExtent* extent) {

@@ -28,21 +28,18 @@
 
 namespace zombie::remotemem {
 
-// Local-storage model used for the asynchronous backup mirror.  Writes are
-// async (not charged to the foreground path); reads after a reclaim pay the
-// device read latency.
-struct LocalStoreParams {
-  Duration read_latency = 90 * kMicrosecond;   // SSD-class backup device
-  Duration write_latency = 25 * kMicrosecond;  // absorbed by write-behind
-};
+// The SSD-class local store behind the asynchronous backup mirror.  Mirror
+// writes are async (not charged to the foreground path); a page whose
+// remote home was reclaimed pays these latencies instead.
+inline constexpr Duration kMirrorReadLatency = 90 * kMicrosecond;
+inline constexpr Duration kMirrorWriteLatency = 25 * kMicrosecond;
 
 // A logical run of remote memory composed of granted buffers.  Consumers
 // address it by page index; the extent routes each page to the right buffer
 // via one-sided verbs and keeps the local backup mirror.
 class RemoteExtent {
  public:
-  RemoteExtent(rdma::Verbs* verbs, rdma::NodeId local_node, Bytes buff_size,
-               LocalStoreParams store = {});
+  RemoteExtent(rdma::Verbs* verbs, rdma::NodeId local_node, Bytes buff_size);
 
   // Appends granted buffers to the extent.
   void AddGrants(const std::vector<BufferGrant>& grants);
@@ -63,10 +60,6 @@ class RemoteExtent {
   // Reclaim notification: the given buffers are gone.  Pages they held stay
   // readable via the local mirror.  Returns how many pages were affected.
   std::size_t OnBuffersReclaimed(const std::vector<BufferId>& reclaimed);
-
-  // Re-homes local-mirror-only pages onto freshly granted buffers (called
-  // after the manager obtains replacement memory).  Returns pages moved.
-  std::size_t RehomeMirroredPages();
 
   // Diagnostics.
   std::uint64_t remote_reads() const { return remote_reads_; }
@@ -89,7 +82,6 @@ class RemoteExtent {
   rdma::Verbs* verbs_;
   rdma::NodeId local_node_;
   Bytes buff_size_;
-  LocalStoreParams store_;
   std::vector<Slot> buffers_;
   // Pages written at least once (they exist in the local mirror).
   std::unordered_set<std::uint64_t> mirrored_pages_;
@@ -123,19 +115,15 @@ class RemoteMemoryManager {
   // Buffers this host currently has delegated (by id).
   const std::vector<BufferId>& delegated() const { return delegated_; }
 
-  // Drops delegation bookkeeping after the controller retired this host's
-  // buffers (surplus-zombie deep sleep): deregisters the memory regions
-  // without going through GS_reclaim.
+  // Drops delegation bookkeeping after the control plane dropped this host's
+  // buffers (its lease expired): deregisters the memory regions without
+  // going through GS_reclaim.
   void ForgetDelegations();
 
   // ---- Consumption (user side) --------------------------------------------
-  // Allocates a RAM-Extension extent of exactly `size` (guaranteed).
-  [[nodiscard]] Result<RemoteExtent*> AllocExtension(Bytes size, LocalStoreParams store = {});
-  // Allocates a best-effort swap extent; may be smaller than `size`.
-  [[nodiscard]] Result<RemoteExtent*> AllocSwap(Bytes size, LocalStoreParams store = {});
-  // Grows an existing swap extent by up to `additional` bytes (best-effort,
-  // the hourly GS_alloc_swap refresh).  Returns bytes actually added.
-  [[nodiscard]] Result<Bytes> GrowSwapExtent(RemoteExtent* extent, Bytes additional);
+  // Allocates a remote extent of exactly `size` (GS_alloc_ext, guaranteed).
+  // It backs both RAM Ext and the Explicit SD swap device.
+  [[nodiscard]] Result<RemoteExtent*> AllocExtension(Bytes size);
   // Releases an extent's buffers back to the pool.
   [[nodiscard]] Status ReleaseExtent(RemoteExtent* extent);
 

@@ -196,16 +196,6 @@ Result<std::vector<BufferGrant>> ShardedControlPlane::GsAllocExt(ServerId user,
   return grants;
 }
 
-Result<std::vector<BufferGrant>> ShardedControlPlane::GsAllocSwap(ServerId user,
-                                                                  Bytes mem_size) {
-  if (!HasServer(user)) {
-    return Status(ErrorCode::kNotFound, "unregistered user server");
-  }
-  // Best effort: nb x BUFF_SIZE <= memSize, never escalates.
-  const std::size_t want = static_cast<std::size_t>(mem_size / config_.buff_size);
-  return TakeAcross(user, want);
-}
-
 Status ShardedControlPlane::GsRelease(ServerId user,
                                       const std::vector<BufferId>& buffers) {
   // One call per run of consecutive ids owned by the same shard, in input
@@ -228,57 +218,6 @@ Status ShardedControlPlane::GsRelease(ServerId user,
     }
   }
   return Status::Ok();
-}
-
-Result<ServerId> ShardedControlPlane::GsGetLruZombie() const {
-  ServerId best = kNilServer;
-  std::size_t best_count = 0;
-  for (ServerId server : registry_) {
-    if (!IsZombie(server)) {
-      continue;
-    }
-    const std::size_t count =
-        shards_[ShardOfHost(server)].primary->db().AllocatedCountOfHost(server);
-    if (best == kNilServer || count < best_count) {
-      best = server;
-      best_count = count;
-    }
-  }
-  if (best == kNilServer) {
-    return Status(ErrorCode::kNotFound, "no zombie servers in the rack");
-  }
-  return best;
-}
-
-std::vector<ServerId> ShardedControlPlane::SurplusZombies(Bytes keep_free_bytes) const {
-  std::vector<ServerId> surplus;
-  Bytes free_pool = FreeRemoteBytes();
-  for (ServerId server : registry_) {
-    if (!IsZombie(server)) {
-      continue;
-    }
-    const BufferDb& db = shards_[ShardOfHost(server)].primary->db();
-    if (db.AllocatedCountOfHost(server) > 0) {
-      continue;
-    }
-    Bytes hosted = 0;
-    for (const auto& rec : db.BuffersOfHost(server)) {
-      hosted += rec.size;
-    }
-    if (free_pool >= hosted && free_pool - hosted >= keep_free_bytes) {
-      surplus.push_back(server);
-      free_pool -= hosted;
-    }
-  }
-  return surplus;
-}
-
-Status ShardedControlPlane::RetireZombie(ServerId host) {
-  Shard& shard = shards_[ShardOfHost(host)];
-  if (!shard.alive) {
-    return Status(ErrorCode::kUnavailable, ShardDownMessage(ShardOfHost(host)));
-  }
-  return shard.primary->RetireZombie(host);
 }
 
 Bytes ShardedControlPlane::FreeRemoteBytes() const {

@@ -1,7 +1,6 @@
 // The remote-memory control plane: the one implementation of the GS_*
 // allocation policy (Section 4.4 — zombie memory first, then
-// AS_get_free_mem escalation to active servers, all-or-nothing for
-// RAM-Ext, best-effort for swap).
+// AS_get_free_mem escalation to active servers, all-or-nothing).
 //
 // Buffer ownership is split across N per-shard GlobalMemoryController
 // stores with deterministic id-stride ownership: shard k mints buffer ids
@@ -16,7 +15,7 @@
 // protocol.  On top, the plane replaces the implicit "everything mirrors"
 // availability story with an explicit lease/heartbeat protocol in simulated
 // time: every host holds a TTL lease; renewal happens via heartbeats (the
-// rack drives them over RPC); a lease that lapses triggers a deterministic
+// rack drives them each tick); a lease that lapses triggers a deterministic
 // cleanup — users of the dead host's buffers get US_reclaim notices, the
 // hosted buffers are dropped, and buffers the dead host was consuming are
 // freed — so ownership invariants survive silent host death, controller
@@ -97,23 +96,10 @@ class ShardedControlPlane {
   // zombie memory first, then active memory, then escalates to
   // AS_get_free_mem; a failure names every escalation target and its yield.
   [[nodiscard]] Result<std::vector<BufferGrant>> GsAllocExt(ServerId user, Bytes mem_size);
-  // GS_alloc_swap: best-effort swap allocation (may return fewer buffers;
-  // never escalates).
-  [[nodiscard]] Result<std::vector<BufferGrant>> GsAllocSwap(ServerId user, Bytes mem_size);
   // Releases buffers `user` no longer needs.
   [[nodiscard]] Status GsRelease(ServerId user, const std::vector<BufferId>& buffers);
 
   // ---- Rack-level policies (aggregated across shards) ---------------------
-  // GS_get_lru_zombie(): the zombie with the fewest allocated buffers
-  // (Section 5.2) — the cheapest one to wake.
-  [[nodiscard]] Result<ServerId> GsGetLruZombie() const;
-  // Section 4.4 surplus policy: zombies that are entirely free (no
-  // allocated buffer) and whose departure still leaves at least
-  // `keep_free_bytes` of free pool — candidates for a deeper sleep (S3).
-  std::vector<ServerId> SurplusZombies(Bytes keep_free_bytes) const;
-  // Drops a free zombie's buffers as it moves to S3/S4 (fails if any of
-  // its buffers is still allocated).
-  [[nodiscard]] Status RetireZombie(ServerId host);
   Bytes FreeRemoteBytes() const;
   std::size_t ServerCount() const { return registry_.size(); }
 
@@ -123,8 +109,6 @@ class ShardedControlPlane {
   // The heartbeat path: renews a live lease, or re-admits an expired host
   // with a bumped epoch.  Returns the epoch after the renewal.
   std::uint64_t RenewLease(ServerId host, SimTime now);
-  bool LeaseLive(ServerId host, SimTime now) const { return leases_.IsLive(host, now); }
-  std::uint64_t LeaseEpoch(ServerId host) const { return leases_.epoch(host); }
   const LeaseManager& leases() const { return leases_; }
 
   // The missed-heartbeat deadline sweep.  Every newly lapsed host (plus any

@@ -280,7 +280,7 @@ Report RunRemoteSwap(const RunContext& ctx) {
       "swap_devices", "",
       {"swap device", "exec (s)", "penalty", "major faults", "writebacks"});
 
-  // Remote RAM served by a zombie server, allocated via GS_alloc_swap.
+  // Remote RAM served by a zombie server, allocated via GS_alloc_ext.
   auto testbed = ctx.MakeTestbed(profile.reserved_memory);
   const RunResult remote = runner.RunExplicitSd(profile, fraction, testbed->backend());
   table.Row({"zombie remote RAM", Report::Num(remote.seconds(), 2),

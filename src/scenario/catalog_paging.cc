@@ -243,8 +243,8 @@ Report RunTable2(const RunContext& ctx) {
         runner.RunRamExt(profile, fraction, re_bed->backend()), baseline);
     table.Set(row, 0, Report::Penalty(re));
 
-    // Explicit SD over remote RAM: the swap device is a best-effort
-    // GS_alloc_swap extent on the zombie server.
+    // Explicit SD over remote RAM: the swap device is a GS_alloc_ext
+    // extent on the zombie server.
     auto esd_bed = ctx.MakeTestbed(profile.reserved_memory);
     const double esd = PenaltyPercent(
         runner.RunExplicitSd(profile, fraction, esd_bed->backend()), baseline);

@@ -135,7 +135,8 @@ int WakeOne(World& world, const DcConfig& config) {
     if (s.state == acpi::SleepState::kS3 && best_s3 < 0) {
       best_s3 = static_cast<int>(i);
     } else if (s.state == acpi::SleepState::kSz) {
-      // GS_get_lru_zombie(): fewest allocated buffers == least lent-in-use.
+      // The LRU zombie (Section 5.2): fewest allocated buffers == least
+      // lent-in-use.
       if (best_zombie < 0 || s.lent_mem < best_lent) {
         best_zombie = static_cast<int>(i);
         best_lent = s.lent_mem;

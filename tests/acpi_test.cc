@@ -245,13 +245,10 @@ TEST_F(OspmTest, PreZombieHookNotFiredForS3) {
   EXPECT_FALSE(hook_fired);
 }
 
-TEST_F(OspmTest, WakeRestoresS0AndFiresPostHook) {
-  SleepState woke_from = SleepState::kS0;
-  ospm_.set_post_wake_hook([&](SleepState from) { woke_from = from; });
+TEST_F(OspmTest, WakeRestoresS0) {
   ASSERT_TRUE(ospm_.WriteSysPowerState("zom").ok());
   EXPECT_EQ(ospm_.Wake(), SleepState::kSz);
   EXPECT_EQ(ospm_.current_state(), SleepState::kS0);
-  EXPECT_EQ(woke_from, SleepState::kSz);
   EXPECT_EQ(devices_.Find("cpu0")->state(), DeviceState::kD0);
 }
 

@@ -222,7 +222,7 @@ TEST_F(RackTest, ControllerFailoverPromotesSecondary) {
   const Bytes pool_before = rack_.plane().FreeRemoteBytes();
 
   rack_.PumpHeartbeat();  // healthy beat
-  rack_.FailPrimaryController();
+  rack_.plane().FailShardPrimary(0);
   // Three silent monitor ticks trigger failover.
   rack_.PumpHeartbeat();
   rack_.PumpHeartbeat();
@@ -237,7 +237,7 @@ TEST_F(RackTest, ControllerFailoverPromotesSecondary) {
 }
 
 TEST_F(RackTest, SleepWithoutLendingKeepsPoolEmpty) {
-  ASSERT_TRUE(rack_.PushToSleep(rack_.servers()[1]->id(), acpi::SleepState::kS3).ok());
+  ASSERT_TRUE(rack_.servers()[1]->machine().Suspend(acpi::SleepState::kS3).ok());
   EXPECT_EQ(rack_.plane().FreeRemoteBytes(), 0u);
   EXPECT_FALSE(
       rack_.fabric().NodeMemoryAccessible(rack_.servers()[1]->node()));
@@ -366,17 +366,6 @@ TEST_F(ConsolidationTest, OverloadedHostShedsSmallestVm) {
   const auto plan = planner.Plan(Hosts());
   ASSERT_FALSE(plan.migrations.empty());
   EXPECT_EQ(plan.migrations[0].vm, 2u);  // the small one moves
-}
-
-TEST_F(ConsolidationTest, WakesLruZombieWhenNothingFits) {
-  // Overloaded source, and the only other awake host is full too.
-  ASSERT_TRUE(servers_[0]->HostVm(MakeVm(1, 2 * kGiB, 8), 2 * kGiB).ok());
-  ASSERT_TRUE(servers_[1]->HostVm(MakeVm(2, 2 * kGiB, 8), 2 * kGiB).ok());
-  ASSERT_TRUE(servers_[2]->machine().Suspend(acpi::SleepState::kSz).ok());
-  NeatPlanner planner(ConsolidationConfig{ConsolidationMode::kZombieStack, 0.20, 0.90, 0.30});
-  const auto plan = planner.Plan(Hosts(), /*lru_zombie=*/servers_[2]->id());
-  ASSERT_EQ(plan.hosts_to_wake.size(), 1u);
-  EXPECT_EQ(plan.hosts_to_wake[0], servers_[2]->id());
 }
 
 TEST_F(ConsolidationTest, EmptyPlanWhenBalanced) {

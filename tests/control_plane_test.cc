@@ -2,9 +2,8 @@
 // zombie-first allocation across shards, the shards=1 plane pinned to the
 // ids and grants of the classic single controller, lease grant/renew/expiry
 // semantics, expiry cleanup (orphaned buffers must be 0), deferred cleanup
-// while a shard's primary is down, per-shard failover, the detailed
-// escalation statuses of GS_reclaim / GS_alloc_ext, and surplus-zombie
-// retirement.
+// while a shard's primary is down, per-shard failover, and the detailed
+// escalation statuses of GS_reclaim / GS_alloc_ext.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -162,7 +161,7 @@ std::string GrantTrace(const std::vector<BufferGrant>& grants) {
 // Drives a fixed allocation history over 3 zombie hosts (uneven free
 // counts, one of them retyped from active by GS_goto_zombie) and 1 active
 // host, leaving holes from earlier allocations, and returns the grant
-// sequence of every GS_alloc_ext / GS_alloc_swap call.
+// sequence of every GS_alloc_ext call.
 std::vector<std::string> AllocationOrderTrace(std::size_t shards) {
   constexpr ServerId kZ1 = 1, kZ2 = 2, kZ3 = 3, kActive = 4;
   constexpr ServerId kUserA = 5, kUserB = 6;
@@ -190,9 +189,9 @@ std::vector<std::string> AllocationOrderTrace(std::size_t shards) {
   for (std::size_t i = 0; i < first.size(); i += 2) {
     EXPECT_TRUE(plane.GsRelease(kUserA, {first[i].id}).ok());
   }
-  record(plane.GsAllocSwap(kUserB, 3 * kBuff + kBuff / 2));
+  record(plane.GsAllocExt(kUserB, 3 * kBuff));
   record(plane.GsAllocExt(kUserA, 8 * kBuff));
-  record(plane.GsAllocSwap(kUserB, 20 * kBuff));
+  record(plane.GsAllocExt(kUserB, 2 * kBuff));  // the last two free buffers
   record(plane.GsAllocExt(kUserA, kBuff));
   EXPECT_TRUE(plane.CheckInvariants().ok());
   return trace;
@@ -465,37 +464,6 @@ TEST(ControllerEscalation, GsAllocExtReportsEscalationLedger) {
   EXPECT_EQ(message.find("AS_get_free_mem(host 3)"), std::string::npos) << message;
   // All-or-nothing: the one granted buffer was rolled back.
   EXPECT_EQ(plane.FreeRemoteBytes(), kBuff);
-}
-
-// ---------------------------------------------------------------------------
-// Surplus-zombie retirement (Section 4.4 deep sleep).
-// ---------------------------------------------------------------------------
-
-TEST(SurplusZombies, OnlyFullyFreeZombiesBeyondSlack) {
-  auto plane = OneShardPlane({1, 2, 3});
-  ASSERT_TRUE(plane.GsGotoZombie(1, MakeGrants(4, 1)).ok());
-  ASSERT_TRUE(plane.GsGotoZombie(2, MakeGrants(4, 2)).ok());
-  // Host 1 serves an allocation; host 2 is fully free.
-  ASSERT_TRUE(plane.GsAllocExt(3, kBuff).ok());
-
-  // Keeping >= 4 buffers of slack allows retiring host 2 only.
-  const auto surplus = plane.SurplusZombies(3 * kBuff);
-  ASSERT_EQ(surplus.size(), 1u);
-  EXPECT_EQ(surplus[0], 2u);
-  // Requiring more slack than remains forbids retirement.
-  EXPECT_TRUE(plane.SurplusZombies(5 * kBuff).empty());
-}
-
-TEST(SurplusZombies, RetireRemovesBuffers) {
-  auto plane = OneShardPlane({1, 2});
-  ASSERT_TRUE(plane.GsGotoZombie(1, MakeGrants(2, 1)).ok());
-  ASSERT_TRUE(plane.RetireZombie(1).ok());
-  EXPECT_EQ(plane.FreeRemoteBytes(), 0u);
-  // Retiring a non-zombie or a serving zombie fails.
-  EXPECT_EQ(plane.RetireZombie(2).code(), ErrorCode::kFailedPrecondition);
-  ASSERT_TRUE(plane.GsGotoZombie(2, MakeGrants(1, 2)).ok());
-  ASSERT_TRUE(plane.GsAllocExt(1, kBuff).ok());
-  EXPECT_EQ(plane.RetireZombie(2).code(), ErrorCode::kConflict);
 }
 
 }  // namespace

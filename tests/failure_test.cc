@@ -51,7 +51,7 @@ TEST_F(FailureTest, FailoverPreservesInFlightAllocations) {
   ASSERT_TRUE(extent.ok());
   ASSERT_TRUE(extent.value()->WritePage(3, {}).ok());
 
-  rack_.FailPrimaryController();
+  rack_.plane().FailShardPrimary(0);
   for (int i = 0; i < 3; ++i) {
     rack_.PumpHeartbeat();
   }
@@ -70,16 +70,41 @@ TEST_F(FailureTest, HeartbeatFlappingDoesNotFailOver) {
   const auto* controller_before = &rack_.plane().primary(0);
   // Miss two beats (below the threshold of 3), then recover, repeatedly.
   for (int round = 0; round < 4; ++round) {
-    rack_.FailPrimaryController();  // silences heartbeats
+    rack_.plane().FailShardPrimary(0);  // silences heartbeats
     rack_.PumpHeartbeat();
     rack_.PumpHeartbeat();
     // Primary recovers before the third miss; the next pump delivers a
     // fresh beat and resets the miss counter.
-    rack_.RevivePrimaryController();
+    rack_.plane().ReviveShardPrimary(0);
     rack_.PumpHeartbeat();
   }
   EXPECT_EQ(&rack_.plane().primary(0), controller_before);
   EXPECT_FALSE(rack_.plane().secondary(0).failed_over());
+}
+
+TEST_F(FailureTest, WakeWithHomeShardDownLeavesZombieAsleep) {
+  ASSERT_TRUE(rack_.PushToZombie(zombie_->id()).ok());
+  const Bytes lent = zombie_->lent_memory();
+  ASSERT_GT(lent, 0u);
+
+  // The zombie's home shard is down: GS_reclaim is refused, so the wake must
+  // not happen either — the host stays a lending zombie in Sz.
+  rack_.plane().FailShardPrimary(0);
+  auto failed = rack_.WakeServer(zombie_->id());
+  EXPECT_EQ(failed.code(), ErrorCode::kUnavailable);
+  EXPECT_EQ(zombie_->machine().state(), acpi::SleepState::kSz);
+  EXPECT_EQ(zombie_->role(), cloud::Role::kZombie);
+  EXPECT_EQ(zombie_->lent_memory(), lent);
+  EXPECT_TRUE(rack_.plane().IsZombie(zombie_->id()));
+
+  // Once the shard is back, the retry pays the full Sz exit latency.
+  rack_.plane().ReviveShardPrimary(0);
+  auto retried = rack_.WakeServer(zombie_->id());
+  ASSERT_TRUE(retried.ok()) << retried.status().ToString();
+  EXPECT_EQ(retried.value(), zombie_->machine().firmware().latencies().sz_exit);
+  EXPECT_EQ(zombie_->machine().state(), acpi::SleepState::kS0);
+  EXPECT_EQ(zombie_->role(), cloud::Role::kActive);
+  EXPECT_EQ(zombie_->lent_memory(), 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -158,7 +183,7 @@ TEST(FailureLegacy, NonSzBoardRefusesZombieButWorksOtherwise) {
   EXPECT_EQ(rack.PushToZombie(legacy.id()).code(), ErrorCode::kFailedPrecondition);
   EXPECT_EQ(legacy.machine().state(), acpi::SleepState::kS0);
   // The legacy box can still S3 (no lending) and the modern one zombifies.
-  EXPECT_TRUE(rack.PushToSleep(legacy.id(), acpi::SleepState::kS3).ok());
+  EXPECT_TRUE(legacy.machine().Suspend(acpi::SleepState::kS3).ok());
   EXPECT_TRUE(rack.PushToZombie(modern.id()).ok());
   EXPECT_GT(rack.plane().FreeRemoteBytes(), 0u);
 }
@@ -220,12 +245,12 @@ TEST_F(FailureTest, SilentHostDeathExpiresLeaseAndLeavesNoOrphans) {
   EXPECT_TRUE(extent.value()->ReadPage(3, {}).ok());
   EXPECT_GT(extent.value()->mirror_reads(), 0u);
   // The dead host's lease is gone for good until it re-registers.
-  EXPECT_FALSE(rack_.plane().LeaseLive(zombie_->id(), rack_.now()));
+  EXPECT_FALSE(rack_.plane().leases().IsLive(zombie_->id(), rack_.now()));
 }
 
 TEST_F(FailureTest, PartitionHealReadmitsHostsWithBumpedEpoch) {
   ASSERT_TRUE(rack_.PushToZombie(zombie_->id()).ok());
-  const std::uint64_t epoch_before = rack_.plane().LeaseEpoch(user_->id());
+  const std::uint64_t epoch_before = rack_.plane().leases().epoch(user_->id());
   ASSERT_GT(epoch_before, 0u);
 
   // Cut every server off from the (single) controller shard: renewals fail,
@@ -237,16 +262,76 @@ TEST_F(FailureTest, PartitionHealReadmitsHostsWithBumpedEpoch) {
   }
   ASSERT_EQ(expired.size(), 3u);  // user, zombie, spare — ascending by id
   EXPECT_EQ(expired[0].host, user_->id());
-  EXPECT_FALSE(rack_.plane().LeaseLive(user_->id(), rack_.now()));
+  EXPECT_FALSE(rack_.plane().leases().IsLive(user_->id(), rack_.now()));
 
   // Heal: the next renewal round re-admits every live host under a fresh
   // lease epoch (a new incarnation, so stale grants can be fenced).
   rack_.SetShardPartition(0, /*broken=*/false);
   rack_.Tick();
-  EXPECT_TRUE(rack_.plane().LeaseLive(user_->id(), rack_.now()));
-  EXPECT_GT(rack_.plane().LeaseEpoch(user_->id()), epoch_before);
+  EXPECT_TRUE(rack_.plane().leases().IsLive(user_->id(), rack_.now()));
+  EXPECT_GT(rack_.plane().leases().epoch(user_->id()), epoch_before);
   EXPECT_TRUE(rack_.plane().OrphanedBuffers(rack_.now()).empty());
   EXPECT_TRUE(rack_.plane().CheckInvariants().ok());
+}
+
+// Lease renewal's fabric accounting across one Tick: an S0 host's renewal is
+// one 4-byte request plus an 8-byte reply, noted as a single 12-byte
+// transfer; a zombie's controller-side probe is priced but not counted; a
+// partitioned S0 host adds nothing and its lease lapses past the TTL.
+struct RenewalDelta {
+  std::uint64_t ops = 0;
+  Bytes bytes = 0;
+};
+
+RenewalDelta TickDelta(Rack& rack) {
+  const std::uint64_t ops = rack.fabric().total_operations();
+  const Bytes bytes = rack.fabric().total_bytes();
+  (void)rack.Tick();
+  return {rack.fabric().total_operations() - ops, rack.fabric().total_bytes() - bytes};
+}
+
+TEST(LeaseRenewal, HealthyActiveHostAddsOneTwelveByteTransfer) {
+  Rack rack(TestRack());
+  Server& host = rack.AddServer("host", acpi::MachineProfile::HpCompaqElite8300(),
+                                {8, 16 * kGiB});
+  const RenewalDelta delta = TickDelta(rack);
+  EXPECT_EQ(delta.ops, 1u);
+  EXPECT_EQ(delta.bytes, 12u);
+  // The renewal pushed the deadline one tick out: the lease is live at the
+  // TTL measured from this tick.
+  EXPECT_TRUE(rack.plane().leases().IsLive(host.id(), rack.now() + TestRack().lease_ttl));
+}
+
+TEST(LeaseRenewal, ZombieProbeAddsNoTransfer) {
+  Rack rack(TestRack());
+  Server& zombie = rack.AddServer("zombie", acpi::MachineProfile::HpCompaqElite8300(),
+                                  {8, 16 * kGiB});
+  ASSERT_TRUE(rack.PushToZombie(zombie.id()).ok());
+  for (int i = 0; i < 6; ++i) {
+    const RenewalDelta delta = TickDelta(rack);
+    EXPECT_EQ(delta.ops, 0u);
+    EXPECT_EQ(delta.bytes, 0u);
+    EXPECT_TRUE(rack.plane().leases().IsLive(zombie.id(), rack.now()));
+  }
+}
+
+TEST(LeaseRenewal, PartitionedActiveHostAddsNothingAndLapsesAtTtl) {
+  const RackConfig config = TestRack();
+  Rack rack(config);
+  Server& host = rack.AddServer("host", acpi::MachineProfile::HpCompaqElite8300(),
+                                {8, 16 * kGiB});
+  rack.SetShardPartition(0, /*broken=*/true);
+  const int ticks_to_ttl = static_cast<int>(config.lease_ttl / config.tick_period);
+  for (int i = 0; i < ticks_to_ttl; ++i) {
+    const RenewalDelta delta = TickDelta(rack);
+    EXPECT_EQ(delta.ops, 0u);
+    EXPECT_EQ(delta.bytes, 0u);
+    EXPECT_TRUE(rack.plane().leases().IsLive(host.id(), rack.now()));  // deadline inclusive
+  }
+  const RenewalDelta delta = TickDelta(rack);
+  EXPECT_EQ(delta.ops, 0u);
+  EXPECT_EQ(delta.bytes, 0u);
+  EXPECT_FALSE(rack.plane().leases().IsLive(host.id(), rack.now()));
 }
 
 TEST_F(FailureTest, HeartbeatDropShorterThanTtlIsAbsorbed) {
@@ -256,7 +341,7 @@ TEST_F(FailureTest, HeartbeatDropShorterThanTtlIsAbsorbed) {
   for (int i = 0; i < 6; ++i) {
     EXPECT_TRUE(rack_.Tick().empty());
   }
-  EXPECT_TRUE(rack_.plane().LeaseLive(user_->id(), rack_.now()));
+  EXPECT_TRUE(rack_.plane().leases().IsLive(user_->id(), rack_.now()));
 }
 
 TEST_F(FailureTest, FaultInjectorFiresPlanInSimTimeOrder) {
@@ -287,8 +372,8 @@ TEST_F(FailureTest, FaultInjectorFiresPlanInSimTimeOrder) {
   // healed below the ttl, and only the host crash cost a lease.
   EXPECT_TRUE(rack_.plane().secondary(0).failed_over());
   EXPECT_EQ(expiries, 1u);
-  EXPECT_FALSE(rack_.plane().LeaseLive(zombie_->id(), rack_.now()));
-  EXPECT_TRUE(rack_.plane().LeaseLive(user_->id(), rack_.now()));
+  EXPECT_FALSE(rack_.plane().leases().IsLive(zombie_->id(), rack_.now()));
+  EXPECT_TRUE(rack_.plane().leases().IsLive(user_->id(), rack_.now()));
   EXPECT_TRUE(rack_.plane().OrphanedBuffers(rack_.now()).empty());
   EXPECT_TRUE(rack_.plane().CheckInvariants().ok());
 }

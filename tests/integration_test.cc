@@ -1,7 +1,7 @@
 // Integration tests: full-stack scenarios exercising several modules
 // together — the complete zombie lifecycle over the rack, workloads paging
-// against real zombie memory, consolidation followed by suspension, and the
-// surplus deep-sleep policy.
+// against real zombie memory, consolidation followed by suspension, and a
+// migration that leaves its remote part in place.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -161,38 +161,7 @@ TEST(Integration, ConsolidateThenSuspendDropsPower) {
 }
 
 // ---------------------------------------------------------------------------
-// Scenario 4: surplus zombies sink to S3 and leave the pool consistent.
-// ---------------------------------------------------------------------------
-
-TEST(Integration, SurplusZombiesDeepSleep) {
-  Rack rack(TestRack());
-  auto profile = acpi::MachineProfile::HpCompaqElite8300();
-  Server& user = rack.AddServer("user", profile, {8, 16 * kGiB});
-  Server& z1 = rack.AddServer("z1", profile, {8, 16 * kGiB});
-  Server& z2 = rack.AddServer("z2", profile, {8, 16 * kGiB});
-  ASSERT_TRUE(rack.PushToZombie(z1.id()).ok());
-  ASSERT_TRUE(rack.PushToZombie(z2.id()).ok());
-  const Bytes pool = rack.plane().FreeRemoteBytes();
-
-  // Pin one buffer on whichever zombie the allocator picks first.
-  auto extent = rack.manager(user.id()).AllocExtension(4 * kMiB);
-  ASSERT_TRUE(extent.ok());
-
-  // Keep at least half the pool: exactly one all-free zombie can retire.
-  const std::size_t slept = rack.DeepSleepSurplusZombies(pool / 4);
-  EXPECT_EQ(slept, 1u);
-  const bool z1_s3 = z1.machine().state() == acpi::SleepState::kS3;
-  const bool z2_s3 = z2.machine().state() == acpi::SleepState::kS3;
-  EXPECT_NE(z1_s3, z2_s3);  // exactly one went deeper
-  // The S3 sleeper's memory is unreachable; the remaining zombie still
-  // serves the allocated extent.
-  EXPECT_TRUE(extent.value()->WritePage(0, {}).ok());
-  // Pool shrank by the retired server's share.
-  EXPECT_LT(rack.plane().FreeRemoteBytes(), pool - 10 * kGiB);
-}
-
-// ---------------------------------------------------------------------------
-// Scenario 5: migration decision integrated with rack state — migrating a
+// Scenario 4: migration decision integrated with rack state — migrating a
 // VM between hosts whose remote part stays in place.
 // ---------------------------------------------------------------------------
 

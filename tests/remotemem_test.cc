@@ -102,16 +102,6 @@ TEST(BufferDb, RetypeHostFlipsType) {
   EXPECT_EQ(db.FreeByHost(BufferType::kActive), (BufferDb::FreeIndex{{11, {2}}}));
 }
 
-TEST(BufferDb, AllocatedCountPerHost) {
-  BufferDb db;
-  ASSERT_TRUE(db.Insert(MakeRecord(1, 10, BufferType::kZombie, 20)).ok());
-  ASSERT_TRUE(db.Insert(MakeRecord(2, 10, BufferType::kZombie)).ok());
-  ASSERT_TRUE(db.Insert(MakeRecord(3, 11, BufferType::kZombie, 20)).ok());
-  EXPECT_EQ(db.AllocatedCountOfHost(10), 1u);
-  EXPECT_EQ(db.AllocatedCountOfHost(11), 1u);
-  EXPECT_EQ(db.AllocatedCountOfHost(12), 0u);
-}
-
 TEST(BufferDb, SnapshotLoadRoundTrip) {
   BufferDb db;
   ASSERT_TRUE(db.Insert(MakeRecord(1, 10, BufferType::kZombie, 20)).ok());
@@ -196,17 +186,6 @@ TEST_F(ControllerTest, AllocExtRoundsUpAndFailsWhenShort) {
   EXPECT_EQ(plane_.FreeRemoteBytes(), 0u);
 }
 
-TEST_F(ControllerTest, AllocSwapIsBestEffort) {
-  ASSERT_TRUE(plane_.GsGotoZombie(kHostA, MakeGrants(2, kHostA)).ok());
-  auto grants = plane_.GsAllocSwap(kUserC, 5 * kTestBuff);
-  ASSERT_TRUE(grants.ok());
-  EXPECT_EQ(grants.value().size(), 2u);  // less than asked, no error
-  // And swap never takes partial buffers: 0.5 buff request yields nothing.
-  auto none = plane_.GsAllocSwap(kUserD, kTestBuff / 2);
-  ASSERT_TRUE(none.ok());
-  EXPECT_TRUE(none.value().empty());
-}
-
 TEST_F(ControllerTest, ReleaseReturnsToPool) {
   ASSERT_TRUE(plane_.GsGotoZombie(kHostA, MakeGrants(1, kHostA)).ok());
   auto grants = plane_.GsAllocExt(kUserC, kTestBuff);
@@ -261,17 +240,6 @@ TEST_F(ControllerTest, ReclaimMoreThanDelegatedRejected) {
   EXPECT_FALSE(plane_.GsReclaim(kHostA, 2).ok());
 }
 
-TEST_F(ControllerTest, LruZombiePrefersLeastAllocated) {
-  ASSERT_TRUE(plane_.GsGotoZombie(kHostA, MakeGrants(2, kHostA)).ok());
-  ASSERT_TRUE(plane_.GsGotoZombie(kHostB, MakeGrants(2, kHostB)).ok());
-  // Three buffers round-robin as A, B, A: host A ends up with 2 allocated,
-  // host B with 1 — so B is the cheapest zombie to wake.
-  ASSERT_TRUE(plane_.GsAllocExt(kUserC, 3 * kTestBuff).ok());
-  auto lru = plane_.GsGetLruZombie();
-  ASSERT_TRUE(lru.ok());
-  EXPECT_EQ(lru.value(), kHostB);
-}
-
 TEST_F(ControllerTest, AllocationsSpreadAcrossHosts) {
   // "the memSize allocation is backed by memory from multiple remote
   // servers" — round-robin across zombie hosts.
@@ -284,10 +252,6 @@ TEST_F(ControllerTest, AllocationsSpreadAcrossHosts) {
     from_a += g.host == kHostA ? 1 : 0;
   }
   EXPECT_EQ(from_a, 2u);  // exactly half from each host
-}
-
-TEST_F(ControllerTest, LruZombieWithNoZombies) {
-  EXPECT_EQ(plane_.GsGetLruZombie().code(), ErrorCode::kNotFound);
 }
 
 TEST_F(ControllerTest, ActiveEscalationViaAgents) {
@@ -516,30 +480,11 @@ TEST_F(ManagerTest, RehomeAfterReplacementGrants) {
   RemoteExtent* extent = extent_result.value();
   ASSERT_TRUE(extent->WritePage(2, {}).ok());
 
-  // Nothing to re-home while the buffers are live.
-  EXPECT_EQ(extent->RehomeMirroredPages(), 0u);
-
-  // Reclaim pushes the page into the mirror; with the slot still dead,
-  // re-homing cannot happen yet.
+  // Reclaim pushes the page into the mirror: reads keep working from there.
   extent->OnBuffersReclaimed(extent->buffer_ids());
-  EXPECT_EQ(extent->RehomeMirroredPages(), 0u);
   std::vector<std::byte> buf(kPageSize);
   ASSERT_TRUE(extent->ReadPage(2, buf).ok());
   EXPECT_EQ(extent->mirror_reads(), 1u);
-}
-
-TEST_F(ManagerTest, GrowSwapExtentAddsCapacity) {
-  ASSERT_TRUE(host_mgr_->DelegateOnZombie(4 * kTestBuff).ok());
-  auto extent = user_mgr_->AllocSwap(kTestBuff);
-  ASSERT_TRUE(extent.ok());
-  EXPECT_EQ(extent.value()->capacity(), kTestBuff);
-  auto grown = user_mgr_->GrowSwapExtent(extent.value(), 2 * kTestBuff);
-  ASSERT_TRUE(grown.ok());
-  EXPECT_EQ(grown.value(), 2 * kTestBuff);
-  EXPECT_EQ(extent.value()->capacity(), 3 * kTestBuff);
-  // A foreign extent pointer is rejected.
-  RemoteExtent foreign(&verbs_, user_node_, kTestBuff);
-  EXPECT_EQ(user_mgr_->GrowSwapExtent(&foreign, kTestBuff).code(), ErrorCode::kNotFound);
 }
 
 TEST_F(ManagerTest, ReclaimOnWakeReleasesRegions) {
@@ -549,13 +494,6 @@ TEST_F(ManagerTest, ReclaimOnWakeReleasesRegions) {
   EXPECT_EQ(reclaimed.value(), 2u);
   EXPECT_EQ(host_mgr_->delegated().size(), 1u);
   EXPECT_EQ(plane_.FreeRemoteBytes(), kTestBuff);
-}
-
-TEST_F(ManagerTest, AllocSwapBestEffortSmaller) {
-  ASSERT_TRUE(host_mgr_->DelegateOnZombie(kTestBuff).ok());
-  auto extent = user_mgr_->AllocSwap(10 * kTestBuff);
-  ASSERT_TRUE(extent.ok());
-  EXPECT_EQ(extent.value()->buffer_count(), 1u);
 }
 
 TEST_F(ManagerTest, ReleaseExtentReturnsBuffers) {

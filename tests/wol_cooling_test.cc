@@ -1,66 +1,13 @@
-// Tests for the Wake-on-LAN fabric path and the cooling (partial-PUE) model
-// plus the DC simulator's new consolidation-cost metrics.
+// Tests for the cooling (partial-PUE) model plus the DC simulator's
+// consolidation-cost metrics.
 #include <gtest/gtest.h>
 
-#include "src/cloud/rack.h"
 #include "src/sim/cooling.h"
 #include "src/sim/dc_sim.h"
 #include "src/sim/trace.h"
 
 namespace zombie {
 namespace {
-
-// ---------------------------------------------------------------------------
-// Wake-on-LAN through the fabric.
-// ---------------------------------------------------------------------------
-
-class WolTest : public ::testing::Test {
- protected:
-  WolTest() {
-    cloud::RackConfig config;
-    config.buff_size = 4 * kMiB;
-    config.materialize_memory = false;
-    rack_ = std::make_unique<cloud::Rack>(config);
-    auto profile = acpi::MachineProfile::HpCompaqElite8300();
-    waker_ = &rack_->AddServer("waker", profile, {8, 16 * kGiB});
-    sleeper_ = &rack_->AddServer("sleeper", profile, {8, 16 * kGiB});
-  }
-
-  std::unique_ptr<cloud::Rack> rack_;
-  cloud::Server* waker_ = nullptr;
-  cloud::Server* sleeper_ = nullptr;
-};
-
-TEST_F(WolTest, MagicPacketWakesZombie) {
-  ASSERT_TRUE(rack_->PushToZombie(sleeper_->id()).ok());
-  auto cost = rack_->fabric().SendWakePacket(waker_->node(), sleeper_->node());
-  ASSERT_TRUE(cost.ok()) << cost.status().ToString();
-  EXPECT_EQ(sleeper_->machine().state(), acpi::SleepState::kS0);
-  // Packet flight is negligible against the Sz exit latency.
-  EXPECT_GE(cost.value(), 4 * kSecond);
-  // Lent memory was reclaimed on wake (the rack's on-wake handler).
-  EXPECT_EQ(sleeper_->lent_memory(), 0u);
-}
-
-TEST_F(WolTest, MagicPacketWakesS3Sleeper) {
-  ASSERT_TRUE(rack_->PushToSleep(sleeper_->id(), acpi::SleepState::kS3).ok());
-  ASSERT_TRUE(rack_->fabric().SendWakePacket(waker_->node(), sleeper_->node()).ok());
-  EXPECT_EQ(sleeper_->machine().state(), acpi::SleepState::kS0);
-}
-
-TEST_F(WolTest, AwakeTargetNotArmed) {
-  auto cost = rack_->fabric().SendWakePacket(waker_->node(), sleeper_->node());
-  EXPECT_FALSE(cost.ok());  // S0: WoL not armed
-  EXPECT_EQ(cost.code(), ErrorCode::kUnavailable);
-}
-
-TEST_F(WolTest, SuspendedInitiatorCannotSendWake) {
-  ASSERT_TRUE(rack_->PushToZombie(sleeper_->id()).ok());
-  ASSERT_TRUE(waker_->machine().Suspend(acpi::SleepState::kS3).ok());
-  auto cost = rack_->fabric().SendWakePacket(waker_->node(), sleeper_->node());
-  EXPECT_EQ(cost.code(), ErrorCode::kFailedPrecondition);
-  EXPECT_EQ(sleeper_->machine().state(), acpi::SleepState::kSz);  // still asleep
-}
 
 // ---------------------------------------------------------------------------
 // Cooling model.
