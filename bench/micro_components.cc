@@ -1,14 +1,13 @@
 // Component micro-benchmarks (google-benchmark): replacement-policy victim
 // selection, buffer-database operations, the control plane's RAM-Ext
-// allocate/release path, pager fault path, and the OSPM suspend cycle.
+// allocate/release path, and the OSPM suspend cycle.  (The pager's access
+// and fault path is timed by perfbench's hv.access_self_ns.)
 #include <benchmark/benchmark.h>
 
 #include <memory>
 #include <vector>
 
 #include "src/acpi/machine.h"
-#include "src/hv/backend.h"
-#include "src/hv/pager.h"
 #include "src/hv/replacement.h"
 #include "src/remotemem/buffer_db.h"
 #include "src/remotemem/sharded_plane.h"
@@ -17,9 +16,7 @@ namespace {
 
 using zombie::acpi::Machine;
 using zombie::acpi::MachineProfile;
-using zombie::hv::DeviceBackend;
 using zombie::hv::GuestPageTable;
-using zombie::hv::HostPager;
 using zombie::hv::MakePolicy;
 using zombie::hv::PagingParams;
 using zombie::hv::PolicyKind;
@@ -62,33 +59,6 @@ BENCHMARK(BM_PolicyPickVictim)
     ->Args({0, 1024})   // FIFO
     ->Args({1, 1024})   // Clock
     ->Args({2, 1024});  // Mixed
-
-void BM_PagerResidentHit(benchmark::State& state) {
-  PagingParams params;
-  DeviceBackend backend("dev", {});
-  HostPager pager(1024, 1024, MakePolicy(PolicyKind::kMixed, params), &backend, params);
-  for (std::uint64_t p = 0; p < 1024; ++p) {
-    (void)pager.Access(p, false);
-  }
-  std::uint64_t p = 0;
-  for (auto _ : state) {
-    auto cost = pager.Access(p++ % 1024, false);
-    benchmark::DoNotOptimize(cost);
-  }
-}
-BENCHMARK(BM_PagerResidentHit);
-
-void BM_PagerThrashingFault(benchmark::State& state) {
-  PagingParams params;
-  DeviceBackend backend("dev", {3000, 3000});
-  HostPager pager(4096, 64, MakePolicy(PolicyKind::kMixed, params), &backend, params);
-  std::uint64_t p = 0;
-  for (auto _ : state) {
-    auto cost = pager.Access(p++ % 4096, true);  // every access faults
-    benchmark::DoNotOptimize(cost);
-  }
-}
-BENCHMARK(BM_PagerThrashingFault);
 
 void BM_BufferDbAllocateRelease(benchmark::State& state) {
   BufferDb db;

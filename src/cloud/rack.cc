@@ -105,6 +105,12 @@ Result<Duration> Rack::WakeServer(remotemem::ServerId id) {
   if (server == nullptr) {
     return Status(ErrorCode::kNotFound, "unknown server");
   }
+  // A box that lost power (S5) or sits in S1/S2 hears no Wake-on-LAN:
+  // refuse before reclaiming, so it keeps its role and what it lent.
+  const acpi::SleepState state = server->machine().state();
+  if (state != acpi::SleepState::kS0 && !acpi::WakeCapable(state)) {
+    return Status(ErrorCode::kFailedPrecondition, "server cannot be woken from its sleep state");
+  }
   // Reclaim everything the server had lent before waking it: a reclaim the
   // control plane refuses (its home shard is down) leaves the zombie asleep
   // and still lending, so a retry pays the full exit latency.

@@ -1,5 +1,6 @@
 #include "src/common/report.h"
 
+#include <algorithm>
 #include <cctype>
 #include <cmath>
 #include <cstdarg>
@@ -7,7 +8,6 @@
 #include <cstdlib>
 
 #include "src/common/logging.h"
-#include "src/common/table.h"
 
 namespace zombie::report {
 
@@ -120,6 +120,51 @@ std::string Report::Render(Format format) const {
   return {};
 }
 
+namespace {
+
+// One table as fixed-width text: columns fitted to their widest cell, two
+// spaces between them, a dashed rule under the header, no trailing blanks.
+std::string RenderTextTable(const std::vector<std::string>& header,
+                            const std::vector<std::vector<std::string>>& rows) {
+  std::vector<std::size_t> widths(header.size(), 0);
+  for (std::size_t c = 0; c < header.size(); ++c) {
+    widths[c] = header[c].size();
+  }
+  for (const auto& row : rows) {
+    for (std::size_t c = 0; c < row.size() && c < widths.size(); ++c) {
+      widths[c] = std::max(widths[c], row[c].size());
+    }
+  }
+
+  auto render_row = [&](const std::vector<std::string>& row) {
+    std::string line;
+    for (std::size_t c = 0; c < widths.size(); ++c) {
+      const std::string& cell = c < row.size() ? row[c] : std::string();
+      line += cell;
+      line.append(widths[c] - cell.size() + 2, ' ');
+    }
+    while (!line.empty() && line.back() == ' ') {
+      line.pop_back();
+    }
+    line += '\n';
+    return line;
+  };
+
+  std::string out = render_row(header);
+  std::size_t total = 0;
+  for (auto w : widths) {
+    total += w + 2;
+  }
+  out.append(total > 2 ? total - 2 : total, '-');
+  out += '\n';
+  for (const auto& row : rows) {
+    out += render_row(row);
+  }
+  return out;
+}
+
+}  // namespace
+
 std::string Report::RenderTableText() const {
   std::string out;
   for (const Item& item : items_) {
@@ -132,11 +177,7 @@ std::string Report::RenderTableText() const {
       out += table.title();
       out += '\n';
     }
-    TextTable text_table(table.columns());
-    for (const auto& row : table.rows()) {
-      text_table.AddRow(row);
-    }
-    out += text_table.Render();
+    out += RenderTextTable(table.columns(), table.rows());
   }
   return out;
 }

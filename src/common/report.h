@@ -1,13 +1,12 @@
 // The structured result layer of the scenario API: a Report is what every
 // experiment produces — an ordered mix of free text and named tables plus
 // headline scalar metrics and, for swept scenarios, one machine-readable
-// record per sweep point — and it renders as a fixed-width TextTable stream
+// record per sweep point — and it renders as fixed-width text tables
 // (byte-compatible with the historical bench binaries), as CSV blocks, or as
 // a JSON document (schema "zombieland.scenario.report/v1").
 //
 // All numeric cells go through the formatting helpers here (Num / Penalty /
-// Int) so precision/width conventions cannot drift between experiments;
-// TextTable::Num and TextTable::Penalty delegate to them.
+// Int) so precision/width conventions cannot drift between experiments.
 #ifndef ZOMBIELAND_SRC_COMMON_REPORT_H_
 #define ZOMBIELAND_SRC_COMMON_REPORT_H_
 

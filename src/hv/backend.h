@@ -1,5 +1,6 @@
-// Where evicted pages go: the backend behind hypervisor paging (RAM Ext) or
-// behind a guest-visible swap device (Explicit SD).
+// Where evicted pages go: the backend behind hypervisor paging (RAM Ext) or,
+// wrapped in a SplitDriverBackend, behind a guest-visible swap device
+// (Explicit SD).
 #ifndef ZOMBIELAND_SRC_HV_BACKEND_H_
 #define ZOMBIELAND_SRC_HV_BACKEND_H_
 
@@ -71,6 +72,45 @@ class DeviceBackend final : public PageBackend {
 
  private:
   std::string name_;
+  DeviceLatency latency_;
+};
+
+// The Explicit SD path to a swap device: every guest block request crosses
+// the virtio split driver (frontend/backend) before it reaches `inner`, which
+// adds kSplitDriverOverhead to each page store and load.  Borrows `inner`.
+class SplitDriverBackend final : public PageBackend {
+ public:
+  explicit SplitDriverBackend(PageBackend* inner) : inner_(inner) {
+    if (const DeviceLatency* fixed = inner_->fixed_latency()) {
+      latency_ = {fixed->read + kSplitDriverOverhead, fixed->write + kSplitDriverOverhead};
+    }
+  }
+
+  [[nodiscard]] Result<Duration> StorePage(PageIndex page) override {
+    auto store = inner_->StorePage(page);
+    if (!store.ok()) {
+      return store;
+    }
+    return store.value() + kSplitDriverOverhead;
+  }
+  [[nodiscard]] Result<Duration> LoadPage(PageIndex page) override {
+    auto load = inner_->LoadPage(page);
+    if (!load.ok()) {
+      return load;
+    }
+    return load.value() + kSplitDriverOverhead;
+  }
+
+  std::string name() const override { return inner_->name(); }
+  std::uint64_t capacity_pages() const override { return inner_->capacity_pages(); }
+  // A fixed-cost device stays fixed-cost (and keeps the pagers' devirtualised
+  // fault path) with the overhead folded into its latencies.
+  const DeviceLatency* fixed_latency() const override {
+    return inner_->fixed_latency() != nullptr ? &latency_ : nullptr;
+  }
+
+ private:
+  PageBackend* inner_;
   DeviceLatency latency_;
 };
 

@@ -6,13 +6,14 @@ namespace zombie::hv {
 
 HostPager::HostPager(std::uint64_t guest_pages, std::uint64_t local_frames,
                      std::unique_ptr<ReplacementPolicy> policy, PageBackend* backend,
-                     PagingParams params)
+                     PagingParams params, double writeback_amplification)
     : table_(guest_pages),
       local_frames_(local_frames),
       free_frames_(local_frames),
       policy_(std::move(policy)),
       backend_(backend),
-      params_(params) {
+      params_(params),
+      writeback_amplification_(writeback_amplification) {
   assert(local_frames_ > 0 && "pager needs at least one machine frame");
   policy_->Reserve(guest_pages);
   backend_latency_ = backend_->fixed_latency();
@@ -26,7 +27,14 @@ Result<Duration> HostPager::EvictOne(Policy& policy) {
 
   PageTableEntry& victim = table_.at(choice.page);
   assert(victim.present);
-  if (victim.dirty) {
+  if (writeback_amplification_ != 1.0) [[unlikely]] {
+    auto stores = AmplifiedWritebacks(choice.page, victim.dirty);
+    if (!stores.ok()) {
+      return stores;
+    }
+    cost += stores.value();
+    victim.dirty = false;
+  } else if (victim.dirty) {
     // Transfer the content of the local frame to the backend.
     if (batcher_ != nullptr) {
       cost += batcher_->OnStore(choice.page);
@@ -48,6 +56,34 @@ Result<Duration> HostPager::EvictOne(Policy& policy) {
   victim.frame = kNoFrame;
   ++free_frames_;
   ++stats_.evictions;
+  return cost;
+}
+
+Result<Duration> HostPager::AmplifiedWritebacks(PageIndex page, bool dirty) {
+  // A dirty eviction owes writeback_amplification_ stores; the fraction
+  // carries over to later evictions.  A failed store leaves the unpaid part
+  // of the debt for the next eviction, as the guest retries the flush.
+  double writes = dirty ? 1.0 : 0.0;
+  if (dirty) {
+    writes += writeback_amplification_ - 1.0;
+  }
+  amplification_debt_ += writes;
+  Duration cost = 0;
+  while (amplification_debt_ >= 1.0) {
+    if (batcher_ != nullptr) {
+      cost += batcher_->OnStore(page);
+    } else if (backend_latency_ != nullptr) {
+      cost += backend_latency_->write;
+    } else {
+      auto store = backend_->StorePage(page);
+      if (!store.ok()) {
+        return store;
+      }
+      cost += store.value();
+    }
+    ++stats_.writebacks;
+    amplification_debt_ -= 1.0;
+  }
   return cost;
 }
 

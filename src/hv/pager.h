@@ -8,6 +8,11 @@
 // page fault is caused by the non-presence of a page, we first check whether
 // it is a page sent to a remote memory.  If this is the case, a local page
 // is allocated as above and the remote page is reloaded in the local page."
+//
+// The same state machine models the guest kernel's swapping in Explicit SD
+// (see WorkloadRunner::RunExplicitSd): plain Clock on the guest's smaller
+// visible RAM, a SplitDriverBackend in front of the swap device, and
+// amplified writebacks.
 #ifndef ZOMBIELAND_SRC_HV_PAGER_H_
 #define ZOMBIELAND_SRC_HV_PAGER_H_
 
@@ -48,9 +53,12 @@ class HostPager {
   // `guest_pages`  — the VM's reserved memory (VMMemSize), in pages.
   // `local_frames` — machine frames the host dedicates (LocalMemSize).
   // `backend`      — where excess pages go (remote extent, device, ...).
+  // `writeback_amplification` — backend stores per dirty eviction; above 1.0
+  // it models the guest kernel's proactive flushes of nearby dirty pages
+  // (Explicit SD), each extra store counted in stats().writebacks.
   HostPager(std::uint64_t guest_pages, std::uint64_t local_frames,
             std::unique_ptr<ReplacementPolicy> policy, PageBackend* backend,
-            PagingParams params = {});
+            PagingParams params = {}, double writeback_amplification = 1.0);
 
   // One guest access to `page`.  Returns the simulated cost of the access
   // including any fault handling, and accumulates it into stats().
@@ -65,20 +73,16 @@ class HostPager {
   Duration AccessBatch(std::span<const PageAccess> batch);
 
   const PagerStats& stats() const { return stats_; }
-  void ResetStats() { stats_ = PagerStats{}; }
 
   const GuestPageTable& table() const { return table_; }
-  std::uint64_t local_frames() const { return local_frames_; }
   std::uint64_t free_frames() const { return free_frames_; }
   ReplacementPolicy& policy() { return *policy_; }
-  const PagingParams& params() const { return params_; }
 
   // Routes backend traffic (reloads, dirty writebacks) through a per-lane
   // remote-fault batcher instead of charging the backend per page.  Borrowed,
   // never owned; null restores the per-page path.  With batch_pages == 1 the
   // charged costs are bit-identical to the unbatched path.
   void set_fault_batcher(RemoteFaultBatcher* batcher) { batcher_ = batcher; }
-  RemoteFaultBatcher* fault_batcher() const { return batcher_; }
 
  private:
   // Frees one machine frame via the replacement policy.  Returns its cost.
@@ -87,6 +91,10 @@ class HostPager {
   // the compiler devirtualises and inlines them into the fault path).
   template <typename Policy>
   [[nodiscard]] Result<Duration> EvictOne(Policy& policy);
+  // The amplified-writeback stores of one eviction (writeback_amplification
+  // != 1.0 only); kept out of line so the RAM Ext fault path stays lean.
+  [[nodiscard, gnu::cold, gnu::noinline]] Result<Duration> AmplifiedWritebacks(PageIndex page,
+                                                                             bool dirty);
   // The page-fault slow path: evict if needed, reload if swapped, map.
   // Returns the extra cost beyond the resident-access cost.
   template <typename Policy>
@@ -104,6 +112,9 @@ class HostPager {
   const DeviceLatency* backend_latency_ = nullptr;
   RemoteFaultBatcher* batcher_ = nullptr;
   PagingParams params_;
+  double writeback_amplification_;
+  // Fractional stores owed by amplified evictions, paid a whole page at a time.
+  double amplification_debt_ = 0.0;
   PagerStats stats_;
   std::uint64_t accesses_since_clear_ = 0;
 };

@@ -1,8 +1,9 @@
 // Timing constants of the hypervisor paging model.
 //
 // Values are commodity-hardware magnitudes (3 GHz host, EPT violations in
-// the low microseconds, DRAM page touch in the low hundreds of ns).  All of
-// them are parameters so ablation benches can sweep them.
+// the low microseconds, DRAM page touch in the low hundreds of ns).  The
+// PagingParams fields are parameters so ablation benches can sweep them; the
+// Explicit SD split-driver overhead and the Table-2 swap devices are fixed.
 #ifndef ZOMBIELAND_SRC_HV_PARAMS_H_
 #define ZOMBIELAND_SRC_HV_PARAMS_H_
 
@@ -35,12 +36,10 @@ struct PagingParams {
   std::uint64_t accessed_clear_period = 1024;
 };
 
-// The split-driver (frontend/backend) overhead of the Explicit SD path: the
-// guest's block request traverses virtio rings and the backend contacts the
-// remote-mem-mgr (Section 4.5).
-struct SplitDriverParams {
-  Duration request_overhead = 7000;  // ns per swap I/O, on top of device cost
-};
+// The split-driver (frontend/backend) overhead of the Explicit SD path, per
+// swap I/O on top of the device cost: the guest's block request traverses
+// virtio rings and the backend contacts the remote-mem-mgr (Section 4.5).
+inline constexpr Duration kSplitDriverOverhead = 7 * kMicrosecond;
 
 // Local swap device models for Table 2.
 struct DeviceLatency {

@@ -47,9 +47,8 @@ ShardedPager::ShardedPager(std::uint64_t guest_pages, std::uint64_t local_frames
     remaining_pages -= lane.pages;
     lane.batcher = std::make_unique<RemoteFaultBatcher>(&ring_, remote_latency,
                                                         config_.fault_batch);
-    lane.pager = std::make_unique<HostPager>(
-        lane.pages, lane.frames, MakePolicy(policy, config_.paging, config_.mixed_depth),
-        &backend_, config_.paging);
+    lane.pager = std::make_unique<HostPager>(lane.pages, lane.frames, MakePolicy(policy, {}),
+                                             &backend_);
     lane.pager->set_fault_batcher(lane.batcher.get());
   }
 }

@@ -49,8 +49,6 @@ struct ShardedPagerConfig {
   std::uint32_t shards = 1;
   std::uint64_t seed = 0;
   FaultBatchConfig fault_batch;  // batch_pages = 1: bit-identical to HostPager
-  PagingParams paging;
-  std::size_t mixed_depth = 5;  // MixedPolicy FIFO-candidate depth
 };
 
 class ShardedPager {

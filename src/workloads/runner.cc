@@ -17,6 +17,18 @@ double PenaltyPercent(const RunResult& run, const RunResult& baseline) {
 
 namespace {
 
+// Seed of every run's access stream.
+constexpr std::uint64_t kSeed = 42;
+
+// Explicit SD's guest-side costs (Section 4.5).  Applications and the guest
+// kernel tune themselves to the smaller RAM they see at start time: a slice
+// of it is unavailable to the working set (kernel, page-cache floor,
+// allocator tuning), and kswapd's proactive flushes plus dirty-page
+// clustering amplify the writebacks (v2 moved >122% more swap traffic than
+// v1 on Elasticsearch).
+constexpr double kGuestRamReserve = 0.16;
+constexpr double kGuestWritebackAmplification = 2.2;
+
 std::uint64_t LocalFrames(const AppProfile& profile, double local_fraction) {
   const auto frames = static_cast<std::uint64_t>(
       std::floor(local_fraction * static_cast<double>(PagesOf(profile.reserved_memory))));
@@ -30,8 +42,7 @@ constexpr std::size_t kBatchSize = 1024;
 // Replays the profile's access stream through `pager` in batches.  Summed
 // integer costs, so the result is bit-identical to the former one-access-
 // at-a-time loop.
-template <typename Pager>
-Duration DriveBatched(Pager& pager, AccessPattern& pattern, const AppProfile& profile) {
+Duration DriveBatched(hv::HostPager& pager, AccessPattern& pattern, const AppProfile& profile) {
   std::vector<PageAccess> buffer(kBatchSize);
   Duration total = 0;
   std::uint64_t remaining = profile.accesses;
@@ -53,9 +64,8 @@ RunResult WorkloadRunner::RunLocalOnly(const AppProfile& profile) {
   // Enough frames for the whole footprint: only first-touch faults occur.
   hv::DeviceBackend null_device("null", {});
   hv::HostPager pager(profile.footprint_pages(), profile.footprint_pages(),
-                      hv::MakePolicy(options_.policy, options_.paging, options_.mixed_depth),
-                      &null_device, options_.paging);
-  AccessPattern pattern(profile.footprint_pages(), profile.pattern, options_.seed);
+                      hv::MakePolicy(options_.policy, {}, options_.mixed_depth), &null_device);
+  AccessPattern pattern(profile.footprint_pages(), profile.pattern, kSeed);
   RunResult result;
   result.sim_time = DriveBatched(pager, pattern, profile);
   result.pager = pager.stats();
@@ -66,9 +76,8 @@ RunResult WorkloadRunner::RunLocalOnly(const AppProfile& profile) {
 RunResult WorkloadRunner::RunRamExt(const AppProfile& profile, double local_fraction,
                                     hv::PageBackend* backend) {
   hv::HostPager pager(profile.footprint_pages(), LocalFrames(profile, local_fraction),
-                      hv::MakePolicy(options_.policy, options_.paging, options_.mixed_depth),
-                      backend, options_.paging);
-  AccessPattern pattern(profile.footprint_pages(), profile.pattern, options_.seed);
+                      hv::MakePolicy(options_.policy, {}, options_.mixed_depth), backend);
+  AccessPattern pattern(profile.footprint_pages(), profile.pattern, kSeed);
   RunResult result;
   result.sim_time = DriveBatched(pager, pattern, profile);
   result.pager = pager.stats();
@@ -78,11 +87,14 @@ RunResult WorkloadRunner::RunRamExt(const AppProfile& profile, double local_frac
 
 RunResult WorkloadRunner::RunExplicitSd(const AppProfile& profile, double local_fraction,
                                         hv::PageBackend* device) {
-  hv::GuestSwapConfig config = options_.guest_swap;
-  config.paging = options_.paging;
-  hv::GuestPager pager(profile.footprint_pages(), LocalFrames(profile, local_fraction), device,
-                       config);
-  AccessPattern pattern(profile.footprint_pages(), profile.pattern, options_.seed);
+  const std::uint64_t visible = LocalFrames(profile, local_fraction);
+  const std::uint64_t usable = std::max<std::uint64_t>(
+      1, static_cast<std::uint64_t>(
+             std::floor(static_cast<double>(visible) * (1.0 - kGuestRamReserve))));
+  hv::SplitDriverBackend split_driver(device);
+  hv::HostPager pager(profile.footprint_pages(), usable, hv::MakePolicy(hv::PolicyKind::kClock, {}),
+                      &split_driver, {}, kGuestWritebackAmplification);
+  AccessPattern pattern(profile.footprint_pages(), profile.pattern, kSeed);
   RunResult result;
   result.sim_time = DriveBatched(pager, pattern, profile);
   result.pager = pager.stats();

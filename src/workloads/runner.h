@@ -7,7 +7,11 @@
 //  * RAM Ext               — hypervisor paging, a fraction of reserved
 //                            memory local, the rest in remote buffers;
 //  * Explicit SD           — the VM gets the local fraction as visible RAM
-//                            plus a swap device (remote RAM / SSD / HDD).
+//                            plus a swap device (remote RAM / SSD / HDD),
+//                            and the guest kernel pages: HostPager with
+//                            plain Clock on the visible RAM minus the guest
+//                            reserve, amplified writebacks, and every swap
+//                            I/O through a SplitDriverBackend.
 #ifndef ZOMBIELAND_SRC_WORKLOADS_RUNNER_H_
 #define ZOMBIELAND_SRC_WORKLOADS_RUNNER_H_
 
@@ -18,7 +22,6 @@
 #include "src/common/result.h"
 #include "src/common/units.h"
 #include "src/hv/backend.h"
-#include "src/hv/guest_pager.h"
 #include "src/hv/pager.h"
 #include "src/hv/replacement.h"
 #include "src/workloads/app_models.h"
@@ -36,12 +39,11 @@ struct RunResult {
 // Penalty in percent: how much longer `run` took than `baseline`.
 double PenaltyPercent(const RunResult& run, const RunResult& baseline);
 
+// The hypervisor's replacement policy for the local-only and RAM Ext runs
+// (Explicit SD always pages with the guest's plain Clock).
 struct RunnerOptions {
-  std::uint64_t seed = 42;
   hv::PolicyKind policy = hv::PolicyKind::kMixed;
   std::size_t mixed_depth = 5;
-  hv::PagingParams paging;
-  hv::GuestSwapConfig guest_swap;
 };
 
 class WorkloadRunner {
@@ -56,7 +58,8 @@ class WorkloadRunner {
   RunResult RunRamExt(const AppProfile& profile, double local_fraction,
                       hv::PageBackend* backend);
 
-  // Explicit SD: visible RAM = local_fraction * reserved; swap on `device`.
+  // Explicit SD: visible RAM = local_fraction * reserved; swap on `device`
+  // behind the split driver.
   RunResult RunExplicitSd(const AppProfile& profile, double local_fraction,
                           hv::PageBackend* device);
 

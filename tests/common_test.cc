@@ -10,7 +10,6 @@
 #include "src/common/rng.h"
 #include "src/common/sim_clock.h"
 #include "src/common/stats.h"
-#include "src/common/table.h"
 #include "src/common/units.h"
 
 namespace zombie {
@@ -411,26 +410,6 @@ TEST(Histogram, BucketsAndClamping) {
   EXPECT_EQ(h.bucket_count(9), 1u);
   EXPECT_EQ(h.total(), 4u);
   EXPECT_FALSE(h.Render().empty());
-}
-
-// ---------------------------------------------------------------------------
-// TextTable.
-// ---------------------------------------------------------------------------
-
-TEST(TextTable, RendersAlignedColumns) {
-  TextTable t({"a", "bee"});
-  t.AddRow({"1", "2"});
-  t.AddRow({"333", "4"});
-  const std::string out = t.Render();
-  EXPECT_NE(out.find("a    bee"), std::string::npos);
-  EXPECT_NE(out.find("333  4"), std::string::npos);
-}
-
-TEST(TextTable, PenaltyFormatting) {
-  EXPECT_EQ(TextTable::Penalty(8.0), "8.00%");
-  EXPECT_EQ(TextTable::Penalty(15.6), "15.6%");
-  EXPECT_EQ(TextTable::Penalty(9000.0), "9k%");
-  EXPECT_EQ(TextTable::Penalty(2e7), "inf");
 }
 
 }  // namespace

@@ -168,6 +168,28 @@ TEST_F(FailureTest, SuddenZombiePowerLossBlocksDataPath) {
   EXPECT_GE(mirrored.value(), 25 * kMicrosecond);
 }
 
+TEST_F(FailureTest, WakeRefusesAHostThatLostPower) {
+  ASSERT_TRUE(rack_.PushToZombie(zombie_->id()).ok());
+  const Bytes lent = zombie_->lent_memory();
+  ASSERT_GT(lent, 0u);
+  const cloud::Role role = zombie_->role();
+  const Bytes pool = rack_.plane().FreeRemoteBytes();
+
+  // Power loss: the box falls to S5, where nothing listens for Wake-on-LAN.
+  zombie_->machine().ospm().Wake();
+  ASSERT_TRUE(zombie_->machine().Suspend(acpi::SleepState::kS5).ok());
+
+  // The wake is refused before anything is reclaimed: the host still lends
+  // its memory and keeps its role, as it cannot come back to serve.
+  auto woke = rack_.WakeServer(zombie_->id());
+  EXPECT_FALSE(woke.ok());
+  EXPECT_EQ(woke.code(), ErrorCode::kFailedPrecondition);
+  EXPECT_EQ(zombie_->machine().state(), acpi::SleepState::kS5);
+  EXPECT_EQ(zombie_->role(), role);
+  EXPECT_EQ(zombie_->lent_memory(), lent);
+  EXPECT_EQ(rack_.plane().FreeRemoteBytes(), pool);
+}
+
 // ---------------------------------------------------------------------------
 // Legacy hardware in the rack.
 // ---------------------------------------------------------------------------

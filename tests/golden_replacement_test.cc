@@ -14,11 +14,14 @@
 #include <cstdlib>
 #include <vector>
 
+#include "src/cloud/rack.h"
 #include "src/common/rng.h"
 #include "src/hv/backend.h"
 #include "src/hv/pager.h"
 #include "src/hv/replacement.h"
 #include "src/workloads/access_pattern.h"
+#include "src/workloads/app_models.h"
+#include "src/workloads/runner.h"
 
 namespace zombie::hv {
 namespace {
@@ -236,6 +239,98 @@ TEST(GoldenReplacement, PagerStatsMatchRecorded) {
     SCOPED_TRACE(std::string(PolicyKindName(golden.kind)));
     CheckStatsGolden(golden, RunCannedStream(golden.kind));
   }
+}
+
+// ---------------------------------------------------------------------------
+// Explicit SD goldens: WorkloadRunner::RunExplicitSd on a canned profile,
+// over a fixed-latency device (the devirtualised charge) and over a remote
+// extent on a zombie (the virtual StorePage/LoadPage charge).  Recorded from
+// the tree that still had a separate guest-pager state machine.
+// ---------------------------------------------------------------------------
+
+struct ExplicitSdGolden {
+  const char* backend;
+  std::uint64_t faults;
+  std::uint64_t major_faults;
+  std::uint64_t evictions;
+  std::uint64_t writebacks;
+  Cycles policy_cycles;
+  Duration total_cost;
+  Duration sim_time;
+};
+
+workloads::AppProfile CannedEsdProfile() {
+  workloads::AppProfile profile;
+  profile.reserved_memory = 10 * kMiB;  // 2560 pages; visible RAM 1280
+  profile.working_set = 8 * kMiB;       // 2048-page footprint
+  profile.pattern.tiers = {{0.25, 0.45, false}, {0.7, 0.25, true}};
+  profile.pattern.zipf_weight = 0.2;
+  profile.pattern.zipf_theta = 0.85;
+  profile.pattern.write_ratio = 0.3;
+  profile.compute_per_access = 40;
+  profile.accesses = 200'000;
+  return profile;
+}
+
+void CheckExplicitSdGolden(const ExplicitSdGolden& golden, const workloads::RunResult& got) {
+  if (PrintMode()) {
+    std::printf("{\"%s\", %lluu, %lluu, %lluu, %lluu, %lld, %lld, %lld},\n", golden.backend,
+                static_cast<unsigned long long>(got.pager.faults),
+                static_cast<unsigned long long>(got.pager.major_faults),
+                static_cast<unsigned long long>(got.pager.evictions),
+                static_cast<unsigned long long>(got.pager.writebacks),
+                static_cast<long long>(got.pager.policy_cycles),
+                static_cast<long long>(got.pager.total_cost),
+                static_cast<long long>(got.sim_time));
+    return;
+  }
+  EXPECT_EQ(got.pager.accesses, 200'000u);
+  EXPECT_EQ(got.pager.faults, golden.faults);
+  EXPECT_EQ(got.pager.major_faults, golden.major_faults);
+  EXPECT_EQ(got.pager.evictions, golden.evictions);
+  EXPECT_EQ(got.pager.writebacks, golden.writebacks);
+  EXPECT_EQ(got.pager.policy_cycles, golden.policy_cycles);
+  EXPECT_EQ(got.pager.total_cost, golden.total_cost);
+  EXPECT_EQ(got.sim_time, golden.sim_time);
+}
+
+// Recorded from the separate guest-pager implementation; see above.
+const ExplicitSdGolden kExplicitSdGoldens[] = {
+    {"device", 59755u, 57707u, 58680u, 77556u, 171298228, 2428628890, 2436628890},
+    {"remote", 59755u, 57707u, 58680u, 77556u, 171298228, 1402894900, 1410894900},
+};
+
+TEST(GoldenReplacement, ExplicitSdStatsMatchRecorded) {
+  const workloads::AppProfile profile = CannedEsdProfile();
+  workloads::WorkloadRunner runner;
+
+  DeviceBackend device("golden-dev", DeviceLatency{10 * kMicrosecond, 8 * kMicrosecond});
+  {
+    SCOPED_TRACE("device");
+    const workloads::RunResult got = runner.RunExplicitSd(profile, 0.5, &device);
+    EXPECT_EQ(got.config, "explicit-sd:golden-dev");
+    CheckExplicitSdGolden(kExplicitSdGoldens[0], got);
+  }
+
+  cloud::RackConfig config;
+  config.buff_size = 4 * kMiB;
+  config.materialize_memory = false;
+  cloud::Rack rack(config);
+  const auto machine = acpi::MachineProfile::HpCompaqElite8300();
+  cloud::Server& user = rack.AddServer("user", machine, {8, 16 * kGiB});
+  cloud::Server& host = rack.AddServer("host", machine, {8, 16 * kGiB});
+  ASSERT_TRUE(rack.PushToZombie(host.id()).ok());
+  auto extent = rack.manager(user.id()).AllocExtension(profile.reserved_memory);
+  ASSERT_TRUE(extent.ok());
+  RemoteBackend remote(extent.value());
+  {
+    SCOPED_TRACE("remote");
+    const workloads::RunResult got = runner.RunExplicitSd(profile, 0.5, &remote);
+    EXPECT_EQ(got.config, "explicit-sd:remote-ram");
+    CheckExplicitSdGolden(kExplicitSdGoldens[1], got);
+  }
+  EXPECT_GT(extent.value()->remote_writes(), 0u);
+  EXPECT_GT(extent.value()->remote_reads(), 0u);
 }
 
 }  // namespace

@@ -1,13 +1,13 @@
 // Unit tests for the hypervisor layer: page table, FIFO/Clock/Mixed
 // replacement policies, the host pager (RAM Ext path), backends, and the
-// guest pager (Explicit SD path).
+// host pager as the guest kernel runs it (Explicit SD path).
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "src/hv/backend.h"
-#include "src/hv/guest_pager.h"
 #include "src/hv/page_table.h"
 #include "src/hv/pager.h"
 #include "src/hv/params.h"
@@ -250,8 +250,6 @@ TEST_F(PagerTest, StatsAccumulateCost) {
   }
   EXPECT_EQ(pager->stats().total_cost, sum);
   EXPECT_EQ(pager->stats().accesses, 8u);
-  pager->ResetStats();
-  EXPECT_EQ(pager->stats().accesses, 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -268,60 +266,103 @@ TEST(Backends, DeviceLatenciesOrdered) {
 }
 
 // ---------------------------------------------------------------------------
-// GuestPager (Explicit SD).
+// Explicit SD: HostPager under the guest kernel's Clock, with amplified
+// writebacks, over a SplitDriverBackend.  (The guest RAM reserve is the
+// runner's; see Runner.ExplicitSdReserveShrinksUsableFrames.)
 // ---------------------------------------------------------------------------
 
-TEST(GuestPagerTest, ReserveShrinksUsableFrames) {
-  DeviceBackend dev("dev", {10 * kMicrosecond, 8 * kMicrosecond});
-  GuestSwapConfig config;
-  config.ram_reserve_fraction = 0.25;
-  GuestPager pager(100, 40, &dev, config);
-  EXPECT_EQ(pager.usable_frames(), 30u);  // 40 * (1 - 0.25)
+// A device whose `fail_at`-th StorePage (1-based) fails; 0 never fails.
+class FlakyStoreBackend final : public PageBackend {
+ public:
+  explicit FlakyStoreBackend(int fail_at) : fail_at_(fail_at) {}
+
+  [[nodiscard]] Result<Duration> StorePage(PageIndex) override {
+    if (++stores_ == fail_at_) {
+      return Status(ErrorCode::kUnavailable, "store failed");
+    }
+    return 8 * kMicrosecond;
+  }
+  [[nodiscard]] Result<Duration> LoadPage(PageIndex) override { return 10 * kMicrosecond; }
+  std::string name() const override { return "flaky"; }
+  std::uint64_t capacity_pages() const override { return kNoLimit; }
+
+ private:
+  int fail_at_;
+  int stores_ = 0;
+};
+
+std::unique_ptr<HostPager> MakeEsdPager(std::uint64_t pages, std::uint64_t frames,
+                                        PageBackend* device, double amplification) {
+  return std::make_unique<HostPager>(pages, frames, MakePolicy(PolicyKind::kClock, {}), device,
+                                     PagingParams{}, amplification);
 }
 
-TEST(GuestPagerTest, AmplificationProducesExtraWritebacks) {
+TEST(ExplicitSdTest, AmplificationProducesExtraWritebacks) {
   DeviceBackend dev("dev", {10 * kMicrosecond, 8 * kMicrosecond});
-  GuestSwapConfig amplified;
-  amplified.traffic_amplification = 3.0;
-  amplified.ram_reserve_fraction = 0.0;
-  GuestSwapConfig plain;
-  plain.traffic_amplification = 1.0;
-  plain.ram_reserve_fraction = 0.0;
-
-  auto run = [&](GuestSwapConfig config) {
-    GuestPager pager(32, 4, &dev, config);
+  auto run = [&](double amplification) {
+    auto pager = MakeEsdPager(32, 4, &dev, amplification);
     for (int round = 0; round < 10; ++round) {
       for (PageIndex p = 0; p < 32; ++p) {
-        EXPECT_TRUE(pager.Access(p, true).ok());
+        EXPECT_TRUE(pager->Access(p, true).ok());
       }
     }
-    return pager.stats().writebacks;
+    return pager->stats().writebacks;
   };
-  const auto amplified_wb = run(amplified);
-  const auto plain_wb = run(plain);
+  const auto amplified_wb = run(3.0);
+  const auto plain_wb = run(1.0);
   EXPECT_GT(amplified_wb, 2 * plain_wb);
 }
 
-TEST(GuestPagerTest, SplitDriverOverheadCharged) {
+TEST(ExplicitSdTest, FailedStoreKeepsItsDebt) {
+  // 2.2 stores per dirty eviction: the first eviction pays one store and
+  // fails the second, so its access fails and the victim stays resident and
+  // dirty.  The unpaid 1.2 carries over: the next dirty eviction pays
+  // 1.2 + 2.2 -> three stores, four writebacks in all.
+  FlakyStoreBackend dev(/*fail_at=*/2);
+  auto pager = MakeEsdPager(4, 2, &dev, 2.2);
+  ASSERT_TRUE(pager->Access(0, true).ok());
+  ASSERT_TRUE(pager->Access(1, true).ok());
+  EXPECT_FALSE(pager->Access(2, false).ok());
+  EXPECT_EQ(pager->stats().writebacks, 1u);
+  EXPECT_EQ(pager->stats().evictions, 0u);
+  EXPECT_TRUE(pager->table().at(0).present && pager->table().at(0).dirty);
+  EXPECT_TRUE(pager->table().at(1).present && pager->table().at(1).dirty);
+  ASSERT_TRUE(pager->Access(2, false).ok());
+  EXPECT_EQ(pager->stats().writebacks, 4u);
+  EXPECT_EQ(pager->stats().evictions, 1u);
+}
+
+TEST(ExplicitSdTest, SplitDriverOverheadCharged) {
   // Same device, with and without the virtio crossing: the ESD access that
   // faults must cost at least the split-driver overhead more.
   DeviceBackend dev("dev", {10 * kMicrosecond, 8 * kMicrosecond});
-  GuestSwapConfig config;
-  config.ram_reserve_fraction = 0.0;
-  config.traffic_amplification = 1.0;
-  GuestPager pager(4, 1, &dev, config);
-  ASSERT_TRUE(pager.Access(0, true).ok());
-  ASSERT_TRUE(pager.Access(1, false).ok());
-  auto reload = pager.Access(0, false);  // major fault through virtio
+  SplitDriverBackend split(&dev);
+  auto pager = MakeEsdPager(4, 1, &split, 1.0);
+  ASSERT_TRUE(pager->Access(0, true).ok());
+  ASSERT_TRUE(pager->Access(1, false).ok());
+  auto reload = pager->Access(0, false);  // major fault through virtio
   ASSERT_TRUE(reload.ok());
-  EXPECT_GE(reload.value(),
-            10 * kMicrosecond + config.split_driver.request_overhead);
+  EXPECT_GE(reload.value(), 10 * kMicrosecond + kSplitDriverOverhead);
+
+  // A fixed-latency device stays fixed-latency, overhead included; a device
+  // that is not fixed pays the overhead per call instead.
+  ASSERT_NE(split.fixed_latency(), nullptr);
+  EXPECT_EQ(split.fixed_latency()->read, 10 * kMicrosecond + kSplitDriverOverhead);
+  EXPECT_EQ(split.fixed_latency()->write, 8 * kMicrosecond + kSplitDriverOverhead);
+  EXPECT_EQ(split.name(), "dev");
+  FlakyStoreBackend flaky(/*fail_at=*/2);
+  SplitDriverBackend split_flaky(&flaky);
+  EXPECT_EQ(split_flaky.fixed_latency(), nullptr);
+  EXPECT_EQ(split_flaky.LoadPage(0).value(), 10 * kMicrosecond + kSplitDriverOverhead);
+  EXPECT_EQ(split_flaky.StorePage(0).value(), 8 * kMicrosecond + kSplitDriverOverhead);
+  EXPECT_FALSE(split_flaky.StorePage(0).ok());  // errors pass through
 }
 
-TEST(GuestPagerTest, OutOfRangeRejected) {
+TEST(ExplicitSdTest, OutOfRangeRejected) {
   DeviceBackend dev("dev", {});
-  GuestPager pager(4, 4, &dev, {});
-  EXPECT_FALSE(pager.Access(99, false).ok());
+  SplitDriverBackend split(&dev);
+  auto pager = MakeEsdPager(4, 4, &split, 2.2);
+  EXPECT_FALSE(pager->Access(99, false).ok());
 }
 
 }  // namespace

@@ -30,12 +30,10 @@
 #include "src/common/rng.h"
 #include "src/common/sim_clock.h"
 #include "src/common/stats.h"
-#include "src/common/table.h"
 #include "src/common/units.h"
 #include "src/common/work_queue.h"
 #include "src/hv/backend.h"
 #include "src/hv/fault_batch.h"
-#include "src/hv/guest_pager.h"
 #include "src/hv/page_table.h"
 #include "src/hv/pager.h"
 #include "src/hv/params.h"

@@ -647,6 +647,23 @@ TEST(ReportTest, NumAndPenaltyFormatting) {
   EXPECT_EQ(Report::Int(123), "123");
 }
 
+TEST(ReportTest, TableTextAlignsColumns) {
+  Report r("aligned", "");
+  auto& table = r.AddTable("t", "", {"a", "bee"});
+  table.Row({"1", "2"});
+  table.Row({"333", "4"});
+  EXPECT_EQ(r.RenderTableText(), "a    bee\n--------\n1    2\n333  4\n");
+}
+
+// Penalty cells of the text tables, formatted like the paper: "8.00%",
+// "15.6%", "9k%", "inf".
+TEST(TextTable, PenaltyFormatting) {
+  EXPECT_EQ(Report::Penalty(8.0), "8.00%");
+  EXPECT_EQ(Report::Penalty(15.6), "15.6%");
+  EXPECT_EQ(Report::Penalty(9000.0), "9k%");
+  EXPECT_EQ(Report::Penalty(2e7), "inf");
+}
+
 // ---------------------------------------------------------------------------
 // Result<T> hardening helpers.
 // ---------------------------------------------------------------------------

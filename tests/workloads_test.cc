@@ -170,6 +170,26 @@ TEST(Runner, ExplicitSdSlowerThanRamExt) {
   EXPECT_GT(esd, re);
 }
 
+TEST(Runner, ExplicitSdReserveShrinksUsableFrames) {
+  // 1 MiB reserved at 50% local: the guest sees 128 frames and keeps 16% of
+  // them (kernel, page-cache floor), leaving floor(128 * 0.84) = 107 for the
+  // working set.  Once the frames fill, every fault evicts a page, so
+  // faults - evictions counts the frames the guest pager had.
+  AppProfile profile = MicroProfile();
+  profile.reserved_memory = 1 * kMiB;
+  profile.working_set = 1 * kMiB;
+  profile.pattern = PatternParams{};
+  profile.pattern.tiers = {{1.0, 1.0}};  // cyclic scan over all 256 pages
+  profile.accesses = 2'000;
+  WorkloadRunner runner;
+  hv::DeviceBackend dev("dev", {10 * kMicrosecond, 8 * kMicrosecond});
+  const RunResult run = runner.RunExplicitSd(profile, 0.5, &dev);
+  EXPECT_GT(run.pager.evictions, 0u);
+  EXPECT_EQ(run.pager.faults - run.pager.evictions, 107u);
+  const RunResult ram_ext = runner.RunRamExt(profile, 0.5, &dev);
+  EXPECT_EQ(ram_ext.pager.faults - ram_ext.pager.evictions, 128u);
+}
+
 TEST(Runner, SlowerSwapDeviceMeansBiggerPenalty) {
   AppProfile profile = SparkSqlProfile();
   profile.reserved_memory = 16 * kMiB;
