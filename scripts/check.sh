@@ -19,7 +19,10 @@
 #   serve     online serving mode: the `serve` ctest label (stream/daemon
 #             unit suite + the serve_* scenario family smoke), then the
 #             serving sweeps re-run at -j 4 vs -j 1 — admission/placement
-#             tail latencies and shed rates must be byte-identical
+#             tail latencies and shed rates must be byte-identical — and
+#             one full-size (non-smoke) serve_steady render at -j 4 vs -j 1,
+#             so the daemon's streamed event loop is held byte-identical
+#             beyond the smoke sizes
 #   diff      regression gate: a fresh run of the catalog must stay within
 #             bench/tolerances.json of the checked-in BENCH_scenarios.json
 #             (`zombieland diff --fail-on-delta` exits 3 on any violation;
@@ -189,6 +192,13 @@ for stage in "${stages[@]}"; do
       ./build/zombieland run serve_steady serve_spike serve_faults --smoke \
         --format=json -j 4 --out=build/serve_j4.json
       cmp build/serve_j1.json build/serve_j4.json
+      # The same at full size: longer timelines put more ticks, verdicts and
+      # wakes on shared instants than the smoke sizes do.
+      ./build/zombieland run serve_steady --format=json -j 1 \
+        --out=build/serve_full_j1.json
+      ./build/zombieland run serve_steady --format=json -j 4 \
+        --out=build/serve_full_j4.json
+      cmp build/serve_full_j1.json build/serve_full_j4.json
       ;;
     diff)
       echo "==> [${n}/${total}] diff gate: fresh run vs BENCH_scenarios.json"

@@ -56,25 +56,27 @@ std::size_t EventQueue::Run() {
 
 std::size_t EventQueue::RunUntil(SimTime deadline) {
   std::size_t n = 0;
-  while (!heap_.empty()) {
-    const Event& top = heap_.front();
-    if (cancelled_.erase(top.id) > 0) {
-      PopTop();  // drop cancelled entries without consuming the deadline
-      continue;
-    }
-    if (top.when > deadline) {
-      break;
-    }
-    if (PopAndRun()) {
-      ++n;
-    }
+  // Cancelled entries are dropped without consuming the deadline.
+  while (NextEventTime() <= deadline && PopAndRun()) {
+    ++n;
   }
-  if (clock_.now() < deadline) {
-    clock_.AdvanceTo(deadline);
-  }
+  AdvanceTo(deadline);
   return n;
 }
 
 bool EventQueue::Step() { return PopAndRun(); }
+
+SimTime EventQueue::NextEventTime() {
+  while (!heap_.empty() && cancelled_.erase(heap_.front().id) > 0) {
+    PopTop();
+  }
+  return heap_.empty() ? kNever : heap_.front().when;
+}
+
+void EventQueue::AdvanceTo(SimTime when) {
+  if (clock_.now() < when) {
+    clock_.AdvanceTo(when);
+  }
+}
 
 }  // namespace zombie

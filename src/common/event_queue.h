@@ -1,6 +1,11 @@
-// A deterministic discrete-event queue driving the rack- and DC-level
-// simulations (heartbeats, consolidation rounds, task arrivals, RDMA
-// completions).
+// A deterministic discrete-event queue in simulated time.
+//
+// Users: the serving daemon (src/serve/daemon.cc) keeps here only the events
+// its run schedules (admission-gate verdicts, queue timeouts, zombie-wake
+// completions) and streams its request timeline and rack ticks beside the
+// queue, advancing the clock itself (AdvanceTo) whenever an outside item
+// comes first; the perfbench serve replay schedules its whole timeline and
+// every tick up front and drains them with Run.
 //
 // Determinism: events at the same timestamp fire in insertion order
 // (a strictly increasing sequence number breaks ties), so a seeded run is
@@ -10,6 +15,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <unordered_set>
 #include <utility>
 #include <vector>
@@ -23,6 +29,8 @@ class EventQueue {
  public:
   using Callback = std::function<void()>;
   using EventId = std::uint64_t;
+  // NextEventTime() of a queue with no live event.
+  static constexpr SimTime kNever = std::numeric_limits<SimTime>::max();
 
   EventQueue() = default;
 
@@ -46,6 +54,15 @@ class EventQueue {
   std::size_t RunUntil(SimTime deadline);
   // Runs at most one event.  Returns true if an event ran.
   bool Step();
+
+  // Time of the earliest live event, or kNever.  Drops cancelled entries
+  // from the top of the heap on the way.
+  SimTime NextEventTime();
+  // Moves the clock to `when` for work driven from outside the queue (a
+  // `when` in the past leaves it where it is).  Events scheduled afterwards
+  // at `when` keep the usual tie rules.  The caller runs every event due
+  // before `when` first.
+  void AdvanceTo(SimTime when);
 
   bool empty() const { return pending_ids_.empty(); }
   std::size_t pending() const { return pending_ids_.size(); }

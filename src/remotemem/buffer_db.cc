@@ -76,10 +76,50 @@ void BufferDb::Repoint(std::size_t from) {
   }
 }
 
+std::size_t BufferDb::HostRank(ServerId host) const {
+  const auto it = std::lower_bound(
+      free_hosts_.begin(), free_hosts_.end(), host,
+      [](const HostFree& entry, ServerId id) { return entry.host < id; });
+  return static_cast<std::size_t>(it - free_hosts_.begin());
+}
+
+std::size_t BufferDb::FindHost(ServerId host) const {
+  if (host < host_slot_.size()) {
+    const std::uint32_t slot = host_slot_[host];
+    return slot == kNoRecord ? free_hosts_.size() : slot;
+  }
+  const std::size_t rank = HostRank(host);
+  return rank < free_hosts_.size() && free_hosts_[rank].host == host ? rank
+                                                                     : free_hosts_.size();
+}
+
+std::size_t BufferDb::AddHost(ServerId host) {
+  if (const std::size_t found = FindHost(host); found < free_hosts_.size()) {
+    return found;
+  }
+  const std::size_t pos = HostRank(host);
+  free_hosts_.insert(free_hosts_.begin() + static_cast<std::ptrdiff_t>(pos),
+                     HostFree{.host = host, .ids = {}});
+  // Re-point the shifted entries; a grown table also covers hosts added
+  // while they were outside it.
+  std::size_t from = pos;
+  if (host >= host_slot_.size() && host < HostTableBound()) {
+    host_slot_.resize(static_cast<std::size_t>(host) + 1, kNoRecord);
+    from = 0;
+  }
+  for (std::size_t i = from; i < free_hosts_.size(); ++i) {
+    if (free_hosts_[i].host < host_slot_.size()) {
+      host_slot_[free_hosts_[i].host] = static_cast<std::uint32_t>(i);
+    }
+  }
+  return pos;
+}
+
 void BufferDb::AddFree(const BufferRecord& record) {
   ++free_count_;
   free_bytes_ += record.size;
-  std::vector<BufferId>& ids = free_by_host_[static_cast<std::size_t>(record.type)][record.host];
+  std::vector<BufferId>& ids =
+      free_hosts_[AddHost(record.host)].ids[static_cast<std::size_t>(record.type)];
   if (ids.empty() || ids.back() > record.id) {
     ids.push_back(record.id);
   } else {
@@ -92,7 +132,7 @@ void BufferDb::RemoveFree(const BufferRecord& record) {
   --free_count_;
   free_bytes_ -= record.size;
   std::vector<BufferId>& ids =
-      free_by_host_[static_cast<std::size_t>(record.type)].find(record.host)->second;
+      free_hosts_[FindHost(record.host)].ids[static_cast<std::size_t>(record.type)];
   if (ids.back() == record.id) {
     ids.pop_back();
   } else {
@@ -243,25 +283,29 @@ void BufferDb::RetypeHost(ServerId host, BufferType type) {
     }
   }
   // Move the host's free ids of the other type over, merged in id order.
-  const BufferType other =
-      type == BufferType::kZombie ? BufferType::kActive : BufferType::kZombie;
-  FreeIndex& from = free_by_host_[static_cast<std::size_t>(other)];
-  auto moved = from.find(host);
-  if (moved == from.end() || moved->second.empty()) {
+  const std::size_t h = FindHost(host);
+  if (h == free_hosts_.size()) {
     return;
   }
-  std::vector<BufferId>& ids = free_by_host_[static_cast<std::size_t>(type)][host];
+  const BufferType other =
+      type == BufferType::kZombie ? BufferType::kActive : BufferType::kZombie;
+  std::vector<BufferId>& moved = free_hosts_[h].ids[static_cast<std::size_t>(other)];
+  if (moved.empty()) {
+    return;
+  }
+  std::vector<BufferId>& ids = free_hosts_[h].ids[static_cast<std::size_t>(type)];
   const auto middle = static_cast<std::ptrdiff_t>(ids.size());
-  ids.insert(ids.end(), moved->second.begin(), moved->second.end());
+  ids.insert(ids.end(), moved.begin(), moved.end());
   std::inplace_merge(ids.begin(), ids.begin() + middle, ids.end(), std::greater<>());
-  moved->second.clear();
+  moved.clear();
 }
 
 BufferDb::FreeIndex BufferDb::FreeByHost(BufferType type) const {
   FreeIndex ascending;
-  for (const auto& [host, ids] : free_by_host_[static_cast<std::size_t>(type)]) {
+  for (const HostFree& entry : free_hosts_) {
+    const std::vector<BufferId>& ids = entry.ids[static_cast<std::size_t>(type)];
     if (!ids.empty()) {
-      ascending.emplace_hint(ascending.end(), host,
+      ascending.emplace_hint(ascending.end(), entry.host,
                              std::vector<BufferId>(ids.rbegin(), ids.rend()));
     }
   }
@@ -269,15 +313,15 @@ BufferDb::FreeIndex BufferDb::FreeByHost(BufferType type) const {
 }
 
 std::vector<BufferId> BufferDb::PickFree(BufferType type, std::size_t want) const {
-  const FreeIndex& index = free_by_host_[static_cast<std::size_t>(type)];
   std::vector<BufferId> picks;
   picks.reserve(want);
   for (std::size_t round = 0; picks.size() < want; ++round) {
     const std::size_t before = picks.size();
-    for (const auto& [host, ids] : index) {
+    for (const HostFree& entry : free_hosts_) {
       if (picks.size() == want) {
         break;
       }
+      const std::vector<BufferId>& ids = entry.ids[static_cast<std::size_t>(type)];
       if (round < ids.size()) {
         picks.push_back(ids[ids.size() - 1 - round]);
       }
@@ -346,9 +390,8 @@ void BufferDb::Load(const std::vector<BufferRecord>& records) {
       break;
     }
   }
-  for (auto& index : free_by_host_) {
-    index.clear();
-  }
+  free_hosts_.clear();
+  host_slot_.clear();
   free_count_ = 0;
   free_bytes_ = 0;
   // Descending ids, so every free list grows at its back.

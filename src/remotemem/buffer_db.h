@@ -10,10 +10,15 @@
 // allocate / release / reclaim paths cost what the buffers they touch cost,
 // and every mutator keeps the indexes consistent with the records:
 //   - the free count and free bytes are maintained totals (O(1));
-//   - a free index per buffer type maps each host to its free ids, stored
-//     descending: allocation takes a host's lowest ids and a release usually
-//     returns low ids, so both pop or push at the back.  FreeByHost presents
-//     the index ascending;
+//   - the free index keeps, for every host seen, its free ids of each buffer
+//     type, stored descending: allocation takes a host's lowest ids and a
+//     release usually returns low ids, so both pop or push at the back.  The
+//     hosts sit in a vector ascending by id (the order PickFree and
+//     FreeByHost walk), found through a dense host-id table that, like the
+//     id lookup below, covers only ids below twice the hosts seen (plus a
+//     small floor), so it is bounded by the hosts seen, not by an id's
+//     magnitude; a host outside the table is binary-searched.  FreeByHost
+//     presents the index ascending;
 //   - the id lookup is a dense table keyed by the id's mint ordinal,
 //     (id - id_base) / id_stride (the owning controller's id sequence,
 //     ControllerConfig).  It grows only to ordinals below twice the records
@@ -95,6 +100,8 @@ class BufferDb {
   std::vector<BufferRecord> ReclaimOrderForHost(ServerId host) const;
 
   std::size_t size() const { return records_.size(); }
+  // Entries of the host lookup table (at most 2 * hosts seen + 64).
+  std::size_t host_table_size() const { return host_slot_.size(); }
   std::size_t free_count() const { return free_count_; }
   Bytes FreeBytes() const { return free_bytes_; }
   Bytes TotalBytes() const;
@@ -119,6 +126,14 @@ class BufferDb {
   void CoverOrdinal(std::size_t ordinal);
   // Re-points the table at records_[from, end).
   void Repoint(std::size_t from);
+  // Index of the first entry of free_hosts_ whose host is not below `host`.
+  std::size_t HostRank(ServerId host) const;
+  // Index of `host` in free_hosts_, or free_hosts_.size() if unseen.
+  std::size_t FindHost(ServerId host) const;
+  // Index of `host` in free_hosts_, adding an entry for it if unseen.
+  std::size_t AddHost(ServerId host);
+  // The host table never covers an id at or past this bound.
+  std::size_t HostTableBound() const { return 2 * free_hosts_.size() + 64; }
   // Free-pool bookkeeping for one record entering / leaving the pool.
   void AddFree(const BufferRecord& record);
   void RemoveFree(const BufferRecord& record);
@@ -130,9 +145,16 @@ class BufferDb {
   // for every ordinal below its size.
   std::vector<std::uint32_t> slot_;
   std::size_t inserted_ = 0;  // records ever inserted or loaded
-  // Indexed by BufferType.  Ids descending; a host whose list empties keeps
-  // its (empty) entry.
-  std::array<FreeIndex, 2> free_by_host_;
+  struct HostFree {
+    ServerId host = kNilServer;
+    std::array<std::vector<BufferId>, 2> ids;  // indexed by BufferType, descending
+  };
+  // Every host with a free buffer since the last Load, ascending by id; a
+  // host whose lists empty keeps its entry.
+  std::vector<HostFree> free_hosts_;
+  // Host id -> index in free_hosts_ (kNoRecord: unseen).  Exact for every
+  // id below its size.
+  std::vector<std::uint32_t> host_slot_;
   std::size_t free_count_ = 0;
   Bytes free_bytes_ = 0;
 };

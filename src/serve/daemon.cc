@@ -1,6 +1,7 @@
 #include "src/serve/daemon.h"
 
 #include <algorithm>
+#include <numeric>
 #include <optional>
 #include <string>
 #include <utility>
@@ -65,6 +66,10 @@ Status ServeDaemon::Run(const std::vector<Request>& timeline,
   if (!setup_error_.ok()) {
     return setup_error_;
   }
+  if (ran_) {
+    return Status(ErrorCode::kFailedPrecondition, "ServeDaemon::Run already ran");
+  }
+  ran_ = true;
 
   SimTime end = 0;
   for (const Request& req : timeline) {
@@ -81,25 +86,53 @@ Status ServeDaemon::Run(const std::vector<Request>& timeline,
   }
   cloud::FaultInjector* inj = injector.has_value() ? &*injector : nullptr;
 
-  // Ticks first, then requests: at a shared instant the rack advances (lease
-  // renewal, fault injection, expiry sweeps) before the daemon decides.
-  for (SimTime t = config_.tick_period; t <= end; t += config_.tick_period) {
-    queue_.ScheduleAt(t, [this, inj] { OnTick(inj); });
+  // The timeline and the ticks are streamed beside the queue, which holds
+  // only what the run schedules.  Requests fire in (time, timeline index)
+  // order, a time before the start clamped to it.  At a shared instant the
+  // rack advances first (lease renewal, fault injection, expiry sweeps), then
+  // the timeline's requests fire, then the queued events.
+  std::vector<std::uint32_t> order(timeline.size());
+  std::iota(order.begin(), order.end(), 0u);
+  const auto fires_at = [&timeline](std::uint32_t i) {
+    return std::max<SimTime>(timeline[i].at, 0);
+  };
+  const auto earlier = [&fires_at](std::uint32_t a, std::uint32_t b) {
+    return fires_at(a) < fires_at(b);
+  };
+  if (!std::is_sorted(order.begin(), order.end(), earlier)) {
+    std::stable_sort(order.begin(), order.end(), earlier);
   }
-  for (const Request& req : timeline) {
-    switch (req.kind) {
-      case RequestKind::kArrive:
-        queue_.ScheduleAt(req.at, [this, req] { OnArrive(req); });
+  std::size_t next = 0;
+  SimTime tick_at = config_.tick_period;
+  while (true) {
+    const SimTime queued = queue_.NextEventTime();
+    const SimTime tick = tick_at <= end ? tick_at : EventQueue::kNever;
+    const SimTime request = next < order.size() ? fires_at(order[next]) : EventQueue::kNever;
+    if (tick <= request && tick <= queued) {
+      if (tick == EventQueue::kNever) {
         break;
-      case RequestKind::kDepart:
-        queue_.ScheduleAt(req.at, [this, req] { OnDepart(req); });
-        break;
-      case RequestKind::kResize:
-        queue_.ScheduleAt(req.at, [this, req] { OnResize(req); });
-        break;
+      }
+      queue_.AdvanceTo(tick);
+      OnTick(inj);
+      tick_at += config_.tick_period;
+    } else if (request <= queued) {
+      queue_.AdvanceTo(request);
+      const Request& req = timeline[order[next++]];
+      switch (req.kind) {
+        case RequestKind::kArrive:
+          OnArrive(req);
+          break;
+        case RequestKind::kDepart:
+          OnDepart(req);
+          break;
+        case RequestKind::kResize:
+          OnResize(req);
+          break;
+      }
+    } else {
+      queue_.Step();
     }
   }
-  queue_.Run();
   return Status::Ok();
 }
 
@@ -111,8 +144,8 @@ void ServeDaemon::OnArrive(const Request& req) {
   const SimTime decide_at =
       std::max(queue_.now(), gate_free_at_) + config_.admission_service;
   gate_free_at_ = decide_at;
-  const SimTime arrived_at = req.at;
-  queue_.ScheduleAt(decide_at, [this, req, arrived_at] { Decide(req, arrived_at); });
+  // `req` lives in the timeline, and Run returns only once the queue drains.
+  queue_.ScheduleAt(decide_at, [this, &req] { Decide(req, req.at); });
 }
 
 void ServeDaemon::Decide(const Request& req, SimTime arrived_at) {

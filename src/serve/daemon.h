@@ -2,7 +2,9 @@
 //
 // A ServeDaemon owns one disaggregated rack (awake hosts + zombie Sz servers
 // lending their memory, per Section 4.4) and drains a deterministic request
-// timeline through common/event_queue in simulated time:
+// timeline in simulated time.  The timeline and the rack ticks are streamed
+// in time order beside a common/event_queue that holds only what the run
+// schedules (gate verdicts, queue timeouts, zombie-wake completions):
 //
 //   arrival ──> serial admission gate ──> AdmissionController::AdmitAt
 //                  (admission wait)          │ quota / budget / throttle
@@ -18,8 +20,10 @@
 // local capacity); requests that outlive `queue_timeout` or find the queue
 // full are shed with a typed reason and their admission released.
 //
-// Everything runs off the event queue with seeded inputs, so a fixed seed
-// reproduces the same report byte-for-byte under any sweep parallelism.
+// Everything runs on the one simulated clock with seeded inputs and a fixed
+// tie order at each instant (tick, then timeline requests in timeline order,
+// then queued events in scheduling order), so a fixed seed reproduces the
+// same report byte-for-byte under any sweep parallelism.
 #ifndef ZOMBIELAND_SRC_SERVE_DAEMON_H_
 #define ZOMBIELAND_SRC_SERVE_DAEMON_H_
 
@@ -78,9 +82,10 @@ class ServeDaemon {
   explicit ServeDaemon(ServeConfig config);
 
   // Drains the timeline (plus recurring rack ticks) to completion, composing
-  // the optional fault plan onto the same simulated clock.  Returns an error
-  // if the rack could not be assembled; request-level failures are metrics,
-  // not errors.
+  // the optional fault plan onto the same simulated clock.  The timeline need
+  // not be sorted.  Returns an error if the rack could not be assembled or
+  // the daemon already ran (its clock and rack are spent); request-level
+  // failures are metrics, not errors.
   [[nodiscard]] Status Run(const std::vector<Request>& timeline,
              const cloud::FaultPlan* faults = nullptr);
 
@@ -151,6 +156,7 @@ class ServeDaemon {
   std::deque<Pending> pending_;
   SimTime gate_free_at_ = 0;
   bool wake_in_flight_ = false;
+  bool ran_ = false;
   Status setup_error_;
 };
 

@@ -4,7 +4,7 @@
 // a continuous stream of VM arrival, departure and resize requests.  Each
 // request is timestamped in simulated time; the stream generator
 // (src/serve/stream.h) produces a deterministic timeline and the daemon
-// (src/serve/daemon.h) drains it through common/event_queue.
+// (src/serve/daemon.h) drains it in time order.
 #ifndef ZOMBIELAND_SRC_SERVE_REQUEST_H_
 #define ZOMBIELAND_SRC_SERVE_REQUEST_H_
 

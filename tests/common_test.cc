@@ -248,6 +248,46 @@ TEST(EventQueue, PastEventsClampToNow) {
   EXPECT_EQ(q.now(), 100);
 }
 
+TEST(EventQueue, NextEventTimeOfEmptyQueueIsNever) {
+  EventQueue q;
+  EXPECT_EQ(q.NextEventTime(), EventQueue::kNever);
+  q.ScheduleAt(10, [] {});
+  EXPECT_EQ(q.NextEventTime(), 10);
+  q.Run();
+  EXPECT_EQ(q.NextEventTime(), EventQueue::kNever);
+}
+
+TEST(EventQueue, NextEventTimeDropsCancelledHead) {
+  EventQueue q;
+  int fired = 0;
+  const auto head = q.ScheduleAt(10, [&] { ++fired; });
+  q.ScheduleAt(30, [&] { ++fired; });
+  ASSERT_TRUE(q.Cancel(head));
+  EXPECT_EQ(q.NextEventTime(), 30);
+  EXPECT_EQ(q.pending(), 1u);
+  EXPECT_FALSE(q.Cancel(head));  // dropping it does not revive it
+  EXPECT_TRUE(q.Step());
+  EXPECT_EQ(fired, 1);
+  EXPECT_EQ(q.now(), 30);
+}
+
+TEST(EventQueue, AdvanceToKeepsTieRules) {
+  EventQueue q;
+  std::vector<int> order;
+  q.ScheduleAt(50, [&] { order.push_back(1); });
+  // Outside work at t=50 runs first, then schedules at the instant: the new
+  // event queues behind the one already due there.
+  q.AdvanceTo(50);
+  EXPECT_EQ(q.now(), 50);
+  q.ScheduleAt(q.now(), [&] { order.push_back(2); });
+  q.ScheduleAt(10, [&] { order.push_back(3); });  // the past clamps to now
+  q.AdvanceTo(20);  // backwards: the clock stays
+  EXPECT_EQ(q.now(), 50);
+  EXPECT_EQ(q.Run(), 3u);
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+  EXPECT_EQ(q.now(), 50);
+}
+
 // ---------------------------------------------------------------------------
 // Rng.
 // ---------------------------------------------------------------------------

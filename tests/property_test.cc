@@ -12,6 +12,7 @@
 
 #include <array>
 #include <cstddef>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -623,6 +624,102 @@ TEST(BufferDbProperty, RandomBatchesMatchPerIdModel) {
           EXPECT_EQ(found->user, rec.user);
         }
       }
+    }
+  }
+}
+
+// The free index against a model when host ids are sparse: a few small ids
+// the host table covers directly and far ones (up to UINT32_MAX - 1) it must
+// binary-search, first seen in random order so hosts also enter the middle
+// of the index.  FreeByHost, PickFree (round-robin over hosts ascending) and
+// the free totals match the model after every step, and the host table
+// stays bounded by the hosts seen, whatever the largest id.
+TEST(BufferDbProperty, SparseHostIdsMatchModel) {
+  using remotemem::BufferId;
+  using remotemem::BufferRecord;
+  using remotemem::BufferType;
+  using remotemem::kNilServer;
+  using remotemem::ServerId;
+  constexpr std::array<ServerId, 6> kHosts = {1, 2, 63, 977, 1'000'003, UINT32_MAX - 1};
+  ScopedSeedReporter seed_reporter;
+  for (std::uint64_t salt = 31; salt <= 33; ++salt) {
+    Rng rng(TestSeed(salt));
+    remotemem::BufferDb db;
+    std::map<BufferId, BufferRecord> model;
+    BufferId next_id = 1;
+
+    auto check = [&] {
+      std::size_t free_count = 0;
+      Bytes free_bytes = 0;
+      std::array<remotemem::BufferDb::FreeIndex, 2> free_index;
+      for (const auto& [id, rec] : model) {
+        if (rec.user == kNilServer) {
+          ++free_count;
+          free_bytes += rec.size;
+          free_index[static_cast<std::size_t>(rec.type)][rec.host].push_back(id);
+        }
+      }
+      EXPECT_EQ(db.free_count(), free_count);
+      EXPECT_EQ(db.FreeBytes(), free_bytes);
+      EXPECT_LE(db.host_table_size(), 2 * kHosts.size() + 64);
+      for (BufferType type : {BufferType::kZombie, BufferType::kActive}) {
+        const auto& index = free_index[static_cast<std::size_t>(type)];
+        EXPECT_EQ(db.FreeByHost(type), index);
+        const std::size_t want = rng.NextBelow(free_count + 3);
+        std::vector<BufferId> picks;
+        for (std::size_t round = 0; picks.size() < want; ++round) {
+          const std::size_t before = picks.size();
+          for (const auto& [host, ids] : index) {
+            if (picks.size() < want && round < ids.size()) {
+              picks.push_back(ids[round]);
+            }
+          }
+          if (picks.size() == before) {
+            break;
+          }
+        }
+        EXPECT_EQ(db.PickFree(type, want), picks) << "want " << want;
+      }
+    };
+
+    for (int step = 0; step < 1500; ++step) {
+      const auto op = rng.NextBelow(6);
+      if (op == 0 || model.size() < 4) {
+        BufferRecord rec;
+        rec.id = next_id++;
+        rec.size = (1 + rng.NextBelow(4)) * kMiB;
+        rec.host = kHosts[rng.NextBelow(kHosts.size())];
+        rec.type = rng.NextBool(0.5) ? BufferType::kZombie : BufferType::kActive;
+        ASSERT_TRUE(db.Insert(rec).ok());
+        model[rec.id] = rec;
+      } else if (op == 4) {
+        const ServerId host = kHosts[rng.NextBelow(kHosts.size())];
+        const BufferType type = rng.NextBool(0.5) ? BufferType::kZombie : BufferType::kActive;
+        db.RetypeHost(host, type);
+        for (auto& [id, rec] : model) {
+          if (rec.host == host) {
+            rec.type = type;
+          }
+        }
+      } else if (op == 5) {
+        db.Load(db.Snapshot());  // rebuilds the index from the records
+      } else {
+        auto it = model.begin();
+        std::advance(it, static_cast<long>(rng.NextBelow(model.size())));
+        const BufferId id = it->first;
+        if (op == 1) {
+          const Status st = db.Assign(id, 100);
+          EXPECT_EQ(st.ok(), it->second.user == kNilServer);
+          it->second.user = 100;
+        } else if (op == 2) {
+          EXPECT_TRUE(db.Release(id).ok());
+          it->second.user = kNilServer;
+        } else {
+          EXPECT_TRUE(db.Erase(id).ok());
+          model.erase(it);
+        }
+      }
+      check();
     }
   }
 }

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <cstdint>
 #include <map>
 #include <vector>
 
@@ -240,6 +242,210 @@ TEST(ServeDaemon, RepeatRunsProduceIdenticalMetrics) {
                            daemon.metrics().placement_ms.Summary().p999);
   };
   EXPECT_EQ(run(), run());
+}
+
+TEST(ServeDaemon, SecondRunIsRejected) {
+  const auto timeline = RequestStream(SmallStream()).Generate();
+  ServeDaemon daemon(SmallRack());
+  ASSERT_TRUE(daemon.Run(timeline).ok());
+  const std::uint64_t arrivals = daemon.metrics().arrivals;
+  const Status again = daemon.Run(timeline);
+  EXPECT_EQ(again.code(), ErrorCode::kFailedPrecondition);
+  EXPECT_EQ(daemon.metrics().arrivals, arrivals);  // nothing replayed
+  EXPECT_TRUE(daemon.CheckHealth().ok());
+}
+
+// ---------------------------------------------------------------------------
+// Tie-order goldens: the full metrics of runs whose events meet at one
+// instant.  At a shared instant the rack tick runs first, then timeline
+// requests in timeline order, then events the run itself scheduled (gate
+// verdicts, queue timeouts, wake completions) in the order they were
+// scheduled.  Recorded from the tree that scheduled the whole timeline into
+// the event queue up front.
+// ---------------------------------------------------------------------------
+
+struct ServeGolden {
+  const char* name;
+  std::uint64_t arrivals;
+  std::uint64_t admitted;
+  std::uint64_t placed;
+  std::uint64_t departed;
+  std::uint64_t cancelled;
+  std::uint64_t resized;
+  std::uint64_t resize_rejected;
+  std::uint64_t zombie_wakes;
+  std::uint64_t slo_violations;
+  std::array<std::uint64_t, kShedReasonCount> shed;
+  std::size_t power_samples;
+  double power_mean;
+  double admission_p50;
+  double admission_p99;
+  double placement_p50;
+  double placement_p99;
+  double fault_service_p50;
+  double fault_service_p99;
+  double stall_p50;
+  double stall_p99;
+};
+
+void CheckServeGolden(const ServeGolden& golden, ServeMetrics& m) {
+  SCOPED_TRACE(golden.name);
+  EXPECT_EQ(m.arrivals, golden.arrivals);
+  EXPECT_EQ(m.admitted, golden.admitted);
+  EXPECT_EQ(m.placed, golden.placed);
+  EXPECT_EQ(m.departed, golden.departed);
+  EXPECT_EQ(m.cancelled, golden.cancelled);
+  EXPECT_EQ(m.resized, golden.resized);
+  EXPECT_EQ(m.resize_rejected, golden.resize_rejected);
+  EXPECT_EQ(m.zombie_wakes, golden.zombie_wakes);
+  EXPECT_EQ(m.slo_violations, golden.slo_violations);
+  EXPECT_EQ(m.shed, golden.shed);
+  EXPECT_EQ(m.power_pct.count(), golden.power_samples);
+  EXPECT_DOUBLE_EQ(m.power_pct.mean(), golden.power_mean);
+  const auto admission = m.admission_wait_ms.Summary();
+  const auto placement = m.placement_ms.Summary();
+  const auto fault_service = m.fault_service_us.Summary();
+  const auto stall = m.migration_stall_ms.Summary();
+  EXPECT_DOUBLE_EQ(admission.p50, golden.admission_p50);
+  EXPECT_DOUBLE_EQ(admission.p99, golden.admission_p99);
+  EXPECT_DOUBLE_EQ(placement.p50, golden.placement_p50);
+  EXPECT_DOUBLE_EQ(placement.p99, golden.placement_p99);
+  EXPECT_DOUBLE_EQ(fault_service.p50, golden.fault_service_p50);
+  EXPECT_DOUBLE_EQ(fault_service.p99, golden.fault_service_p99);
+  EXPECT_DOUBLE_EQ(stall.p50, golden.stall_p50);
+  EXPECT_DOUBLE_EQ(stall.p99, golden.stall_p99);
+}
+
+Request At(Duration at, RequestKind kind, hv::VmId vm, std::uint32_t vcpus = 1,
+           Bytes memory = 1 * kGiB) {
+  Request req;
+  req.at = at;
+  req.kind = kind;
+  req.vm.id = vm;
+  req.vm.vcpus = vcpus;
+  req.vm.reserved_memory = memory;
+  return req;
+}
+
+// Out of time order on purpose, on one 8-vCPU host with 100 ms ticks, a
+// 1 ms gate and 4 s zombie wakes:
+//   - vm1 and vm2 arrive together at 0, and vm3 "before time" (at -5 ms)
+//     ties with them there, after them in timeline order;
+//   - vm4 arrives at 50 ms and its verdict is due at 51 ms, the instant vm1
+//     departs: only with vm1 gone do its 4 vCPUs fit without a queue and a
+//     zombie wake;
+//   - vm5 arrives on the 100 ms tick and vm2 resizes on the 200 ms tick;
+//   - vm6 and vm7 do not fit, queue, wake a zombie and place after it.
+std::vector<Request> TieTimeline() {
+  constexpr Duration ms = kMillisecond;
+  return {
+      At(51 * ms, RequestKind::kDepart, 1),
+      At(0, RequestKind::kArrive, 1, 4),
+      At(0, RequestKind::kArrive, 2),
+      At(-5 * ms, RequestKind::kArrive, 3, 1, 2 * kGiB),
+      At(50 * ms, RequestKind::kArrive, 4, 4),
+      At(100 * ms, RequestKind::kArrive, 5, 1, 2 * kGiB),
+      At(200 * ms, RequestKind::kResize, 2, 1, 2 * kGiB),
+      At(5000 * ms, RequestKind::kArrive, 6, 4, 2 * kGiB),
+      At(5001 * ms, RequestKind::kArrive, 7, 4, 2 * kGiB),
+      At(300 * ms, RequestKind::kDepart, 3),
+      At(9500 * ms, RequestKind::kDepart, 4),
+      At(9600 * ms, RequestKind::kDepart, 5),
+      At(9700 * ms, RequestKind::kDepart, 6),
+      At(9800 * ms, RequestKind::kDepart, 7),
+      At(9900 * ms, RequestKind::kDepart, 2),
+  };
+}
+
+// vm1 and vm2 run on the only host, which crashes at 1 s.  Its lease runs
+// out on a tick at 1.2 s or 1.3 s, when vm1 and vm2 depart: the tick that
+// expires the host runs first and evicts the VM, so that departure finds
+// nothing to tear down.
+std::vector<Request> CrashTimeline() {
+  constexpr Duration ms = kMillisecond;
+  return {
+      At(0, RequestKind::kArrive, 1),
+      At(0, RequestKind::kArrive, 2),
+      At(1200 * ms, RequestKind::kDepart, 1),
+      At(1300 * ms, RequestKind::kDepart, 2),
+  };
+}
+
+TEST(ServeDaemonGolden, TieOrderMatchesRecorded) {
+  ServeConfig config = SmallRack();
+  config.queue_timeout = 6 * kSecond;  // outlasts a zombie wake
+  {
+    const ServeGolden hand = {
+        "hand-built ties",
+        7, 7, 7, 7, 0, 1, 0, 1, 2,
+        {0, 0, 0, 0, 0},
+        161, 35.854761904761915,
+        1, 7.639999999999997, 2, 4000.9400000000001,
+        0.12, 0.12, 4000, 4000};
+    ServeDaemon daemon(config);
+    ASSERT_TRUE(daemon.Run(TieTimeline()).ok());
+    CheckServeGolden(hand, daemon.metrics());
+    EXPECT_TRUE(daemon.CheckHealth().ok());
+  }
+  {
+    const ServeGolden crash = {
+        "hand-built host crash",
+        2, 2, 2, 1, 1, 0, 0, 0, 0,
+        {0, 0, 0, 0, 0},
+        75, 26.393333333333331,
+        1.5, 1.99, 1.5, 1.99,
+        0.12, 0.12, 0, 0};
+    ServeDaemon daemon(config);
+    cloud::FaultPlan plan;
+    plan.events.push_back({.at = 1 * kSecond,
+                           .kind = cloud::FaultKind::kHostCrash,
+                           .host = daemon.live_hosts().front()});
+    ASSERT_TRUE(daemon.Run(CrashTimeline(), &plan).ok());
+    CheckServeGolden(crash, daemon.metrics());
+  }
+}
+
+TEST(ServeDaemonGolden, BackpressureAndFaultRunsMatchRecorded) {
+  StreamConfig stream = SmallStream();
+  stream.rate_per_s = 12.0;
+  stream.horizon = 10 * kSecond;
+  stream.mean_lifetime = 2 * kSecond;
+  const auto timeline = RequestStream(stream).Generate();
+  ServeConfig config = SmallRack();
+  config.zombies = 3;
+  {
+    const ServeGolden backpressure = {
+        "backpressure",
+        108, 83, 62, 62, 18, 7, 4, 2, 13,
+        {0, 0, 25, 0, 3},
+        257, 41.625165369649814,
+        1, 1, 168.767788, 1930.7668001500001,
+        0.12, 2.0140000000000002, 4000, 4000};
+    ServeDaemon daemon(config);
+    ASSERT_TRUE(daemon.Run(timeline).ok());
+    CheckServeGolden(backpressure, daemon.metrics());
+  }
+  {
+    const ServeGolden faults = {
+        "fault plan",
+        108, 61, 47, 47, 12, 5, 6, 2, 11,
+        {0, 0, 47, 0, 2},
+        257, 40.663998054474703,
+        1, 1, 1, 1697.5110789199998,
+        0.12, 2.0140000000000002, 4000, 4000};
+    ServeDaemon daemon(config);
+    cloud::FaultPlan plan;
+    // A zombie crash on a tick instant and a controller crash between ticks.
+    plan.events.push_back({.at = 1 * kSecond,
+                           .kind = cloud::FaultKind::kHostCrash,
+                           .host = daemon.sleeping_zombies().back()});
+    plan.events.push_back({.at = 1550 * kMillisecond,
+                           .kind = cloud::FaultKind::kControllerCrash,
+                           .shard = 0});
+    ASSERT_TRUE(daemon.Run(timeline, &plan).ok());
+    CheckServeGolden(faults, daemon.metrics());
+    EXPECT_TRUE(daemon.CheckHealth().ok());
+  }
 }
 
 }  // namespace
