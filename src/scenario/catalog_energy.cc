@@ -154,6 +154,9 @@ Report RunFig10(const RunContext& ctx) {
     rec.Metric("saving_percent_neat", results[1].saving_percent);
     rec.Metric("saving_percent_oasis", results[2].saving_percent);
     rec.Metric("saving_percent_zombiestack", results[3].saving_percent);
+    for (std::size_t p = 1; p < results.size(); ++p) {
+      RecordDecisionMetrics(rec, results[p]);
+    }
     if (modified_shape && kind == MachineKind::kDellPrecisionT5810) {
       dell_modified = results;
     }
@@ -241,6 +244,7 @@ Report RunExtCooling(const RunContext& ctx) {
                Report::Num(result.facility_saving_percent, 1) + "%",
                std::to_string(result.wakeups),
                std::to_string(result.delayed_placements)});
+    RecordDecisionMetrics(r, result);
   }
 
   r.Text(

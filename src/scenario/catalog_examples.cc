@@ -4,6 +4,7 @@
 // the migration demo, and the configurable datacenter energy study.
 // Run at full size (no --smoke), table-mode output is byte-identical to the
 // pre-port binaries.
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -240,6 +241,13 @@ Report RunRackConsolidation(const RunContext& ctx) {
       static_cast<double>(rack.plane().FreeRemoteBytes()) / kGiB));
   r.Metric("free_remote_gib",
            static_cast<double>(rack.plane().FreeRemoteBytes()) / kGiB);
+  r.Metric("migrations", static_cast<double>(plan.migrations.size()));
+  r.Metric("suspended_hosts",
+           static_cast<double>(std::count_if(
+               rack.servers().begin(), rack.servers().end(), [](const auto& s) {
+                 return s->machine().state() != acpi::SleepState::kS0;
+               })));
+  r.Metric("rack_draw_w", rack.TotalPowerWatts());
   return r;
 }
 
@@ -433,6 +441,7 @@ Report RunDatacenterEnergy(const RunContext& ctx) {
                std::to_string(result.suspended_peak), std::to_string(result.migrations),
                Report::Num(result.mean_active_servers, 1),
                std::to_string(result.memory_servers_peak)});
+    RecordDecisionMetrics(r, result);
   }
 
   r.Text(

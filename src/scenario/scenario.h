@@ -17,6 +17,8 @@
 #ifndef ZOMBIELAND_SRC_SCENARIO_SCENARIO_H_
 #define ZOMBIELAND_SRC_SCENARIO_SCENARIO_H_
 
+#include <algorithm>
+#include <cctype>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -28,6 +30,7 @@
 #include "src/common/report.h"
 #include "src/common/result.h"
 #include "src/scenario/spec.h"
+#include "src/sim/dc_sim.h"
 #include "src/workloads/runner.h"
 
 namespace zombie::cloud {
@@ -282,6 +285,21 @@ class ScenarioBuilder {
 // no target axis at all are errors.
 [[nodiscard]] Result<std::vector<RunOptions>> PerScenarioRunOptions(
     const std::vector<const Scenario*>& scenarios, const RunOptions& options);
+
+// Records a datacenter-simulation policy's consolidation decisions as
+// metrics named `<counter>_<policy>` (e.g. `migrations_neat`) on a Report or
+// a sweep point, so the diff gate pins what the planner decided and not only
+// the energy it saved.
+template <typename MetricSink>
+void RecordDecisionMetrics(MetricSink& sink, const sim::DcResult& result) {
+  std::string policy(sim::PolicyName(result.policy));
+  std::transform(policy.begin(), policy.end(), policy.begin(),
+                 [](unsigned char c) { return static_cast<char>(std::tolower(c)); });
+  sink.Metric("migrations_" + policy, static_cast<double>(result.migrations));
+  sink.Metric("wakeups_" + policy, static_cast<double>(result.wakeups));
+  sink.Metric("delayed_placements_" + policy, static_cast<double>(result.delayed_placements));
+  sink.Metric("suspended_peak_" + policy, static_cast<double>(result.suspended_peak));
+}
 
 }  // namespace zombie::scenario
 
