@@ -8,7 +8,6 @@
 #include <string>
 #include <vector>
 
-#include "src/cloud/consolidation.h"
 #include "src/cloud/placement.h"
 #include "src/cloud/rack.h"
 #include "src/common/report.h"
@@ -140,9 +139,10 @@ ZOMBIE_REGISTER_SCENARIO(
 
 // ---------------------------------------------------------------------------
 // Rack consolidation: a six-server rack with a skewed VM load is
-// consolidated by the Neat planner in ZombieStack mode — underloaded hosts
-// drain, empty hosts enter Sz and lend their RAM, and the rack's power draw
-// drops while every byte of booked memory stays reachable.
+// consolidated by the shared planner (sim/consolidation.h) with ZombieStack's
+// relaxed placement — underloaded hosts drain, empty hosts enter Sz and lend
+// their RAM, and the rack's power draw drops while every byte of booked
+// memory stays reachable.
 // ---------------------------------------------------------------------------
 
 void ReportRack(Report& r, const char* id, cloud::Rack& rack, const char* title) {
@@ -162,10 +162,6 @@ void ReportRack(Report& r, const char* id, cloud::Rack& rack, const char* title)
 }
 
 Report RunRackConsolidation(const RunContext& ctx) {
-  using cloud::ConsolidationConfig;
-  using cloud::ConsolidationMode;
-  using cloud::ConsolidationPlan;
-  using cloud::NeatPlanner;
   using cloud::Server;
 
   Report r = ctx.MakeReport();
@@ -200,36 +196,32 @@ Report RunRackConsolidation(const RunContext& ctx) {
 
   // Plan with the ZombieStack constraint: a migrated VM only needs 30% of
   // its working set locally on the target.
-  NeatPlanner planner(
-      ConsolidationConfig{ConsolidationMode::kZombieStack, 0.20, 0.90, 0.30});
   std::vector<Server*> hosts;
   for (const auto& s : rack.servers()) {
     hosts.push_back(s.get());
   }
-  const ConsolidationPlan plan = planner.Plan(hosts);
+  const sim::ConsolidationPlan plan =
+      sim::PlanConsolidation(RackHostViews(hosts, ZombieStackLocalShare));
 
   r.Text(StrPrintf("Consolidation plan: %zu migrations, %zu hosts to suspend\n",
-                   plan.migrations.size(), plan.hosts_to_suspend.size()));
-  for (const auto& move : plan.migrations) {
-    Server* from = rack.FindServer(move.from);
-    Server* to = rack.FindServer(move.to);
+                   plan.moves.size(), plan.suspend.size()));
+  for (const sim::Move& move : plan.moves) {
+    Server* from = hosts[move.from];
+    Server* to = hosts[move.to];
     const hv::VmSpec vm = from->vms().at(move.vm);
     r.Text(StrPrintf("  migrate vm%llu: %s -> %s (local share: %.1f GiB of %.1f GiB)\n",
                      static_cast<unsigned long long>(move.vm), from->hostname().c_str(),
-                     to->hostname().c_str(),
-                     0.30 * static_cast<double>(vm.working_set) / kGiB,
+                     to->hostname().c_str(), static_cast<double>(ZombieStackLocalShare(vm)) / kGiB,
                      static_cast<double>(vm.reserved_memory) / kGiB));
     // The planner only emits moves it already validated against capacity; a
     // failure here means the plan and the rack disagree — abort, don't
-    // render a report that silently lost a VM.
+    // render a report that silently lost a VM or left a drained host awake.
     ZOMBIE_CHECK_OK(from->DropVm(move.vm));
-    ZOMBIE_CHECK_OK(
-        to->HostVm(vm, static_cast<Bytes>(0.30 * static_cast<double>(vm.working_set))));
+    ZOMBIE_CHECK_OK(to->HostVm(vm, ZombieStackLocalShare(vm)));
   }
-  for (auto id : plan.hosts_to_suspend) {
-    auto status = rack.PushToZombie(id);
-    r.Text(StrPrintf("  suspend %s to Sz: %s\n", rack.FindServer(id)->hostname().c_str(),
-                     status.ToString().c_str()));
+  for (std::size_t host : plan.suspend) {
+    ZOMBIE_CHECK_OK(rack.PushToZombie(hosts[host]->id()));
+    r.Text(StrPrintf("  suspend %s to Sz\n", hosts[host]->hostname().c_str()));
   }
   r.Text("\n");
 
@@ -241,7 +233,7 @@ Report RunRackConsolidation(const RunContext& ctx) {
       static_cast<double>(rack.plane().FreeRemoteBytes()) / kGiB));
   r.Metric("free_remote_gib",
            static_cast<double>(rack.plane().FreeRemoteBytes()) / kGiB);
-  r.Metric("migrations", static_cast<double>(plan.migrations.size()));
+  r.Metric("migrations", static_cast<double>(plan.moves.size()));
   r.Metric("suspended_hosts",
            static_cast<double>(std::count_if(
                rack.servers().begin(), rack.servers().end(), [](const auto& s) {

@@ -1,11 +1,13 @@
 // The lab testbed of Section 6.1, built from a declarative TopologySpec: a
 // rack with a global controller, a secondary controller, one user server and
 // N zombie servers pushed to Sz, plus a RemoteBackend over an extent
-// allocated to the user server.
+// allocated to the user server.  Also the consolidation planner's view of a
+// rack's servers.
 #ifndef ZOMBIELAND_SRC_SCENARIO_TESTBED_H_
 #define ZOMBIELAND_SRC_SCENARIO_TESTBED_H_
 
 #include <cstdlib>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -16,6 +18,7 @@
 #include "src/hv/backend.h"
 #include "src/remotemem/memory_manager.h"
 #include "src/scenario/spec.h"
+#include "src/sim/consolidation.h"
 
 namespace zombie::scenario {
 
@@ -68,6 +71,37 @@ class Testbed {
   remotemem::ServerId user_ = 0;
   std::vector<remotemem::ServerId> zombies_;
 };
+
+// ZombieStack's local share of a moved VM: kWssLocalFraction of its working
+// set.
+inline Bytes ZombieStackLocalShare(const hv::VmSpec& vm) {
+  return static_cast<Bytes>(sim::kWssLocalFraction * static_cast<double>(vm.working_set));
+}
+
+// The consolidation planner's view of rack servers, in units of each
+// server's capacity (the racks that consolidate are uniform).  A rack server
+// books CPU but has no separate actual load, so used CPU = booked CPU.
+// `needed_if_moved` gives the local bytes a VM needs on a target.
+inline std::vector<sim::HostView> RackHostViews(
+    const std::vector<cloud::Server*>& hosts,
+    const std::function<Bytes(const hv::VmSpec&)>& needed_if_moved) {
+  std::vector<sim::HostView> views;
+  for (const cloud::Server* server : hosts) {
+    const double cpus = server->capacity().cpus;
+    const auto mem = static_cast<double>(server->capacity().memory);
+    sim::HostView& view = views.emplace_back();
+    view.state = server->machine().state();
+    view.booked_cpu = view.used_cpu = server->UsedCpus() / cpus;
+    view.local_mem = static_cast<double>(server->UsedLocalMemory()) / mem;
+    view.lent_mem = static_cast<double>(server->lent_memory()) / mem;
+    for (const auto& [id, vm] : server->vms()) {
+      const double cpu = vm.vcpus / cpus;
+      view.vms.push_back({id, cpu, cpu, static_cast<double>(server->LocalBytesOf(id)) / mem,
+                          static_cast<double>(needed_if_moved(vm)) / mem});
+    }
+  }
+  return views;
+}
 
 }  // namespace zombie::scenario
 

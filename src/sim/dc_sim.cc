@@ -5,6 +5,7 @@
 #include <cmath>
 
 #include "src/acpi/sleep_state.h"
+#include "src/sim/consolidation.h"
 #include "src/sim/cooling.h"
 
 namespace zombie::sim {
@@ -25,22 +26,15 @@ std::string_view PolicyName(Policy p) {
 
 namespace {
 
-// Lightweight per-server state for the large-scale replay.  Resources are in
-// server units: cpu/memory in [0, 1] per server.
-struct SimServer {
-  acpi::SleepState state = acpi::SleepState::kS0;
-  double booked_cpu = 0.0;       // sum of hosted VMs' booked CPU
-  double used_cpu = 0.0;         // sum of booked * usage_ratio (actual load)
-  double local_mem = 0.0;        // memory held locally by hosted VMs
-  double lent_mem = 0.0;         // delegated to the zombie pool
-  std::vector<std::uint32_t> vms;  // dense VM indices
-};
+// Servers are the planner's host view: resources in server units, cpu and
+// memory in [0, 1] per server, and each hosted VM as a VmView whose id is
+// the VM's dense index.
+using SimServer = HostView;
 
 struct SimVm {
   const TraceTask* task = nullptr;
   int host = -1;
   bool active = false;      // currently placed in the cluster
-  double local_mem = 0.0;   // local share on its host
   double remote_mem = 0.0;  // served from the zombie pool (ZombieStack)
   double parked_mem = 0.0;  // parked on an Oasis memory server
 };
@@ -60,20 +54,25 @@ double WssOf(const TraceTask& task) {
   return (task.cpu_usage_ratio < 0.01 ? 0.25 : 0.6) * task.booked_mem;
 }
 
-// Required local memory for placing a task under a policy.
-double RequiredLocal(Policy policy, const TraceTask& task, const DcConfig& config,
-                     bool consolidation_move) {
+// Local memory a task needs when first placed: ZombieStack keeps 50% of the
+// booking local (Section 5.1); the others place it whole (Oasis parks cold
+// memory only when consolidating).
+double InitialLocal(Policy policy, const TraceTask& task) {
+  return policy == Policy::kZombieStack ? 0.5 * task.booked_mem : task.booked_mem;
+}
+
+// Local memory a task needs on a consolidation target: the full booking for
+// Neat, only the working set of an idle VM for Oasis (partial migration), and
+// kWssLocalFraction of the working set for ZombieStack (Section 5.2).
+double NeededIfMoved(Policy policy, const TraceTask& task, const DcConfig& config) {
   switch (policy) {
     case Policy::kAlwaysOn:
     case Policy::kNeat:
       return task.booked_mem;
     case Policy::kOasis:
-      return task.booked_mem;  // initial placement is full; parking happens later
+      return task.cpu_usage_ratio < config.idle_vm_threshold ? WssOf(task) : task.booked_mem;
     case Policy::kZombieStack:
-      // Initial placement: 50% of reserved locally (Section 5.1).  During
-      // consolidation: 30% of the WSS (Section 5.2).
-      return consolidation_move ? config.wss_local_fraction * WssOf(task)
-                                : 0.5 * task.booked_mem;
+      return kWssLocalFraction * WssOf(task);
   }
   return task.booked_mem;
 }
@@ -85,17 +84,18 @@ bool Fits(const SimServer& server, const TraceTask& task, double local_needed) {
 }
 
 void HostVm(World& world, int host, std::uint32_t vm_idx, const TraceTask& task,
-            double local_mem, Policy policy) {
+            double local_mem, Policy policy, const DcConfig& config) {
   SimServer& server = world.servers[host];
+  const double used_cpu = task.booked_cpu * task.cpu_usage_ratio;
   server.booked_cpu += task.booked_cpu;
-  server.used_cpu += task.booked_cpu * task.cpu_usage_ratio;
+  server.used_cpu += used_cpu;
   server.local_mem += local_mem;
-  server.vms.push_back(vm_idx);
+  server.vms.push_back(
+      {vm_idx, task.booked_cpu, used_cpu, local_mem, NeededIfMoved(policy, task, config)});
   SimVm& vm = world.vms[vm_idx];
   vm.task = &task;
   vm.host = host;
   vm.active = true;
-  vm.local_mem = local_mem;
   const double remote = task.booked_mem - local_mem - vm.parked_mem;
   if (policy == Policy::kZombieStack && remote > 1e-12) {
     vm.remote_mem = remote;
@@ -105,23 +105,29 @@ void HostVm(World& world, int host, std::uint32_t vm_idx, const TraceTask& task,
   }
 }
 
-void UnhostVm(World& world, std::uint32_t vm_idx) {
+// Removes a VM from its host and returns its view entry (empty if it was not
+// hosted).
+VmView UnhostVm(World& world, std::uint32_t vm_idx) {
   SimVm& vm = world.vms[vm_idx];
+  VmView hosted;
   if (!vm.active) {
-    return;
+    return hosted;
   }
   if (vm.host >= 0) {
     SimServer& server = world.servers[vm.host];
-    server.booked_cpu = std::max(0.0, server.booked_cpu - vm.task->booked_cpu);
-    server.used_cpu =
-        std::max(0.0, server.used_cpu - vm.task->booked_cpu * vm.task->cpu_usage_ratio);
-    server.local_mem = std::max(0.0, server.local_mem - vm.local_mem);
-    server.vms.erase(std::remove(server.vms.begin(), server.vms.end(), vm_idx),
-                     server.vms.end());
+    const auto it = std::find_if(server.vms.begin(), server.vms.end(),
+                                 [&](const VmView& v) { return v.id == vm_idx; });
+    assert(it != server.vms.end());
+    hosted = *it;
+    server.booked_cpu = std::max(0.0, server.booked_cpu - hosted.booked_cpu);
+    server.used_cpu = std::max(0.0, server.used_cpu - hosted.used_cpu);
+    server.local_mem = std::max(0.0, server.local_mem - hosted.local_mem);
+    server.vms.erase(it);
   }
   world.zombie_pool_free += vm.remote_mem;
   world.parked_total = std::max(0.0, world.parked_total - vm.parked_mem);
   vm.host = -1;
+  return hosted;
 }
 
 // Wakes the best suspended server (S3 first — cheapest to disturb — then the
@@ -160,8 +166,8 @@ int WakeOne(World& world, const DcConfig& config) {
   return chosen;
 }
 
-int PlaceVm(World& world, const TraceTask& task, Policy policy, const DcConfig& config) {
-  const double local_needed = RequiredLocal(policy, task, config, false);
+int PlaceVm(World& world, const TraceTask& task, Policy policy) {
+  const double local_needed = InitialLocal(policy, task);
   const double remote_needed = task.booked_mem - local_needed;
   // Stack strategy: most-loaded qualifying server first (AlwaysOn spreads).
   int best = -1;
@@ -187,114 +193,36 @@ int PlaceVm(World& world, const TraceTask& task, Policy policy, const DcConfig& 
   return best;
 }
 
-void SuspendEmpty(World& world, Policy policy, const DcConfig& config) {
-  for (auto& s : world.servers) {
-    if (s.state != acpi::SleepState::kS0 || !s.vms.empty()) {
-      continue;
-    }
-    if (policy == Policy::kZombieStack) {
-      s.state = acpi::SleepState::kSz;
-      s.lent_mem = (1.0 - s.local_mem) * config.delegate_fraction;
-      world.zombie_pool_free += s.lent_mem;
-    } else if (policy == Policy::kNeat || policy == Policy::kOasis) {
-      s.state = acpi::SleepState::kS3;
-    }
-  }
-}
-
-// One consolidation round (Neat's four steps, specialised per policy).
+// One consolidation round: the shared planner decides, this executes — VM
+// bookkeeping, Oasis parking, and the suspend to Sz (ZombieStack, delegating
+// the free RAM to the pool) or S3 (Neat, Oasis).
 void Consolidate(World& world, Policy policy, const DcConfig& config) {
   if (policy == Policy::kAlwaysOn) {
     return;
   }
-  // Step 1: underloaded hosts by *actual* CPU load.
-  std::vector<int> underloaded;
-  for (std::size_t i = 0; i < world.servers.size(); ++i) {
-    const SimServer& s = world.servers[i];
-    if (s.state == acpi::SleepState::kS0 && !s.vms.empty() &&
-        s.used_cpu <= config.underload_threshold) {
-      underloaded.push_back(static_cast<int>(i));
+  const ConsolidationPlan plan = PlanConsolidation(world.servers);
+  for (const Move& move : plan.moves) {
+    const auto vm_idx = static_cast<std::uint32_t>(move.vm);
+    const TraceTask& task = *world.vms[vm_idx].task;
+    const double local = UnhostVm(world, vm_idx).needed_if_moved;
+    // Oasis parks what it did not move on a memory server; for every other
+    // move the whole booking is accounted for locally or in the pool.
+    const double parked = policy == Policy::kOasis ? task.booked_mem - local : 0.0;
+    world.vms[vm_idx].parked_mem = parked;
+    world.parked_total += parked;
+    HostVm(world, static_cast<int>(move.to), vm_idx, task, local, policy, config);
+    ++world.migrations;
+  }
+  for (std::size_t i : plan.suspend) {
+    SimServer& s = world.servers[i];
+    if (policy == Policy::kZombieStack) {
+      s.state = acpi::SleepState::kSz;
+      s.lent_mem = (1.0 - s.local_mem) * config.delegate_fraction;
+      world.zombie_pool_free += s.lent_mem;
+    } else {
+      s.state = acpi::SleepState::kS3;
     }
   }
-  // Drain the least-loaded first.
-  std::stable_sort(underloaded.begin(), underloaded.end(), [&](int a, int b) {
-    return world.servers[a].used_cpu < world.servers[b].used_cpu;
-  });
-
-  // Per-host (cpu, mem) deltas of tentative moves: a flat array reset only
-  // where written, instead of a fresh std::map per drained host.
-  std::vector<std::pair<double, double>> deltas(world.servers.size(), {0.0, 0.0});
-  std::vector<int> touched;
-  for (int source_idx : underloaded) {
-    SimServer& source = world.servers[source_idx];
-    // Tentatively find a target for every VM.
-    std::vector<std::pair<std::uint32_t, int>> moves;
-    bool ok = true;
-    for (int host : touched) {
-      deltas[host] = {0.0, 0.0};
-    }
-    touched.clear();
-    for (std::uint32_t vm_idx : source.vms) {
-      const SimVm& vm = world.vms[vm_idx];
-      const TraceTask& task = *vm.task;
-      const bool idle = task.cpu_usage_ratio < config.idle_vm_threshold;
-      double local_needed;
-      if (policy == Policy::kOasis && idle) {
-        local_needed = WssOf(task);  // partial migration: only the WSS moves
-      } else {
-        local_needed = RequiredLocal(policy, task, config, true);
-      }
-      int target = -1;
-      double best_key = -1.0;
-      for (std::size_t i = 0; i < world.servers.size(); ++i) {
-        if (static_cast<int>(i) == source_idx) {
-          continue;
-        }
-        const SimServer& t = world.servers[i];
-        const auto& delta = deltas[i];
-        if (t.state != acpi::SleepState::kS0 ||
-            t.booked_cpu + delta.first + task.booked_cpu > 1.0 + 1e-9 ||
-            t.local_mem + delta.second + local_needed > 1.0 - t.lent_mem + 1e-9) {
-          continue;
-        }
-        if (t.booked_cpu > best_key) {
-          best_key = t.booked_cpu;
-          target = static_cast<int>(i);
-        }
-      }
-      if (target < 0) {
-        ok = false;
-        break;
-      }
-      if (deltas[target] == std::pair<double, double>{0.0, 0.0}) {
-        touched.push_back(target);
-      }
-      deltas[target].first += task.booked_cpu;
-      deltas[target].second += local_needed;
-      moves.emplace_back(vm_idx, target);
-    }
-    if (!ok) {
-      continue;  // cannot fully drain this host
-    }
-    // Execute the drain.
-    for (const auto& [vm_idx, target] : moves) {
-      const TraceTask& task = *world.vms[vm_idx].task;
-      const bool idle = task.cpu_usage_ratio < config.idle_vm_threshold;
-      UnhostVm(world, vm_idx);
-      double local;
-      if (policy == Policy::kOasis && idle) {
-        local = WssOf(task);
-        world.vms[vm_idx].parked_mem = task.booked_mem - local;
-        world.parked_total += task.booked_mem - local;
-      } else {
-        local = RequiredLocal(policy, task, config, true);
-        world.vms[vm_idx].parked_mem = 0.0;
-      }
-      HostVm(world, target, vm_idx, task, local, policy);
-      ++world.migrations;
-    }
-  }
-  SuspendEmpty(world, policy, config);
 }
 
 double ServerPowerPercent(const SimServer& s, const acpi::MachineProfile& profile) {
@@ -359,11 +287,11 @@ DcResult RunPolicy(const Trace& trace, Policy policy, const acpi::MachineProfile
       if (task.end <= now) {
         continue;  // expired while waiting
       }
-      int host = PlaceVm(world, task, policy, config);
+      int host = PlaceVm(world, task, policy);
       if (host < 0) {
         if (WakeOne(world, config) >= 0) {
           ++result.wakeups;
-          host = PlaceVm(world, task, policy, config);
+          host = PlaceVm(world, task, policy);
         }
       }
       if (host < 0) {
@@ -371,10 +299,10 @@ DcResult RunPolicy(const Trace& trace, Policy policy, const acpi::MachineProfile
         pending.push_back(vm_idx);  // retry next step
         continue;
       }
-      const double local = std::min(RequiredLocal(policy, task, config, false),
+      const double local = std::min(InitialLocal(policy, task),
                                     1.0 - world.servers[host].local_mem -
                                         world.servers[host].lent_mem);
-      HostVm(world, host, vm_idx, task, std::max(local, 0.0), policy);
+      HostVm(world, host, vm_idx, task, std::max(local, 0.0), policy, config);
       endings.emplace_back(task.end, vm_idx);
       std::push_heap(endings.begin(), endings.end(), cmp);
     }

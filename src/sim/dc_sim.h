@@ -6,15 +6,21 @@
 //  * kAlwaysOn     — no consolidation; every server stays in S0.  This is
 //                    the baseline the savings percentages are computed from.
 //  * kNeat         — OpenStack-Neat consolidation: drain underloaded hosts
-//                    (actual CPU below threshold), suspend them to S3; a VM
-//                    fits a host only if its full booking fits.
+//                    (actual CPU at most sim::kUnderloadCpu), suspend the
+//                    emptied ones to S3; a moved VM needs its full booking
+//                    locally.
 //  * kOasis        — Neat plus partial migration of idle VMs: only the WSS
 //                    moves; cold memory parks on dedicated memory servers
 //                    drawing 40% of a regular server.
-//  * kZombieStack  — consolidation with remote memory: a VM needs only a
-//                    fraction of its WSS locally, the rest lives in zombie
-//                    buffers; drained hosts enter Sz and keep serving their
-//                    RAM.
+//  * kZombieStack  — consolidation with remote memory: a moved VM needs only
+//                    sim::kWssLocalFraction of its WSS locally, the rest
+//                    lives in zombie buffers; emptied hosts enter Sz and
+//                    keep serving their RAM.
+//
+// The three consolidating policies share one planner (sim/consolidation.h);
+// they differ only in the local memory a moved VM needs and in the sleep
+// state an emptied host enters.  This file executes the plan and wakes a
+// suspended host when an arrival fits nowhere.
 #ifndef ZOMBIELAND_SRC_SIM_DC_SIM_H_
 #define ZOMBIELAND_SRC_SIM_DC_SIM_H_
 
@@ -41,11 +47,8 @@ std::string_view PolicyName(Policy p);
 struct DcConfig {
   Duration step = 5 * kMinute;
   Duration consolidation_period = 1 * kHour;
-  double underload_threshold = 0.20;   // actual CPU, as in the paper
+  // Oasis: a VM below this CPU usage ratio is idle, and moves only its WSS.
   double idle_vm_threshold = 0.01;
-  // ZombieStack: fraction of a VM's WSS that must be local after migration
-  // (Section 5.2: 30%).
-  double wss_local_fraction = 0.30;
   // Fraction of a zombie's free RAM actually delegated.
   double delegate_fraction = 0.9;
   // Oasis memory-server parameters.

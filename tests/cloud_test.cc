@@ -1,19 +1,22 @@
 // Unit and integration tests for the cloud layer: server bookkeeping, the
-// wired rack (Fig. 7), placement (Section 5.1), Neat consolidation
-// (Section 5.2) and the Fig. 4 rack-energy estimator.
+// wired rack (Fig. 7), placement (Section 5.1), the consolidation planner
+// on rack servers (Section 5.2) and the Fig. 4 rack-energy estimator.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "src/cloud/consolidation.h"
 #include "src/cloud/placement.h"
 #include "src/cloud/rack.h"
 #include "src/cloud/rack_energy.h"
 #include "src/cloud/server.h"
 #include "src/common/rng.h"
+#include "src/scenario/testbed.h"
+#include "src/sim/consolidation.h"
 
 namespace zombie::cloud {
 namespace {
@@ -328,19 +331,28 @@ TEST_F(PlacementTest, SpreadPrefersEmptiestHost) {
 // Consolidation (Section 5.2).
 // ---------------------------------------------------------------------------
 
-class ConsolidationTest : public PlacementTest {};
+// Vanilla Neat: a moved VM needs its full booking locally.
+Bytes FullBooking(const hv::VmSpec& vm) { return vm.reserved_memory; }
+
+class ConsolidationTest : public PlacementTest {
+ protected:
+  sim::ConsolidationPlan Plan(
+      Bytes (*needed_if_moved)(const hv::VmSpec&) = scenario::ZombieStackLocalShare) {
+    return sim::PlanConsolidation(scenario::RackHostViews(Hosts(), needed_if_moved));
+  }
+};
 
 TEST_F(ConsolidationTest, DrainsUnderloadedHost) {
-  // s1 nearly full, s2 almost idle: s2 should drain into s1.
+  // s1 nearly full, s2 almost idle: s2 should drain into s1.  s3 is empty
+  // from the start, so it is suspended too.
   ASSERT_TRUE(servers_[0]->HostVm(MakeVm(1, 4 * kGiB, 5), 4 * kGiB).ok());
   ASSERT_TRUE(servers_[1]->HostVm(MakeVm(2, 2 * kGiB, 1), 2 * kGiB).ok());
-  NeatPlanner planner(ConsolidationConfig{ConsolidationMode::kZombieStack, 0.20, 0.90, 0.30});
-  const auto plan = planner.Plan(Hosts());
-  ASSERT_EQ(plan.migrations.size(), 1u);
-  EXPECT_EQ(plan.migrations[0].vm, 2u);
-  EXPECT_EQ(plan.migrations[0].from, servers_[1]->id());
-  ASSERT_EQ(plan.hosts_to_suspend.size(), 1u);
-  EXPECT_EQ(plan.hosts_to_suspend[0], servers_[1]->id());
+  const auto plan = Plan();
+  ASSERT_EQ(plan.moves.size(), 1u);
+  EXPECT_EQ(plan.moves[0].vm, 2u);
+  EXPECT_EQ(plan.moves[0].from, 1u);
+  EXPECT_EQ(plan.moves[0].to, 0u);
+  EXPECT_EQ(plan.suspend, (std::vector<std::size_t>{1, 2}));
 }
 
 TEST_F(ConsolidationTest, VanillaNeatNeedsFullBooking) {
@@ -349,30 +361,60 @@ TEST_F(ConsolidationTest, VanillaNeatNeedsFullBooking) {
   ASSERT_TRUE(servers_[1]->HostVm(MakeVm(2, 6 * kGiB, 1), 6 * kGiB).ok());
   ASSERT_TRUE(servers_[2]->HostVm(MakeVm(3, 14 * kGiB, 5), 14 * kGiB).ok());
 
-  NeatPlanner vanilla(ConsolidationConfig{ConsolidationMode::kNeat, 0.20, 0.90, 0.30});
-  const auto plan = vanilla.Plan(Hosts());
-  EXPECT_TRUE(plan.hosts_to_suspend.empty());  // 6 GiB fits nowhere fully
+  EXPECT_TRUE(Plan(FullBooking).suspend.empty());  // 6 GiB fits nowhere fully
 
   // ZombieStack only needs 30% of the WSS (3 GiB -> 0.9 GiB) locally.
-  NeatPlanner zombie(ConsolidationConfig{ConsolidationMode::kZombieStack, 0.20, 0.90, 0.30});
-  const auto zplan = zombie.Plan(Hosts());
-  EXPECT_EQ(zplan.hosts_to_suspend.size(), 1u);
-}
-
-TEST_F(ConsolidationTest, OverloadedHostShedsSmallestVm) {
-  ASSERT_TRUE(servers_[0]->HostVm(MakeVm(1, 2 * kGiB, 6), 2 * kGiB).ok());
-  ASSERT_TRUE(servers_[0]->HostVm(MakeVm(2, 1 * kGiB, 2), 1 * kGiB).ok());  // 8/8 cpus
-  NeatPlanner planner(ConsolidationConfig{ConsolidationMode::kZombieStack, 0.20, 0.90, 0.30});
-  const auto plan = planner.Plan(Hosts());
-  ASSERT_FALSE(plan.migrations.empty());
-  EXPECT_EQ(plan.migrations[0].vm, 2u);  // the small one moves
+  EXPECT_EQ(Plan().suspend.size(), 1u);
 }
 
 TEST_F(ConsolidationTest, EmptyPlanWhenBalanced) {
+  // No host is underloaded, so nothing moves; only the empty s3 suspends.
   ASSERT_TRUE(servers_[0]->HostVm(MakeVm(1, 4 * kGiB, 4), 4 * kGiB).ok());
   ASSERT_TRUE(servers_[1]->HostVm(MakeVm(2, 4 * kGiB, 4), 4 * kGiB).ok());
-  NeatPlanner planner(ConsolidationConfig{ConsolidationMode::kZombieStack, 0.20, 0.90, 0.30});
-  EXPECT_TRUE(planner.Plan(Hosts()).empty());
+  const auto plan = Plan();
+  EXPECT_TRUE(plan.moves.empty());
+  EXPECT_EQ(plan.suspend, (std::vector<std::size_t>{2}));
+}
+
+TEST_F(ConsolidationTest, NoSuspendedHostKeepsAMovedVm) {
+  // s1's VM fits only on s2 and s2's VM fits on s3.  Planning against a
+  // frozen snapshot moved vm1 onto s2 and then suspended s2 with vm1 on it.
+  // Each drain now updates the view, so s2's drain carries vm1 on.
+  ASSERT_TRUE(servers_[0]->HostVm(MakeVm(1, 12 * kGiB, 1, 6 * kGiB), 12 * kGiB).ok());
+  ASSERT_TRUE(servers_[1]->HostVm(MakeVm(2, 2 * kGiB, 1), 2 * kGiB).ok());
+  ASSERT_TRUE(servers_[2]->HostVm(MakeVm(3, 15 * kGiB, 4), 15 * kGiB).ok());
+  const auto plan = Plan();
+  ASSERT_FALSE(plan.suspend.empty());
+  std::map<std::uint64_t, std::size_t> final_host;
+  for (const auto& move : plan.moves) {
+    final_host[move.vm] = move.to;
+  }
+  for (const auto& [vm, host] : final_host) {
+    EXPECT_EQ(std::count(plan.suspend.begin(), plan.suspend.end(), host), 0)
+        << "vm" << vm << " ends on suspended host " << host;
+  }
+
+  // The same load on a rack: every move and every suspend succeeds.
+  Rack rack(SmallRack());
+  std::vector<Server*> hosts;
+  for (const auto& s : servers_) {
+    hosts.push_back(&rack.AddServer(s->hostname(), acpi::MachineProfile::HpCompaqElite8300(),
+                                    s->capacity()));
+    for (const auto& [id, vm] : s->vms()) {
+      ASSERT_TRUE(hosts.back()->HostVm(vm, s->LocalBytesOf(id)).ok());
+    }
+  }
+  const auto rack_plan =
+      sim::PlanConsolidation(scenario::RackHostViews(hosts, scenario::ZombieStackLocalShare));
+  ASSERT_EQ(rack_plan.moves.size(), plan.moves.size());
+  for (const auto& move : rack_plan.moves) {
+    const hv::VmSpec vm = hosts[move.from]->vms().at(move.vm);
+    ASSERT_TRUE(hosts[move.from]->DropVm(move.vm).ok());
+    ASSERT_TRUE(hosts[move.to]->HostVm(vm, scenario::ZombieStackLocalShare(vm)).ok());
+  }
+  for (std::size_t host : rack_plan.suspend) {
+    EXPECT_TRUE(rack.PushToZombie(hosts[host]->id()).ok()) << hosts[host]->hostname();
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -16,7 +16,6 @@
 #include "src/acpi/registers.h"
 #include "src/acpi/sleep_state.h"
 #include "src/cloud/admission.h"
-#include "src/cloud/consolidation.h"
 #include "src/cloud/faults.h"
 #include "src/cloud/placement.h"
 #include "src/cloud/rack.h"
@@ -61,6 +60,7 @@
 #include "src/serve/metrics.h"
 #include "src/serve/request.h"
 #include "src/serve/stream.h"
+#include "src/sim/consolidation.h"
 #include "src/sim/cooling.h"
 #include "src/sim/dc_sim.h"
 #include "src/sim/trace.h"

@@ -7,11 +7,12 @@
 #include <memory>
 #include <vector>
 
-#include "src/cloud/consolidation.h"
 #include "src/cloud/placement.h"
 #include "src/cloud/rack.h"
 #include "src/hv/backend.h"
 #include "src/migration/migration.h"
+#include "src/scenario/testbed.h"
+#include "src/sim/consolidation.h"
 #include "src/workloads/app_models.h"
 #include "src/workloads/runner.h"
 
@@ -118,31 +119,30 @@ TEST(Integration, ConsolidateThenSuspendDropsPower) {
     hosts.push_back(s.get());
   }
 
-  // Initial placement through Nova: one busy host, two stragglers.
+  // Initial placement through Nova: one busy host with room for the two
+  // stragglers' vCPUs and one more, and an idle node3.
   cloud::NovaScheduler nova;
   auto place = [&](hv::VmId id, Bytes mem, std::uint32_t cpus, Server* target) {
     ASSERT_TRUE(target->HostVm(MakeVm(id, mem, cpus), mem).ok());
   };
-  place(1, 6 * kGiB, 6, hosts[0]);
+  place(1, 6 * kGiB, 5, hosts[0]);
   place(2, 2 * kGiB, 1, hosts[1]);
   place(3, 2 * kGiB, 1, hosts[2]);
 
   const double power_before = rack.TotalPowerPercent();
 
-  cloud::NeatPlanner planner(
-      cloud::ConsolidationConfig{cloud::ConsolidationMode::kZombieStack, 0.20, 0.90, 0.30});
-  const auto plan = planner.Plan(hosts);
-  EXPECT_GE(plan.migrations.size(), 2u);
-  for (const auto& move : plan.migrations) {
-    Server* from = rack.FindServer(move.from);
-    Server* to = rack.FindServer(move.to);
-    const hv::VmSpec vm = from->vms().at(move.vm);
-    ASSERT_TRUE(from->DropVm(move.vm).ok());
-    ASSERT_TRUE(
-        to->HostVm(vm, static_cast<Bytes>(0.30 * static_cast<double>(vm.working_set))).ok());
+  const auto plan = sim::PlanConsolidation(
+      scenario::RackHostViews(hosts, scenario::ZombieStackLocalShare));
+  EXPECT_GE(plan.moves.size(), 2u);
+  for (const auto& move : plan.moves) {
+    const hv::VmSpec vm = hosts[move.from]->vms().at(move.vm);
+    ASSERT_TRUE(hosts[move.from]->DropVm(move.vm).ok());
+    ASSERT_TRUE(hosts[move.to]->HostVm(vm, scenario::ZombieStackLocalShare(vm)).ok());
   }
-  for (auto id : plan.hosts_to_suspend) {
-    ASSERT_TRUE(rack.PushToZombie(id).ok());
+  // The two drained stragglers and the idle node3 all enter Sz.
+  EXPECT_EQ(plan.suspend, (std::vector<std::size_t>{1, 2, 3}));
+  for (std::size_t host : plan.suspend) {
+    ASSERT_TRUE(rack.PushToZombie(hosts[host]->id()).ok());
   }
 
   EXPECT_LT(rack.TotalPowerPercent(), power_before - 10.0);
@@ -155,9 +155,11 @@ TEST(Integration, ConsolidateThenSuspendDropsPower) {
       EXPECT_LE(vm.reserved_memory - local, rack.plane().FreeRemoteBytes());
     }
   }
-  // And the placement filter would admit another remote-heavy VM now.
+  // And the placement filter would admit a VM larger than node0's free
+  // local memory now: half of it lives in the pool.
   nova.set_remote_pool(rack.plane().FreeRemoteBytes());
-  EXPECT_TRUE(nova.Place(hosts, MakeVm(9, 8 * kGiB, 2)).has_value());
+  ASSERT_LT(hosts[0]->FreeLocalMemory(), 12 * kGiB);
+  EXPECT_TRUE(nova.Place(hosts, MakeVm(9, 12 * kGiB, 1)).has_value());
 }
 
 // ---------------------------------------------------------------------------

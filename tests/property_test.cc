@@ -6,6 +6,8 @@
 //  * the Sz energy estimate respects physical orderings for any plausible
 //    machine;
 //  * migration estimates dominate correctly across the parameter space;
+//  * the consolidation planner's moves execute in order within capacity,
+//    and it suspends exactly the awake hosts it leaves empty;
 //  * the JSON reader returns a value or an error, never crashes, on mutants
 //    of a rendered report and of bench/tolerances.json.
 #include <gtest/gtest.h>
@@ -36,6 +38,7 @@
 #include "src/remotemem/buffer_db.h"
 #include "src/remotemem/secondary_controller.h"
 #include "src/scenario/diff.h"
+#include "src/sim/consolidation.h"
 #include "src/workloads/app_models.h"
 #include "src/workloads/runner.h"
 
@@ -765,6 +768,119 @@ TEST(EnergyModelProperty, OrderingsHoldForPerturbedMachines) {
     EXPECT_NEAR(m.S0Percent(1.0), 100.0, 1e-6);
     EXPECT_LT(m.S0Percent(0.3), m.S0Percent(0.7));
   }
+}
+
+// ---------------------------------------------------------------------------
+// The consolidation planner over random host views: the plan executes in
+// order within every host's capacity, and only hosts it empties suspend.
+// ---------------------------------------------------------------------------
+
+std::vector<sim::HostView> RandomHostViews(Rng& rng) {
+  std::vector<sim::HostView> hosts(2 + rng.NextBelow(11));
+  std::uint64_t next_vm = 1;
+  for (sim::HostView& host : hosts) {
+    const auto kind = rng.NextBelow(8);
+    if (kind == 0) {
+      host.state = acpi::SleepState::kSz;
+      host.lent_mem = rng.NextDouble(0.0, 0.9);
+      continue;
+    }
+    if (kind == 1) {
+      host.state = acpi::SleepState::kS3;
+      continue;
+    }
+    if (rng.NextBool(0.2)) {
+      host.lent_mem = rng.NextDouble(0.0, 0.3);
+    }
+    const auto vms = rng.NextBelow(5);
+    for (std::uint64_t i = 0; i < vms; ++i) {
+      sim::VmView vm;
+      vm.id = next_vm++;
+      vm.booked_cpu = static_cast<double>(1 + rng.NextBelow(4)) / 8.0;
+      // A third of the VMs are nearly idle, so many hosts are underloaded.
+      vm.used_cpu = vm.booked_cpu * (rng.NextBool(0.3) ? rng.NextDouble(0.0, 0.05)
+                                                        : rng.NextDouble());
+      vm.local_mem = rng.NextDouble(0.02, 0.3);
+      vm.needed_if_moved = rng.NextDouble(0.0, 0.4);
+      if (host.booked_cpu + vm.booked_cpu > 1.0 ||
+          host.local_mem + vm.local_mem > 1.0 - host.lent_mem) {
+        break;
+      }
+      host.booked_cpu += vm.booked_cpu;
+      host.used_cpu += vm.used_cpu;
+      host.local_mem += vm.local_mem;
+      host.vms.push_back(vm);
+    }
+  }
+  return hosts;
+}
+
+TEST(ConsolidationProperty, PlansExecuteWithinCapacityAndSuspendOnlyEmptiedHosts) {
+  ScopedSeedReporter seed_reporter;
+  std::size_t total_moves = 0;
+  for (std::uint64_t salt = 1; salt <= 300; ++salt) {
+    Rng rng(TestSeed(9000 + salt));
+    std::vector<sim::HostView> hosts = RandomHostViews(rng);
+    const sim::ConsolidationPlan plan = sim::PlanConsolidation(hosts);
+
+    // Deterministic: the same view plans the same moves.
+    const sim::ConsolidationPlan again = sim::PlanConsolidation(hosts);
+    ASSERT_EQ(again.suspend, plan.suspend);
+    ASSERT_EQ(again.moves.size(), plan.moves.size());
+    for (std::size_t i = 0; i < plan.moves.size(); ++i) {
+      EXPECT_EQ(again.moves[i].vm, plan.moves[i].vm);
+      EXPECT_EQ(again.moves[i].from, plan.moves[i].from);
+      EXPECT_EQ(again.moves[i].to, plan.moves[i].to);
+    }
+
+    // Execute in order.  A VM moved onto a host that is drained later in
+    // the round moves on again (fig10's rules), so each move must start
+    // where the VM currently is, and every target stays within capacity
+    // after every move.
+    std::map<std::uint64_t, std::size_t> where;
+    std::map<std::uint64_t, sim::VmView> vms;
+    for (std::size_t h = 0; h < hosts.size(); ++h) {
+      for (const sim::VmView& vm : hosts[h].vms) {
+        where[vm.id] = h;
+        vms[vm.id] = vm;
+      }
+    }
+    const std::vector<sim::HostView> before = hosts;
+    for (const sim::Move& move : plan.moves) {
+      ASSERT_TRUE(where.contains(move.vm));
+      ASSERT_EQ(where[move.vm], move.from) << "vm" << move.vm;
+      ASSERT_NE(move.from, move.to);
+      ASSERT_EQ(before[move.to].state, acpi::SleepState::kS0);
+      sim::VmView& vm = vms[move.vm];
+      sim::HostView& from = hosts[move.from];
+      sim::HostView& to = hosts[move.to];
+      from.booked_cpu -= vm.booked_cpu;
+      from.local_mem -= vm.local_mem;
+      to.booked_cpu += vm.booked_cpu;
+      to.local_mem += vm.needed_if_moved;
+      vm.local_mem = vm.needed_if_moved;
+      where[move.vm] = move.to;
+      EXPECT_LE(to.booked_cpu, 1.0 + 1e-6);
+      EXPECT_LE(to.local_mem, 1.0 - to.lent_mem + 1e-6);
+    }
+    total_moves += plan.moves.size();
+
+    // Exactly the awake hosts left empty suspend: no VM ends on one, and
+    // no sleeping host is suspended again.
+    std::vector<std::size_t> occupancy(hosts.size(), 0);
+    for (const auto& [vm, host] : where) {
+      ++occupancy[host];
+    }
+    std::vector<std::size_t> expected;
+    for (std::size_t h = 0; h < hosts.size(); ++h) {
+      if (before[h].state == acpi::SleepState::kS0 && occupancy[h] == 0) {
+        expected.push_back(h);
+      }
+    }
+    EXPECT_EQ(plan.suspend, expected);
+  }
+  // The generator must make the planner move VMs, or this proves nothing.
+  EXPECT_GT(total_moves, 100u);
 }
 
 // ---------------------------------------------------------------------------
