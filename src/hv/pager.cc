@@ -30,6 +30,7 @@ Result<Duration> HostPager::EvictOne(Policy& policy) {
   if (writeback_amplification_ != 1.0) [[unlikely]] {
     auto stores = AmplifiedWritebacks(choice.page, victim.dirty);
     if (!stores.ok()) {
+      policy.OnPageIn(choice.page);  // still resident: keep it evictable
       return stores;
     }
     cost += stores.value();
@@ -43,6 +44,7 @@ Result<Duration> HostPager::EvictOne(Policy& policy) {
     } else {
       auto store = backend_->StorePage(choice.page);
       if (!store.ok()) {
+        policy.OnPageIn(choice.page);  // still resident: keep it evictable
         return store;
       }
       cost += store.value();

@@ -317,19 +317,35 @@ TEST(ExplicitSdTest, FailedStoreKeepsItsDebt) {
   // 2.2 stores per dirty eviction: the first eviction pays one store and
   // fails the second, so its access fails and the victim stays resident and
   // dirty.  The unpaid 1.2 carries over: the next dirty eviction pays
-  // 1.2 + 2.2 -> three stores, four writebacks in all.
-  FlakyStoreBackend dev(/*fail_at=*/2);
-  auto pager = MakeEsdPager(4, 2, &dev, 2.2);
-  ASSERT_TRUE(pager->Access(0, true).ok());
-  ASSERT_TRUE(pager->Access(1, true).ok());
-  EXPECT_FALSE(pager->Access(2, false).ok());
-  EXPECT_EQ(pager->stats().writebacks, 1u);
-  EXPECT_EQ(pager->stats().evictions, 0u);
-  EXPECT_TRUE(pager->table().at(0).present && pager->table().at(0).dirty);
-  EXPECT_TRUE(pager->table().at(1).present && pager->table().at(1).dirty);
-  ASSERT_TRUE(pager->Access(2, false).ok());
-  EXPECT_EQ(pager->stats().writebacks, 4u);
-  EXPECT_EQ(pager->stats().evictions, 1u);
+  // 1.2 + 2.2 -> three stores, four writebacks in all.  The victim stays
+  // evictable, so a one-frame pager can retry.  Without amplification a
+  // failed store likewise keeps the victim evictable.
+  struct Case {
+    std::uint64_t frames;
+    double amplification;
+    int fail_at;
+    std::uint64_t writebacks_after_failure;
+    std::uint64_t writebacks_after_retry;
+  };
+  for (const Case& c : {Case{2, 2.2, 2, 1, 4}, Case{1, 2.2, 2, 1, 4}, Case{1, 1.0, 1, 0, 1}}) {
+    SCOPED_TRACE(std::to_string(c.frames) + " frame(s), amplification " +
+                 std::to_string(c.amplification));
+    FlakyStoreBackend dev(c.fail_at);
+    auto pager = MakeEsdPager(4, c.frames, &dev, c.amplification);
+    for (PageIndex p = 0; p < c.frames; ++p) {
+      ASSERT_TRUE(pager->Access(p, true).ok());
+    }
+    const PageIndex next = c.frames;
+    EXPECT_FALSE(pager->Access(next, false).ok());
+    EXPECT_EQ(pager->stats().writebacks, c.writebacks_after_failure);
+    EXPECT_EQ(pager->stats().evictions, 0u);
+    for (PageIndex p = 0; p < c.frames; ++p) {
+      EXPECT_TRUE(pager->table().at(p).present && pager->table().at(p).dirty);
+    }
+    ASSERT_TRUE(pager->Access(next, false).ok());
+    EXPECT_EQ(pager->stats().writebacks, c.writebacks_after_retry);
+    EXPECT_EQ(pager->stats().evictions, 1u);
+  }
 }
 
 TEST(ExplicitSdTest, SplitDriverOverheadCharged) {
