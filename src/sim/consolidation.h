@@ -3,10 +3,10 @@
 //   1. find the underloaded hosts: modelled — an awake host with VMs whose
 //      actual CPU load is at most kUnderloadCpu;
 //   2. find the overloaded hosts and offload some of their VMs: not
-//      modelled.  Placement and this planner never book a host past its CPU
-//      capacity, and a VM's usage is fixed for its lifetime, so no scenario
-//      drives a host into overload; the energy result (Fig. 10) comes from
-//      the drains alone;
+//      modelled.  Placement and this planner never book more CPU than a host
+//      has, so no VM runs short of its booking and there is no QoS
+//      violation to relieve; offloading only spreads load, so it cannot add
+//      to the energy saving of Fig. 10;
 //   3. select the VMs to migrate: modelled — every VM of an underloaded host;
 //   4. place them: modelled — stacking onto the awake host with the highest
 //      booked CPU.
