@@ -5,6 +5,7 @@
 #   1 — file/parse errors (a document that is not a report)
 #   2 — usage errors (malformed --tolerance spec, malformed tolerances file)
 #   3 — --fail-on-delta with a delta beyond tolerance or a structural change
+#       (including a point key repeated within one scenario)
 # Also proves the checked-in bench/tolerances.json parses (the CI gate loads
 # it; a typo there must fail here, not in CI).
 #
@@ -39,6 +40,17 @@ file(WRITE "${old}" "{\"scenario\": \"gate\", \"metrics\": {\"m\": 100, \"gone\"
 file(WRITE "${new}" "{\"scenario\": \"gate\", \"metrics\": {\"m\": 104}}")
 file(WRITE "${garbage}" "not a report document")
 file(WRITE "${bad_tolerances}" "{\"default\": \"not-a-tolerance\"}")
+# Two documents whose points repeat the key rate=5; only the repeat moved.
+set(repeat_old "${WORK_DIR}/repeat_old.json")
+set(repeat_new "${WORK_DIR}/repeat_new.json")
+function(write_repeated_points path repeat_value)
+  file(WRITE "${path}"
+    "{\"scenario\": \"gate\", \"metrics\": {}, \"points\": ["
+    "{\"axes\": {\"rate\": \"5\"}, \"metrics\": {\"m\": 10}},"
+    "{\"axes\": {\"rate\": \"5\"}, \"metrics\": {\"m\": ${repeat_value}}}]}")
+endfunction()
+write_repeated_points("${repeat_old}" 1010)
+write_repeated_points("${repeat_new}" 10)
 
 expect_exit("clean self-diff" 0 --fail-on-delta "${old}" "${old}")
 expect_exit("beyond tolerance" 3 --fail-on-delta "${old}" "${new}")
@@ -51,6 +63,7 @@ expect_exit("malformed --tolerance spec" 2
 expect_exit("malformed tolerances file" 2
             --tolerances=${bad_tolerances} "${old}" "${old}")
 expect_exit("garbage document" 1 "${garbage}" "${old}")
+expect_exit("repeated point key" 3 --fail-on-delta "${repeat_old}" "${repeat_new}")
 
 # The checked-in tolerances file must load and keep a self-diff clean.
 expect_exit("checked-in bench/tolerances.json" 0

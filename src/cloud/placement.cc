@@ -22,38 +22,30 @@ bool NovaScheduler::Qualifies(const Server& host, const hv::VmSpec& vm) const {
   return remote_needed == 0 || remote_needed <= config_.remote_pool_available;
 }
 
-std::vector<Server*> NovaScheduler::Filter(const std::vector<Server*>& hosts,
-                                           const hv::VmSpec& vm) const {
-  std::vector<Server*> out;
-  for (Server* host : hosts) {
-    if (host != nullptr && Qualifies(*host, vm)) {
-      out.push_back(host);
-    }
-  }
-  return out;
-}
-
-std::vector<Server*> NovaScheduler::Weigh(std::vector<Server*> candidates) const {
+std::optional<PlacementDecision> NovaScheduler::Place(const std::vector<Server*>& hosts,
+                                                      const hv::VmSpec& vm) const {
+  // One pass: the first qualifying host that no later one beats in
+  // (utilisation, id) order.  Stack: most utilised first.  Spread: least
+  // utilised first.  Ties go to the lower id.
   const bool stack = config_.strategy == PlacementStrategy::kStack;
-  std::stable_sort(candidates.begin(), candidates.end(), [stack](Server* a, Server* b) {
+  const auto better = [stack](const Server* a, const Server* b) {
     const double ua = a->CpuUtilization();
     const double ub = b->CpuUtilization();
     if (ua != ub) {
-      // Stack: most utilised first.  Spread: least utilised first.
       return stack ? ua > ub : ua < ub;
     }
     return a->id() < b->id();
-  });
-  return candidates;
-}
-
-std::optional<PlacementDecision> NovaScheduler::Place(const std::vector<Server*>& hosts,
-                                                      const hv::VmSpec& vm) const {
-  std::vector<Server*> ranked = Weigh(Filter(hosts, vm));
-  if (ranked.empty()) {
+  };
+  Server* chosen = nullptr;
+  for (Server* host : hosts) {
+    if (host != nullptr && Qualifies(*host, vm) &&
+        (chosen == nullptr || better(host, chosen))) {
+      chosen = host;
+    }
+  }
+  if (chosen == nullptr) {
     return std::nullopt;
   }
-  Server* chosen = ranked.front();
   PlacementDecision d;
   d.host = chosen->id();
   d.local_bytes = std::min<Bytes>(chosen->FreeLocalMemory(), vm.reserved_memory);

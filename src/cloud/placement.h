@@ -1,8 +1,9 @@
 // Remote-memory-aware VM placement (Section 5.1).
 //
 // Mirrors Nova's two phases: FILTER the servers able to host the VM, then
-// WEIGH the survivors by the placement strategy.  The zombie change is the
-// relaxed memory filter: a host qualifies if it can give the VM at least
+// WEIGH the survivors by the placement strategy, fused into one pass that
+// keeps the best qualifying host.  The zombie change is the relaxed memory
+// filter: a host qualifies if it can give the VM at least
 // `local_memory_floor` (default 50%) of its reserved memory locally, with
 // the remainder coming from the rack's remote pool.
 #ifndef ZOMBIELAND_SRC_CLOUD_PLACEMENT_H_
@@ -46,11 +47,8 @@ class NovaScheduler {
   const PlacementConfig& config() const { return config_; }
   void set_remote_pool(Bytes available) { config_.remote_pool_available = available; }
 
-  // Phase 1: the hosts able to take `vm`.
-  std::vector<Server*> Filter(const std::vector<Server*>& hosts, const hv::VmSpec& vm) const;
-  // Phase 2: order candidates best-first under the strategy.
-  std::vector<Server*> Weigh(std::vector<Server*> candidates) const;
-  // Full pipeline; nullopt when no host qualifies.
+  // The best host able to take `vm` under the strategy; nullopt when no
+  // host qualifies.
   std::optional<PlacementDecision> Place(const std::vector<Server*>& hosts,
                                          const hv::VmSpec& vm) const;
 

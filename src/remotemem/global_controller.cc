@@ -15,8 +15,9 @@ void GlobalMemoryController::RegisterServer(ServerId server) {
   Mirror({.kind = MirrorOp::Kind::kServerState, .server = server, .is_zombie = false});
 }
 
-void GlobalMemoryController::Restore(const std::vector<BufferRecord>& records,
-                                     const ServerStateView& server_states) {
+void GlobalMemoryController::LoadFromReplica(const BufferDb& replica,
+                                             const ServerStateView& server_states) {
+  const std::vector<BufferRecord> records = replica.Snapshot();
   db_.Load(records);
   servers_ = server_states;
   // Resume the id sequence past every id this controller's stride class has
@@ -28,11 +29,6 @@ void GlobalMemoryController::Restore(const std::vector<BufferRecord>& records,
       next_buffer_id_ = std::max(next_buffer_id_, rec.id + config_.id_stride);
     }
   }
-}
-
-void GlobalMemoryController::LoadFromReplica(const BufferDb& replica,
-                                             const ServerStateView& server_states) {
-  Restore(replica.Snapshot(), server_states);
 }
 
 bool GlobalMemoryController::IsZombie(ServerId server) const {

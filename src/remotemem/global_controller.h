@@ -94,11 +94,8 @@ class GlobalMemoryController {
   // ---- Server lifecycle -------------------------------------------------
   // Registers a server as active (initial state; Section 4.2).
   void RegisterServer(ServerId server);
-  // Rebuilds full state from a replica (failover path, Section 4).
-  void Restore(const std::vector<BufferRecord>& records, const ServerStateView& server_states);
-  // Failover entry point: rebuilds this controller from the secondary's
-  // replica database + server-state view.  Equivalent to Restore but named
-  // for the promotion path and taking the replica db directly.
+  // Failover entry point (Section 4): rebuilds this controller's full state
+  // from the secondary's replica database + server-state view.
   void LoadFromReplica(const BufferDb& replica, const ServerStateView& server_states);
   bool HasServer(ServerId server) const { return servers_.Contains(server); }
   bool IsZombie(ServerId server) const;

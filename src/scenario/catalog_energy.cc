@@ -43,10 +43,9 @@ Report RunTable3(const RunContext& ctx) {
   Report r = ctx.MakeReport();
   r.Text("== Table 3: machine energy per configuration (% of max) ==\n\n");
 
-  std::vector<MachineProfile> machines;
-  for (MachineKind kind : ctx.spec().energy.machines) {
-    machines.push_back(MachineProfileFor(kind));
-  }
+  const std::vector<MachineProfile> machines = {
+      MachineProfileFor(MachineKind::kHpCompaqElite8300),
+      MachineProfileFor(MachineKind::kDellPrecisionT5810)};
 
   std::vector<std::string> header = {"machine"};
   for (std::size_t c = 0; c < acpi::kMeasuredConfigCount; ++c) {
@@ -92,9 +91,6 @@ ZOMBIE_REGISTER_SCENARIO(
         .Title("Table 3: machine energy per configuration (% of max)")
         .Description("The seven measured power configurations plus the "
                      "eq. (1) Sz estimate and a PowerMeter cross-check")
-        .Energy({.machines = {MachineKind::kHpCompaqElite8300,
-                              MachineKind::kDellPrecisionT5810},
-                 .trace = {}})
         .Runner(RunTable3));
 
 // ---------------------------------------------------------------------------
@@ -104,15 +100,24 @@ ZOMBIE_REGISTER_SCENARIO(
 // twice the CPU demand (bottom).
 // ---------------------------------------------------------------------------
 
+sim::TraceConfig Fig10Trace() {
+  sim::TraceConfig config;
+  config.seed = 2018;
+  config.servers = 200;
+  config.tasks = 4000;
+  config.horizon = 2 * kDay;
+  config.target_cpu_load = 0.35;
+  return config;
+}
+
 Report RunFig10(const RunContext& ctx) {
   using acpi::MachineProfile;
 
   Report r = ctx.MakeReport();
   r.Text("== Figure 10: % energy saving vs no-consolidation baseline ==\n\n");
 
-  const Trace original = GenerateTrace(ctx.spec().energy.trace);
-  const Trace modified =
-      WithMemoryRatio(original, ctx.spec().energy.modified_mem_ratio);
+  const Trace original = GenerateTrace(Fig10Trace());
+  const Trace modified = WithMemoryRatio(original, 2.0);
 
   // trace_shape (outer axis) groups the grid into the paper's (top)/(bottom)
   // tables; machine is the row axis.
@@ -191,22 +196,11 @@ Report RunFig10(const RunContext& ctx) {
   return r;
 }
 
-sim::TraceConfig Fig10Trace() {
-  sim::TraceConfig config;
-  config.seed = 2018;
-  config.servers = 200;
-  config.tasks = 4000;
-  config.horizon = 2 * kDay;
-  config.target_cpu_load = 0.35;
-  return config;
-}
-
 ZOMBIE_REGISTER_SCENARIO(
     ScenarioBuilder("fig10")
         .Title("Figure 10: % energy saving vs no-consolidation baseline")
         .Description("Neat vs Oasis vs ZombieStack on both machines, original "
                      "and memory-heavy traces")
-        .Energy({.trace = Fig10Trace(), .modified_mem_ratio = 2.0})
         .Param({.name = "trace_shape",
                 .description = "trace transform axis",
                 .choices = {"original", "modified"}})
@@ -223,6 +217,15 @@ ZOMBIE_REGISTER_SCENARIO(
 // cost metrics (wake-ups, delayed placements).
 // ---------------------------------------------------------------------------
 
+sim::TraceConfig ExtCoolingTrace() {
+  sim::TraceConfig config;
+  config.seed = 2018;
+  config.servers = 200;
+  config.tasks = 4000;
+  config.horizon = 2 * kDay;
+  return config;
+}
+
 Report RunExtCooling(const RunContext& ctx) {
   using sim::PueAt;
 
@@ -231,10 +234,9 @@ Report RunExtCooling(const RunContext& ctx) {
   r.Text(StrPrintf("Partial PUE model: %.2f at full IT load, %.2f near idle.\n\n",
                    PueAt(1.0), PueAt(0.0)));
 
-  const Trace trace = WithMemoryRatio(GenerateTrace(ctx.spec().energy.trace),
-                                      ctx.spec().energy.modified_mem_ratio);
+  const Trace trace = WithMemoryRatio(GenerateTrace(ExtCoolingTrace()), 2.0);
 
-  const auto profile = MachineProfileFor(ctx.spec().energy.machines[0]);
+  const auto profile = MachineProfileFor(MachineKind::kDellPrecisionT5810);
   auto& table = r.AddTable("facility", "",
                            {"policy", "IT saving", "facility saving", "wake-ups",
                             "delayed placements"});
@@ -255,23 +257,11 @@ Report RunExtCooling(const RunContext& ctx) {
   return r;
 }
 
-sim::TraceConfig ExtCoolingTrace() {
-  sim::TraceConfig config;
-  config.seed = 2018;
-  config.servers = 200;
-  config.tasks = 4000;
-  config.horizon = 2 * kDay;
-  return config;
-}
-
 ZOMBIE_REGISTER_SCENARIO(
     ScenarioBuilder("ext_cooling")
         .Title("Extension: cooling-inclusive facility savings (footnote 1)")
         .Description("IT vs facility-level savings under a load-dependent "
                      "partial-PUE model, with consolidation costs")
-        .Energy({.machines = {MachineKind::kDellPrecisionT5810},
-                 .trace = ExtCoolingTrace(),
-                 .modified_mem_ratio = 2.0})
         .Runner(RunExtCooling));
 
 }  // namespace

@@ -132,9 +132,7 @@ ZOMBIE_REGISTER_SCENARIO(
         .Title("Quickstart: the zombieland API end to end")
         .Description("Rack assembly, Sz suspend, RAM-Extension allocation, "
                      "one-sided RDMA against a sleeping host, wake + reclaim")
-        .Topology({.zombies = 1,
-                   .buff_size = 64 * kMiB,
-                   .materialize_memory = true})
+        .Topology({.buff_size = 64 * kMiB})
         .Runner(RunQuickstart));
 
 // ---------------------------------------------------------------------------
@@ -266,7 +264,7 @@ Report RunRemoteSwap(const RunContext& ctx) {
   r.Text("=============================================\n\n");
 
   const workloads::AppProfile profile = ctx.Profile(workloads::App::kElasticsearch);
-  const double fraction = ctx.spec().memory.local_fractions[0];
+  const double fraction = 0.5;
   WorkloadRunner runner;
   const RunResult baseline = runner.RunLocalOnly(profile);
   r.Text(StrPrintf("workload: %s, %.0f MiB reserved, WSS %.0f MiB, 50%% visible RAM\n",
@@ -319,8 +317,6 @@ ZOMBIE_REGISTER_SCENARIO(
         .Title("Explicit SD: remote-RAM swap vs local devices")
         .Description("Zombie-RAM swap vs local SSD/HDD on Elasticsearch at "
                      "50% visible RAM, with the RAM-Ext contrast")
-        .Workload({.apps = {workloads::App::kElasticsearch}})
-        .Memory({.mode = MemoryMode::kExplicitSd, .local_fractions = {0.5}})
         .Runner(RunRemoteSwap));
 
 // ---------------------------------------------------------------------------
@@ -342,8 +338,8 @@ Report RunVmMigrationDemo(const RunContext& ctx) {
   hv::VmSpec vm;
   vm.id = 1;
   vm.name = "demo-vm";
-  vm.reserved_memory = ctx.spec().workload.reserved_memory.value_or(7 * kGiB);
-  vm.working_set = ctx.spec().workload.working_set.value_or(3 * kGiB);
+  vm.reserved_memory = 7 * kGiB;
+  vm.working_set = 3 * kGiB;
 
   // Round-by-round detail for the default dirty rate.
   const MigrationEstimate native = PreCopyMigrate(vm);
@@ -393,7 +389,6 @@ ZOMBIE_REGISTER_SCENARIO(
         .Title("VM migration: vanilla pre-copy vs ZombieStack")
         .Description("Per-round pre-copy detail and the dirty-rate "
                      "sensitivity sweep for a 7 GiB VM")
-        .Workload({.reserved_memory = 7 * kGiB, .working_set = 3 * kGiB})
         .Runner(RunVmMigrationDemo));
 
 // ---------------------------------------------------------------------------
@@ -402,13 +397,22 @@ ZOMBIE_REGISTER_SCENARIO(
 // Fig. 10 study.  Parameters (CLI --set): servers, tasks, mem_ratio.
 // ---------------------------------------------------------------------------
 
+sim::TraceConfig DatacenterTrace() {
+  sim::TraceConfig config;
+  config.seed = 7;
+  config.servers = 100;
+  config.tasks = 2000;
+  config.horizon = 1 * kDay;
+  return config;
+}
+
 Report RunDatacenterEnergy(const RunContext& ctx) {
   using sim::DcResult;
   using sim::Trace;
 
   Report r = ctx.MakeReport();
 
-  sim::TraceConfig config = ctx.spec().energy.trace;
+  sim::TraceConfig config = DatacenterTrace();
   config.servers = ctx.ParamU64("servers", config.servers);
   config.tasks = ctx.ParamU64("tasks", config.tasks);
 
@@ -422,7 +426,7 @@ Report RunDatacenterEnergy(const RunContext& ctx) {
     r.Text(StrPrintf("memory bookings pinned to %.1fx CPU bookings\n\n", ratio));
   }
 
-  const auto profile = MachineProfileFor(ctx.spec().energy.machines[0]);
+  const auto profile = MachineProfileFor(MachineKind::kDellPrecisionT5810);
   auto& table = r.AddTable("policies", "",
                            {"policy", "energy (Emax*h)", "saving", "peak suspended",
                             "migrations", "mean active", "mem servers"});
@@ -445,22 +449,11 @@ Report RunDatacenterEnergy(const RunContext& ctx) {
   return r;
 }
 
-sim::TraceConfig DatacenterTrace() {
-  sim::TraceConfig config;
-  config.seed = 7;
-  config.servers = 100;
-  config.tasks = 2000;
-  config.horizon = 1 * kDay;
-  return config;
-}
-
 ZOMBIE_REGISTER_SCENARIO(
     ScenarioBuilder("ex_datacenter_energy")
         .Title("Datacenter energy study (configurable Fig. 10)")
         .Description("Synthetic cluster trace under all four policies; "
                      "--set servers/tasks/mem_ratio to reshape it")
-        .Energy({.machines = {MachineKind::kDellPrecisionT5810},
-                 .trace = DatacenterTrace()})
         .Param({.name = "servers",
                 .type = ParamType::kU64,
                 .description = "rack size (default: trace config)",

@@ -31,9 +31,9 @@ Report RunFig09(const RunContext& ctx) {
   Report r = ctx.MakeReport();
   r.Text("== Figure 9: migration time vs WSS (native pre-copy vs ZombieStack) ==\n\n");
 
-  const Bytes reserved = ctx.spec().workload.reserved_memory.value_or(7 * kGiB);
+  const Bytes reserved = 7 * kGiB;  // the Section 6.2 VM
   const std::vector<int> wss_ratios = {20, 40, 60, 80};
-  const double local_fraction = ctx.spec().memory.local_fractions[0];
+  const double local_fraction = 0.5;
 
   auto& table = r.AddTable("migration", "",
                            {"WSS ratio %", "native (s)", "zombiestack (s)",
@@ -68,8 +68,6 @@ ZOMBIE_REGISTER_SCENARIO(
         .Title("Figure 9: migration time vs WSS (native pre-copy vs ZombieStack)")
         .Description("Pre-copy live migration vs the ZombieStack "
                      "stop-and-copy + ownership-update protocol")
-        .Workload({.reserved_memory = 7 * kGiB})  // the Section 6.2 VM
-        .Memory({.local_fractions = {0.5}})
         .Runner(RunFig09));
 
 // ---------------------------------------------------------------------------
@@ -166,7 +164,6 @@ ZOMBIE_REGISTER_SCENARIO(
         .Title("Ablation: BUFF_SIZE granularity")
         .Description("Remote-buffer size trade-off: reclaim blast radius vs "
                      "migration ownership-update cost")
-        .Topology({.zombies = 2})
         .Param({.name = "buff_mib",
                 .type = ParamType::kU64,
                 .description = "rack-uniform BUFF_SIZE in MiB",

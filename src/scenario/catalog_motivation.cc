@@ -30,7 +30,7 @@ Report RunFig01(const RunContext& ctx) {
 
   Report r = ctx.MakeReport();
   r.Text("== Figure 1: energy vs. utilisation (percent of max power) ==\n\n");
-  const acpi::MachineProfile hp = MachineProfileFor(ctx.spec().energy.machines[0]);
+  const acpi::MachineProfile hp = MachineProfileFor(MachineKind::kHpCompaqElite8300);
 
   auto& table = r.AddTable("curve", "", {"util %", "actual %", "ideal %"});
   for (int u = 0; u <= 100; u += 10) {
@@ -62,7 +62,6 @@ ZOMBIE_REGISTER_SCENARIO(
         .Title("Figure 1: energy vs. utilisation (percent of max power)")
         .Description("Server power curve vs the energy-proportional ideal, "
                      "with sleep-state floors")
-        .Energy({.machines = {MachineKind::kHpCompaqElite8300}, .trace = {}})
         .Runner(RunFig01));
 
 // ---------------------------------------------------------------------------

@@ -48,7 +48,8 @@ Report RunFig08(const RunContext& ctx) {
   Report r = ctx.MakeReport();
   r.Text("== Figure 8: FIFO vs Clock vs Mixed (micro-benchmark, RAM Ext) ==\n\n");
 
-  const AppProfile profile = ctx.Profile(App::kMicro);
+  AppProfile profile = workloads::Fig8MicroProfile();
+  profile.accesses = ctx.ScaledAccesses(profile.accesses);
   const std::vector<std::string> policies = ctx.Axis("policy");
   std::vector<std::string> locals;
   for (double fraction : ctx.AxisDoubles("local_fraction")) {
@@ -73,7 +74,8 @@ Report RunFig08(const RunContext& ctx) {
     const std::size_t p = pt.AxisIndex("policy");
     const std::size_t f = pt.AxisIndex("local_fraction");
     auto testbed = ctx.MakeTestbed(profile.reserved_memory);
-    WorkloadRunner runner(ctx.MakeRunnerOptions(PolicyKindFromName(pt.Value("policy"))));
+    WorkloadRunner runner(
+        workloads::RunnerOptions{.policy = PolicyKindFromName(pt.Value("policy"))});
     const RunResult run =
         runner.RunRamExt(profile, pt.Double("local_fraction"), testbed->backend());
     top.Set(f, p, Report::Num(run.seconds(), 2));
@@ -121,8 +123,6 @@ ZOMBIE_REGISTER_SCENARIO(
         .Title("Figure 8: FIFO vs Clock vs Mixed (micro-benchmark, RAM Ext)")
         .Description("Replacement-policy sweep over the local-memory fraction "
                      "(exec time, faults, policy cycles)")
-        .Workload({.apps = {App::kMicro}, .fig8_micro = true})
-        .Memory({.mode = MemoryMode::kRamExt})
         .Param({.name = "policy",
                 .description = "replacement policy axis",
                 .choices = {"FIFO", "Clock", "Mixed"}})
@@ -155,7 +155,7 @@ Report RunTable1(const RunContext& ctx) {
 
   // Baselines first (one local-only run per app), so every sweep point is
   // independent and -j N can schedule them across workers.
-  const std::vector<App>& apps = ctx.spec().workload.apps;
+  const std::vector<App> apps = AllApps();
   std::map<App, RunResult> baselines;
   for (App app : apps) {
     WorkloadRunner runner;
@@ -186,8 +186,6 @@ ZOMBIE_REGISTER_SCENARIO(
         .Title("Table 1: RAM-Ext penalty vs % of reserved memory kept local")
         .Description("All four workloads under hypervisor paging into remote "
                      "buffers (Mixed policy)")
-        .Workload({.apps = AllApps()})
-        .Memory({.mode = MemoryMode::kRamExt})
         .Param({.name = "local_fraction",
                 .type = ParamType::kDouble,
                 .default_value = "",
@@ -278,8 +276,6 @@ ZOMBIE_REGISTER_SCENARIO(
         .Title("Table 2: RAM Ext vs Explicit SD and local swap technologies")
         .Description("v1-RE vs v2-ESD vs local SSD/HDD swap across workloads "
                      "and local-memory ratios")
-        .Workload({.apps = AllApps()})
-        .Memory({.mode = MemoryMode::kExplicitSd})
         .Param({.name = "app",
                 .description = "workload axis",
                 .choices = {"micro-bench", "Elasticsearch", "Data caching",
@@ -358,8 +354,6 @@ ZOMBIE_REGISTER_SCENARIO(
         .Title("Section 6.4: remote swap traffic, RAM Ext (v1) vs Explicit SD (v2)")
         .Description("Remote pages moved per workload: the v2 swap-traffic "
                      "amplification (>122% for Elasticsearch)")
-        .Workload({.apps = AllApps()})
-        .Memory({.mode = MemoryMode::kExplicitSd})
         .Param({.name = "app",
                 .description = "workload axis",
                 .choices = {"micro-bench", "Elasticsearch", "Data caching",
@@ -398,7 +392,7 @@ Report RunAblationLocalFloor(const RunContext& ctx) {
     const double floor = pt.Double("floor");
     double worst = 0.0;
     App worst_app = App::kMicro;
-    for (App app : ctx.spec().workload.apps) {
+    for (App app : AllApps()) {
       AppProfile profile = workloads::ProfileFor(app);
       profile.accesses = ctx.ScaledAccesses(profile.accesses / 2);
       WorkloadRunner runner;
@@ -433,8 +427,6 @@ ZOMBIE_REGISTER_SCENARIO(
         .Title("Ablation: placement local-memory floor")
         .Description("Worst-case RAM-Ext penalty vs the admission floor; why "
                      "the paper settles on 50%")
-        .Workload({.apps = AllApps()})
-        .Memory({.mode = MemoryMode::kRamExt})
         .Param({.name = "floor",
                 .type = ParamType::kDouble,
                 .description = "admission floor: lowest local-memory fraction "
@@ -452,7 +444,8 @@ ZOMBIE_REGISTER_SCENARIO(
 Report RunAblationMixedDepth(const RunContext& ctx) {
   Report r = ctx.MakeReport();
   r.Text("== Ablation: Mixed policy depth x (paper default: 5) ==\n\n");
-  const AppProfile profile = ctx.Profile(App::kMicro);
+  AppProfile profile = workloads::Fig8MicroProfile();
+  profile.accesses = ctx.ScaledAccesses(profile.accesses);
   const double fraction = ctx.ParamDouble("local_fraction", 0.4);
   r.Text(StrPrintf(
       "Workload: Fig. 8 micro-benchmark, %.0f%% local memory, remote RAM backend.\n\n",
@@ -468,9 +461,8 @@ Report RunAblationMixedDepth(const RunContext& ctx) {
   // The shared fixed-latency backend is stateless, so points stay
   // independent and can run on -j N workers.
   ctx.ForEachSweepPoint(r, [&](const SweepPoint& pt, report::SweepPointRecord& rec) {
-    workloads::RunnerOptions options = ctx.MakeRunnerOptions(hv::PolicyKind::kMixed);
-    options.mixed_depth = pt.U64("depth");
-    WorkloadRunner runner(options);
+    WorkloadRunner runner(workloads::RunnerOptions{.policy = hv::PolicyKind::kMixed,
+                                                   .mixed_depth = pt.U64("depth")});
     const auto run = runner.RunRamExt(profile, fraction, &remote);
     const std::size_t row = pt.AxisIndex("depth");
     table.Set(row, 0, Report::Num(run.seconds(), 2));
@@ -494,8 +486,6 @@ ZOMBIE_REGISTER_SCENARIO(
         .Title("Ablation: Mixed policy depth x (paper default: 5)")
         .Description("Clock-prefix depth sweep on the Fig. 8 micro-benchmark "
                      "at 40% local memory")
-        .Workload({.apps = {App::kMicro}, .fig8_micro = true})
-        .Memory({.mode = MemoryMode::kRamExt, .policies = {hv::PolicyKind::kMixed}})
         .Param({.name = "depth",
                 .type = ParamType::kU64,
                 .description = "Mixed policy Clock-prefix depth x",

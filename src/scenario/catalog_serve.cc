@@ -171,7 +171,7 @@ ZOMBIE_REGISTER_SCENARIO(
         .Description("Long-running daemon under Poisson/diurnal VM arrivals; "
                      "p50/p99/p999 admission and placement latency, shed rate "
                      "vs arrival rate and local-memory floor")
-        .Topology({.zombies = 4, .buff_size = 64 * kMiB})
+        .Topology({.buff_size = 64 * kMiB})
         .Param({.name = "rate",
                 .type = ParamType::kU64,
                 .description = "mean VM arrival rate (VMs/s)",
@@ -286,7 +286,7 @@ ZOMBIE_REGISTER_SCENARIO(
         .Description("Flash-crowd arrivals vs admission headroom: p50/p99/p999 "
                      "admission and placement latency, shed breakdown, zombie "
                      "wakes under the burst")
-        .Topology({.zombies = 4, .buff_size = 64 * kMiB})
+        .Topology({.buff_size = 64 * kMiB})
         .Param({.name = "rate",
                 .type = ParamType::kU64,
                 .description = "base arrival rate (VMs/s); burst multiplies it",
@@ -466,7 +466,7 @@ ZOMBIE_REGISTER_SCENARIO(
         .Description("Flash crowd with a controller crash, zombie death, "
                      "partition or heartbeat flap mid-burst; every point must "
                      "end healthy with zero orphaned buffers")
-        .Topology({.zombies = 4, .buff_size = 64 * kMiB})
+        .Topology({.buff_size = 64 * kMiB})
         .Param({.name = "fault",
                 .type = ParamType::kString,
                 .description = "which fault fires mid-burst",

@@ -33,8 +33,8 @@ struct ScenarioData {
 };
 
 // One parsed document: its scenarios plus extraction-time problems
-// (duplicate names, unkeyable points) — each of which is a gate violation,
-// because the diff cannot vouch for what it could not pair.
+// (duplicate names, repeated point keys, unkeyable points) — each of which is
+// a gate violation, because the diff cannot vouch for what it could not pair.
 struct ExtractedDoc {
   std::vector<ScenarioData> scenarios;
   std::vector<std::string> notes;
@@ -88,6 +88,8 @@ void AppendReport(const JsonValue& report, std::string_view label,
   data.metrics = MetricsOf(report.Find("metrics"));
   if (const JsonValue* points = report.Find("points");
       points != nullptr && points->is_array()) {
+    std::set<std::string> keys;
+    std::set<std::string> noted;
     for (const JsonValue& point : points->items) {
       PointData pd;
       bool keyable = true;
@@ -107,6 +109,16 @@ void AppendReport(const JsonValue& report, std::string_view label,
                             data.name +
                             " has an axis value with no stable rendering "
                             "(null/array/object)");
+        continue;
+      }
+      // A repeated key cannot be paired meaningfully either: note it (a gate
+      // violation) and compare only the first occurrence.
+      if (!keys.insert(pd.key).second) {
+        if (noted.insert(pd.key).second) {
+          out.notes.push_back("repeated point key in " + std::string(label) + ": " +
+                              data.name + " [" + pd.key +
+                              "] (only the first occurrence is compared)");
+        }
         continue;
       }
       pd.metrics = MetricsOf(point.Find("metrics"));

@@ -17,6 +17,7 @@
 //   * scenario or sweep point added / removed      -> note, counts as FAIL
 //   * duplicate scenario names in either document  -> note, counts as FAIL
 //     (the diff would silently pair the first occurrences)
+//   * a point key repeated within one scenario     -> note, counts as FAIL
 //   * a metric with tolerance "ignore"             -> never compared, its
 //     add/remove excused (for metrics known to be run-dependent)
 //

@@ -12,18 +12,6 @@
 
 namespace zombie::scenario {
 
-std::string_view MemoryModeName(MemoryMode mode) {
-  switch (mode) {
-    case MemoryMode::kLocalOnly:
-      return "local-only";
-    case MemoryMode::kRamExt:
-      return "ram-ext";
-    case MemoryMode::kExplicitSd:
-      return "explicit-sd";
-  }
-  return "unknown";
-}
-
 acpi::MachineProfile MachineProfileFor(MachineKind kind) {
   switch (kind) {
     case MachineKind::kHpCompaqElite8300:
@@ -181,6 +169,20 @@ std::vector<std::string> SplitList(std::string_view list) {
   return out;
 }
 
+// Rejects an axis list that names one value twice: its points would run
+// twice and render under one point key, which the diff gate cannot pair.
+// `where` names the axis in the message.
+Status CheckDistinctValues(const std::string& where,
+                           const std::vector<std::string>& values) {
+  for (auto it = values.begin(); it != values.end(); ++it) {
+    if (std::find(values.begin(), it, *it) != it) {
+      return Status(ErrorCode::kInvalidArgument,
+                    where + ": value '" + *it + "' is listed twice");
+    }
+  }
+  return Status::Ok();
+}
+
 std::string JoinNames(const std::vector<std::string>& names) {
   std::string out;
   for (const std::string& name : names) {
@@ -327,9 +329,12 @@ Status ValidateRunParams(const ScenarioSpec& spec, const RunOptions& options) {
     }
     if (FindSweepAxis(spec.sweep, key) != nullptr) {
       // Axis override: a comma list replacing the axis values.
-      for (const std::string& v : SplitList(value)) {
+      const std::vector<std::string> values = SplitList(value);
+      for (const std::string& v : values) {
         ZOMBIE_RETURN_IF_ERROR(CheckParamValue(*param, v));
       }
+      ZOMBIE_RETURN_IF_ERROR(CheckDistinctValues(
+          "--set " + key + " (an axis of scenario '" + spec.name + "')", values));
       continue;
     }
     if (Status status = CheckParamValue(*param, value); !status.ok()) {
@@ -366,7 +371,10 @@ Status ValidateRunParams(const ScenarioSpec& spec, const RunOptions& options) {
     }
     // Filters subset the effective axis (after any --set replacement).
     const std::vector<std::string> base = BaseAxisValues(*axis, options);
-    for (const std::string& v : SplitList(value)) {
+    const std::vector<std::string> listed = SplitList(value);
+    ZOMBIE_RETURN_IF_ERROR(CheckDistinctValues(
+        "--filter " + key + " (an axis of scenario '" + spec.name + "')", listed));
+    for (const std::string& v : listed) {
       if (std::find(base.begin(), base.end(), v) == base.end()) {
         return Status(ErrorCode::kInvalidArgument,
                       "--filter " + key + ": '" + v + "' is not on axis '" +
@@ -515,39 +523,13 @@ std::uint64_t RunContext::ScaledAccesses(std::uint64_t full) const {
 }
 
 workloads::AppProfile RunContext::Profile(workloads::App app) const {
-  workloads::AppProfile profile =
-      (app == workloads::App::kMicro && spec_.workload.fig8_micro)
-          ? workloads::Fig8MicroProfile()
-          : workloads::ProfileFor(app);
-  if (spec_.workload.reserved_memory.has_value()) {
-    profile.reserved_memory = *spec_.workload.reserved_memory;
-  }
-  if (spec_.workload.working_set.has_value()) {
-    profile.working_set = *spec_.workload.working_set;
-  }
-  if (spec_.workload.accesses.has_value()) {
-    profile.accesses = *spec_.workload.accesses;
-  }
+  workloads::AppProfile profile = workloads::ProfileFor(app);
   profile.accesses = ScaledAccesses(profile.accesses);
   return profile;
 }
 
 std::unique_ptr<Testbed> RunContext::MakeTestbed(Bytes remote_bytes) const {
   return std::make_unique<Testbed>(spec_.topology, remote_bytes);
-}
-
-workloads::RunnerOptions RunContext::MakeRunnerOptions(hv::PolicyKind policy) const {
-  workloads::RunnerOptions options;
-  options.policy = policy;
-  options.mixed_depth = spec_.memory.mixed_depth;
-  return options;
-}
-
-std::vector<hv::PolicyKind> RunContext::Policies() const {
-  if (spec_.memory.policies.empty()) {
-    return {hv::PolicyKind::kMixed};
-  }
-  return spec_.memory.policies;
 }
 
 bool RunContext::HasParam(std::string_view key) const {
@@ -760,27 +742,6 @@ Status Invalid(const std::string& message) {
   return Status(ErrorCode::kInvalidArgument, message);
 }
 
-bool ValidPolicy(hv::PolicyKind policy) {
-  switch (policy) {
-    case hv::PolicyKind::kFifo:
-    case hv::PolicyKind::kClock:
-    case hv::PolicyKind::kMixed:
-      return true;
-  }
-  return false;
-}
-
-bool ValidApp(workloads::App app) {
-  switch (app) {
-    case workloads::App::kMicro:
-    case workloads::App::kElasticsearch:
-    case workloads::App::kDataCaching:
-    case workloads::App::kSparkSql:
-      return true;
-  }
-  return false;
-}
-
 bool ValidMachine(MachineKind kind) {
   switch (kind) {
     case MachineKind::kHpCompaqElite8300:
@@ -822,60 +783,6 @@ Status ValidateSpec(const ScenarioSpec& spec) {
   }
   if (!ValidMachine(topology.machine)) {
     return Invalid("scenario '" + spec.name + "': unknown topology machine kind");
-  }
-
-  const WorkloadSpec& workload = spec.workload;
-  for (workloads::App app : workload.apps) {
-    if (!ValidApp(app)) {
-      return Invalid("scenario '" + spec.name + "': unknown workload app");
-    }
-  }
-  if (workload.reserved_memory.has_value() && *workload.reserved_memory == 0) {
-    return Invalid("scenario '" + spec.name +
-                   "': workload reserved_memory must be nonzero");
-  }
-  if (workload.working_set.has_value() && *workload.working_set == 0) {
-    return Invalid("scenario '" + spec.name + "': workload working_set must be nonzero");
-  }
-  if (workload.reserved_memory.has_value() && workload.working_set.has_value() &&
-      *workload.working_set > *workload.reserved_memory) {
-    return Invalid("scenario '" + spec.name +
-                   "': working_set must not exceed reserved_memory");
-  }
-  if (workload.accesses.has_value() && *workload.accesses == 0) {
-    return Invalid("scenario '" + spec.name + "': workload accesses must be nonzero");
-  }
-
-  const MemorySpec& memory = spec.memory;
-  for (hv::PolicyKind policy : memory.policies) {
-    if (!ValidPolicy(policy)) {
-      return Invalid("scenario '" + spec.name + "': unknown replacement policy");
-    }
-  }
-  if (memory.local_fractions.empty()) {
-    return Invalid("scenario '" + spec.name + "': local_fractions must not be empty");
-  }
-  for (double fraction : memory.local_fractions) {
-    if (!(fraction > 0.0) || fraction > 1.0) {
-      return Invalid("scenario '" + spec.name + "': local fraction " +
-                     report::Report::Num(fraction, 2) + " outside (0, 1]");
-    }
-  }
-  if (memory.mixed_depth == 0) {
-    return Invalid("scenario '" + spec.name + "': mixed_depth must be nonzero");
-  }
-
-  const EnergySpec& energy = spec.energy;
-  if (energy.machines.empty()) {
-    return Invalid("scenario '" + spec.name + "': energy machines must not be empty");
-  }
-  for (MachineKind machine : energy.machines) {
-    if (!ValidMachine(machine)) {
-      return Invalid("scenario '" + spec.name + "': unknown energy machine kind");
-    }
-  }
-  if (energy.modified_mem_ratio < 0.0) {
-    return Invalid("scenario '" + spec.name + "': modified_mem_ratio must be >= 0");
   }
 
   for (std::size_t p = 0; p < spec.params.size(); ++p) {
@@ -923,6 +830,8 @@ Status ValidateSpec(const ScenarioSpec& spec) {
         return Invalid("scenario '" + spec.name + "': sweep " + status.message());
       }
     }
+    ZOMBIE_RETURN_IF_ERROR(CheckDistinctValues(
+        "scenario '" + spec.name + "': sweep axis '" + axis.param + "'", axis.values));
     if (sweep.mode == SweepMode::kZip &&
         axis.values.size() != sweep.axes[0].values.size()) {
       return Invalid("scenario '" + spec.name +

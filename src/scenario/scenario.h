@@ -1,16 +1,17 @@
 // The scenario API: Scenario (a validated spec plus its run function),
 // ScenarioBuilder (fluent construction with validation), and RunContext (the
 // composition surface a run function uses: profiles with smoke scaling
-// applied, testbeds from the topology spec, runner options from the memory
-// spec, CLI parameter overrides).
+// applied, testbeds from the topology spec, typed CLI parameters and sweep
+// points).
 //
 // Registering a new experiment:
 //
 //   ZOMBIE_REGISTER_SCENARIO(
 //       ScenarioBuilder("fig42")
 //           .Title("Figure 42: ...")
-//           .Workload({.apps = {App::kMicro}})
-//           .Memory({.local_fractions = {0.2, 0.5, 0.8}})
+//           .Param({.name = "local_fraction", .type = ParamType::kDouble,
+//                   .description = "fraction of reserved memory kept local"})
+//           .Sweep({.axes = {{"local_fraction", {"0.2", "0.5", "0.8"}}}})
 //           .Runner([](const RunContext& ctx) { ... return report; }))
 //
 // and `zombieland run fig42 --format=json` works with no new binary.
@@ -31,7 +32,6 @@
 #include "src/common/result.h"
 #include "src/scenario/spec.h"
 #include "src/sim/dc_sim.h"
-#include "src/workloads/runner.h"
 
 namespace zombie::cloud {
 struct FaultPlan;
@@ -114,19 +114,12 @@ class RunContext {
   // bench binary used to re-implement via ZOMBIE_BENCH_SMOKE.
   std::uint64_t ScaledAccesses(std::uint64_t full) const;
 
-  // The calibrated profile for `app` with the spec's workload overrides and
-  // smoke scaling applied.
+  // The calibrated profile for `app` with smoke scaling applied.
   workloads::AppProfile Profile(workloads::App app) const;
 
   // Section 6.1 testbed built from the topology spec, with a `remote_bytes`
   // extension allocated to the user server.
   std::unique_ptr<Testbed> MakeTestbed(Bytes remote_bytes) const;
-
-  // WorkloadRunner options for one point of the policy sweep.
-  workloads::RunnerOptions MakeRunnerOptions(hv::PolicyKind policy) const;
-
-  // The memory spec's policy sweep ({kMixed} when none was given).
-  std::vector<hv::PolicyKind> Policies() const;
 
   // CLI parameter overrides.  HasParam is true only for keys set on the CLI;
   // the Param* getters resolve CLI value -> declared default -> `fallback`.
@@ -213,18 +206,6 @@ class ScenarioBuilder {
   }
   ScenarioBuilder& Topology(TopologySpec topology) {
     spec_.topology = std::move(topology);
-    return *this;
-  }
-  ScenarioBuilder& Workload(WorkloadSpec workload) {
-    spec_.workload = std::move(workload);
-    return *this;
-  }
-  ScenarioBuilder& Memory(MemorySpec memory) {
-    spec_.memory = std::move(memory);
-    return *this;
-  }
-  ScenarioBuilder& Energy(EnergySpec energy) {
-    spec_.energy = std::move(energy);
     return *this;
   }
   // Declares a `--set` parameter (validated key, typed value, introspectable

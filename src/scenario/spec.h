@@ -1,10 +1,10 @@
 // ScenarioSpec: the declarative experiment description of the scenario API.
 //
-// A spec is pure data — topology (rack shape, zombie count, buffer size),
-// workload (application profiles + overrides), memory configuration
-// (local-only / RAM-Ext / Explicit-SD, replacement policy sweep, local
-// fractions) and energy study (machine profiles, dc-sim trace) — validated
-// by ScenarioBuilder and interpreted by a Scenario's run function.  New
+// A spec is pure data — a name and title, the topology of the Section 6.1
+// testbed (rack shape, zombie count, buffer size), the typed `--set`
+// parameters a run reads and the sweep grid built from them — validated by
+// ScenarioBuilder and interpreted by a Scenario's run function.  Constants
+// a scenario does not expose as parameters live in its run function.  New
 // NituTTIH18 configurations are registry entries built from these values,
 // not new binaries.
 #ifndef ZOMBIELAND_SRC_SCENARIO_SPEC_H_
@@ -20,19 +20,9 @@
 #include "src/acpi/energy_model.h"
 #include "src/common/units.h"
 #include "src/hv/replacement.h"
-#include "src/sim/trace.h"
 #include "src/workloads/app_models.h"
 
 namespace zombie::scenario {
-
-// The memory configurations of Section 6 (plus the baseline).
-enum class MemoryMode : std::uint8_t {
-  kLocalOnly = 0,  // all reserved memory resident (the Table-1 reference)
-  kRamExt,         // hypervisor paging into remote buffers (v1)
-  kExplicitSd,     // guest-visible swap device (v2)
-};
-
-std::string_view MemoryModeName(MemoryMode mode);
 
 // The two Table-3 testbed machines.
 enum class MachineKind : std::uint8_t {
@@ -60,36 +50,6 @@ struct TopologySpec {
   Bytes server_memory = 16 * kGiB;
   Bytes buff_size = 4 * kMiB;       // the rack-uniform BUFF_SIZE
   bool materialize_memory = false;  // real bytes vs accounting-only
-};
-
-// Application side: which calibrated profiles run, with optional overrides.
-struct WorkloadSpec {
-  std::vector<workloads::App> apps;
-  // Use the Fig. 8 iteration order for the micro-benchmark (random-entry
-  // with a hot subset) instead of the Table-1 sequential pass.
-  bool fig8_micro = false;
-  // Optional overrides of the calibrated profile (unset = profile value).
-  std::optional<Bytes> reserved_memory;
-  std::optional<Bytes> working_set;
-  std::optional<std::uint64_t> accesses;
-};
-
-// Memory configuration under test.
-struct MemorySpec {
-  MemoryMode mode = MemoryMode::kRamExt;
-  // The replacement-policy sweep; empty means {kMixed}.
-  std::vector<hv::PolicyKind> policies;
-  // Fractions of reserved memory kept in local RAM, each in (0, 1].
-  std::vector<double> local_fractions = {0.5};
-  std::size_t mixed_depth = 5;  // the Mixed policy's Clock-prefix x
-};
-
-// Datacenter energy study (Fig. 10 family).
-struct EnergySpec {
-  std::vector<MachineKind> machines = {MachineKind::kHpCompaqElite8300};
-  sim::TraceConfig trace;
-  // Also run the modified-trace transform (memory demand = ratio x CPU).
-  double modified_mem_ratio = 0.0;  // 0 = original shape only
 };
 
 // ---------------------------------------------------------------------------
@@ -138,9 +98,9 @@ enum class SweepMode : std::uint8_t {
 
 std::string_view SweepModeName(SweepMode mode);
 
-// One axis of the grid: a declared parameter plus the values it takes.
-// Values are in rendered form and validated against the parameter's type;
-// `--set <param>=v1,v2,...` replaces them at run time.
+// One axis of the grid: a declared parameter plus the distinct values it
+// takes.  Values are in rendered form and validated against the parameter's
+// type; `--set <param>=v1,v2,...` replaces them at run time.
 struct SweepAxis {
   std::string param;
   std::vector<std::string> values;
@@ -163,15 +123,11 @@ struct ScenarioSpec {
   std::uint64_t smoke_scale = 20'000;
 
   TopologySpec topology;
-  WorkloadSpec workload;
-  MemorySpec memory;
-  EnergySpec energy;
 
   // Declared `--set` parameters (validated, introspectable) and the sweep
   // grid built from them (empty = not a swept scenario).
   std::vector<ParamSpec> params;
   SweepSpec sweep;
-
 };
 
 }  // namespace zombie::scenario

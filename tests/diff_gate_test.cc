@@ -1,9 +1,10 @@
 // Tests for the diff regression gate (PR 6): tolerance parsing (CLI specs
 // and the tolerances file), violation counting in DiffReportDocs (absolute /
 // percent / ignore tolerances, the old=0 percent policy, structural changes,
-// duplicate scenario names, non-string axis values), and the zombieland CLI
-// exit-code contract — including the `run` satellites (duplicate names
-// rejected, all failures reported while successful reports still emit).
+// duplicate scenario names, repeated point keys, non-string axis values), and
+// the zombieland CLI exit-code contract — including the `run` satellites
+// (duplicate names and repeated axis values rejected, all failures reported
+// while successful reports still emit).
 //
 // This TU registers its own gate_ok / gate_fail scenarios; registration is
 // per-binary, so they exist only here and `run --all` in other suites is
@@ -225,6 +226,35 @@ TEST(DiffGateTest, DuplicateScenarioNamesAreNotedAndFail) {
       std::string::npos);
 }
 
+// A document of one swept scenario whose points carry the given keys (rate
+// values) and metric values, in order.
+std::string PointsDoc(const std::vector<std::pair<int, double>>& points) {
+  std::string items;
+  for (const auto& [rate, value] : points) {
+    items += std::string(items.empty() ? "" : ",") + "{\"axes\": {\"rate\": \"" +
+             std::to_string(rate) + "\"}, \"metrics\": {\"adm_p50_ms\": " +
+             report::JsonNumber(value) + "}}";
+  }
+  return "{\"scenario\": \"s\", \"metrics\": {}, \"points\": [" + items + "]}";
+}
+
+TEST(DiffGateTest, RepeatedPointKeysAreNotedAndFail) {
+  // Both documents repeat the key rate=5; only the repeat moved.  Pairing
+  // every repeat with the first old point would hide that change.
+  const std::string old_doc = PointsDoc({{5, 10}, {15, 20}, {5, 1010}, {15, 20}});
+  const std::string new_doc = PointsDoc({{5, 10}, {15, 20}, {5, 10}, {15, 20}});
+  auto diff = DiffReportDocs(old_doc, new_doc);
+  ASSERT_TRUE(diff.ok());
+  EXPECT_EQ(diff.value().violations, 4u);  // two repeated keys per document
+  const std::string text = diff.value().report.RenderTableText();
+  EXPECT_NE(text.find("repeated point key in old document: s [rate=5]"),
+            std::string::npos)
+      << text;
+  EXPECT_NE(text.find("repeated point key in new document: s [rate=15]"),
+            std::string::npos)
+      << text;
+}
+
 TEST(DiffGateTest, NumericAndBooleanAxisValuesKeyPoints) {
   // Other producers may emit numeric axes; they must key distinctly, not
   // collapse onto one key (the empty-key collision regression).
@@ -383,6 +413,16 @@ TEST(CliExitCodeTest, DiffOnlyFlagsAreRejectedElsewhere) {
 
 TEST(CliRunTest, DuplicateScenarioNamesAreAUsageError) {
   EXPECT_EQ(RunCli({"zombieland", "run", "gate_ok", "gate_ok", "--smoke"}), 2);
+}
+
+TEST(CliRunTest, RepeatedAxisValuesAreAUsageError) {
+  // Each would run serve_steady's rate=5 points twice under one point key.
+  EXPECT_EQ(RunCli({"zombieland", "run", "serve_steady", "--smoke", "--set",
+                    "rate=5,5"}),
+            2);
+  EXPECT_EQ(RunCli({"zombieland", "run", "serve_steady", "--smoke", "--filter",
+                    "rate=5,5"}),
+            2);
 }
 
 TEST(CliRunTest, AllFailuresReportedAndSuccessfulReportsStillEmitted) {

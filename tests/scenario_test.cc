@@ -63,57 +63,6 @@ TEST(ScenarioBuilderTest, RejectsMissingRunner) {
   EXPECT_NE(scenario.status().message().find("run function"), std::string::npos);
 }
 
-TEST(ScenarioBuilderTest, RejectsBadLocalFraction) {
-  for (double bad : {0.0, -0.25, 1.5}) {
-    SCOPED_TRACE(bad);
-    auto scenario = ScenarioBuilder("t")
-                        .Title("t")
-                        .Memory({.local_fractions = {0.5, bad}})
-                        .Runner(NopRunner())
-                        .Build();
-    ASSERT_FALSE(scenario.ok());
-    EXPECT_NE(scenario.status().message().find("local fraction"), std::string::npos);
-  }
-}
-
-TEST(ScenarioBuilderTest, RejectsEmptyLocalFractions) {
-  auto scenario = ScenarioBuilder("t")
-                      .Title("t")
-                      .Memory({.local_fractions = {}})
-                      .Runner(NopRunner())
-                      .Build();
-  EXPECT_FALSE(scenario.ok());
-}
-
-TEST(ScenarioBuilderTest, RejectsZeroReservedMemory) {
-  auto scenario = ScenarioBuilder("t")
-                      .Title("t")
-                      .Workload({.reserved_memory = Bytes{0}})
-                      .Runner(NopRunner())
-                      .Build();
-  ASSERT_FALSE(scenario.ok());
-  EXPECT_NE(scenario.status().message().find("reserved_memory"), std::string::npos);
-}
-
-TEST(ScenarioBuilderTest, RejectsWorkingSetLargerThanReserved) {
-  auto scenario = ScenarioBuilder("t")
-                      .Title("t")
-                      .Workload({.reserved_memory = 8 * kMiB, .working_set = 16 * kMiB})
-                      .Runner(NopRunner())
-                      .Build();
-  EXPECT_FALSE(scenario.ok());
-}
-
-TEST(ScenarioBuilderTest, RejectsUnknownPolicy) {
-  auto scenario = ScenarioBuilder("t")
-                      .Title("t")
-                      .Memory({.policies = {static_cast<hv::PolicyKind>(99)}})
-                      .Runner(NopRunner())
-                      .Build();
-  ASSERT_FALSE(scenario.ok());
-  EXPECT_NE(scenario.status().message().find("policy"), std::string::npos);
-}
-
 TEST(ScenarioBuilderTest, RejectsZeroSmokeScale) {
   auto scenario =
       ScenarioBuilder("t").Title("t").SmokeScale(0).Runner(NopRunner()).Build();
@@ -133,15 +82,6 @@ TEST(ScenarioBuilderTest, RejectsZeroServerMemoryAndOversizedBuff) {
                       .Runner(NopRunner())
                       .Build();
   EXPECT_FALSE(big_buff.ok());
-}
-
-TEST(ScenarioBuilderTest, RejectsEmptyEnergyMachines) {
-  auto scenario = ScenarioBuilder("t")
-                      .Title("t")
-                      .Energy({.machines = {}, .trace = {}})
-                      .Runner(NopRunner())
-                      .Build();
-  EXPECT_FALSE(scenario.ok());
 }
 
 // ---------------------------------------------------------------------------
@@ -184,6 +124,16 @@ TEST(SweepSpecTest, RejectsDuplicateAxis) {
   ASSERT_FALSE(scenario.ok());
   EXPECT_NE(scenario.status().message().find("duplicate sweep axis"),
             std::string::npos);
+}
+
+TEST(SweepSpecTest, RejectsRepeatedAxisValue) {
+  auto scenario =
+      SweptBuilder().Sweep({.axes = {{"fraction", {"0.2", "0.5", "0.2"}}}}).Build();
+  ASSERT_FALSE(scenario.ok());
+  EXPECT_NE(scenario.status().message().find(
+                "sweep axis 'fraction': value '0.2' is listed twice"),
+            std::string::npos)
+      << scenario.status().message();
 }
 
 TEST(SweepSpecTest, RejectsMistypedAxisValue) {
@@ -430,16 +380,21 @@ TEST(RunContextTest, ScaledAccessesCapsOnlyInSmokeMode) {
 }
 
 TEST(RunContextTest, ProfileAppliesOverridesAndSmoke) {
+  // The calibrated profile, with only the smoke cap applied.
   ScenarioSpec spec;
-  spec.workload.reserved_memory = 8 * kMiB;
-  spec.workload.working_set = 4 * kMiB;
+  spec.smoke_scale = 1000;
+  const auto calibrated = workloads::ProfileFor(workloads::App::kElasticsearch);
+  ASSERT_GT(calibrated.accesses, spec.smoke_scale);
+  RunOptions full;
+  EXPECT_EQ(RunContext(spec, full).Profile(workloads::App::kElasticsearch).accesses,
+            calibrated.accesses);
   RunOptions smoke;
   smoke.smoke = true;
   const auto profile =
       RunContext(spec, smoke).Profile(workloads::App::kElasticsearch);
-  EXPECT_EQ(profile.reserved_memory, 8 * kMiB);
-  EXPECT_EQ(profile.working_set, 4 * kMiB);
-  EXPECT_LE(profile.accesses, spec.smoke_scale);
+  EXPECT_EQ(profile.reserved_memory, calibrated.reserved_memory);
+  EXPECT_EQ(profile.working_set, calibrated.working_set);
+  EXPECT_EQ(profile.accesses, spec.smoke_scale);
 }
 
 TEST(RunContextTest, ParamsParseAndFallBack) {

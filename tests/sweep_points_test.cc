@@ -184,6 +184,27 @@ TEST(FilterTest, ValidatesAgainstTheReplacedAxis) {
   EXPECT_FALSE(ValidateRunParams(spec, options).ok());
 }
 
+TEST(FilterTest, RejectsRepeatedValuesOnSetAndFilterLists) {
+  // A repeated axis value would run its points twice under one point key.
+  const ScenarioSpec spec = TwoAxisSpec();
+  RunOptions set;
+  set.params["fraction"] = "0.1,0.9,0.1";
+  Status status = ValidateRunParams(spec, set);
+  ASSERT_FALSE(status.ok());
+  EXPECT_NE(status.message().find("--set fraction (an axis of scenario 'swept'): "
+                                  "value '0.1' is listed twice"),
+            std::string::npos)
+      << status.message();
+  RunOptions filter;
+  filter.filters["policy"] = "Clock,Clock";
+  status = ValidateRunParams(spec, filter);
+  ASSERT_FALSE(status.ok());
+  EXPECT_NE(status.message().find("--filter policy (an axis of scenario 'swept'): "
+                                  "value 'Clock' is listed twice"),
+            std::string::npos)
+      << status.message();
+}
+
 TEST(FilterTest, ZipSweepFilterSelectsLockstepRows) {
   // Zip rows: (FIFO, 0.2), (Clock, 0.5), (Mixed, 0.8).  Filtering one axis
   // keeps whole rows — the other axes shrink in lockstep, and no (policy,
