@@ -34,8 +34,6 @@ Duration TransitionLatencies::ExitLatency(SleepState s) const {
 
 void Firmware::InitChipset() {
   sz_configured_ = plane_->sz_capable();
-  transition_log_.push_back(sz_configured_ ? "boot: Sz chipset configuration initialised"
-                                           : "boot: legacy chipset (no Sz switches)");
 }
 
 Result<SleepState> Firmware::LatchAndSleep() {
@@ -52,7 +50,6 @@ Result<SleepState> Firmware::LatchAndSleep() {
     return Status(ErrorCode::kFailedPrecondition, "power plane refused state transition");
   }
   platform_state_ = target;
-  transition_log_.push_back(std::string("enter ") + std::string(SleepStateName(target)));
   pm1_.pm1a.ClearSlpEn();
   pm1_.pm1b.ClearSlpEn();
   return target;
@@ -61,8 +58,6 @@ Result<SleepState> Firmware::LatchAndSleep() {
 void Firmware::Wake() {
   // Re-initialise chipset state, reopen every rail, hand control to the OS.
   plane_->ApplyState(SleepState::kS0);
-  transition_log_.push_back(std::string("exit ") + std::string(SleepStateName(platform_state_)) +
-                            " -> S0");
   platform_state_ = SleepState::kS0;
 }
 

@@ -8,8 +8,6 @@
 #define ZOMBIELAND_SRC_ACPI_FIRMWARE_H_
 
 #include <optional>
-#include <string>
-#include <vector>
 
 #include "src/acpi/power_domain.h"
 #include "src/acpi/registers.h"
@@ -58,16 +56,12 @@ class Firmware {
   const TransitionLatencies& latencies() const { return latencies_; }
   SleepState platform_state() const { return platform_state_; }
 
-  // Firmware-side transition log for diagnostics / tests.
-  const std::vector<std::string>& transition_log() const { return transition_log_; }
-
  private:
   PowerPlane* plane_;
   Pm1Block pm1_;
   TransitionLatencies latencies_;
   SleepState platform_state_ = SleepState::kS0;
   bool sz_configured_ = false;
-  std::vector<std::string> transition_log_;
 };
 
 }  // namespace zombie::acpi

@@ -37,7 +37,7 @@ Result<SleepState> Ospm::EnterState(SleepState target) {
 
 Result<SleepState> Ospm::SuspendDevicesAndEnter(SleepState target) {
   Trace("suspend_devices_and_enter");
-  last_suspended_devices_ = devices_->SuspendAll(target);
+  devices_->SuspendAll(target);
   return SuspendEnter(target);
 }
 

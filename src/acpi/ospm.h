@@ -49,10 +49,6 @@ class Ospm {
 
   // Call trace of the last transition (function names as in Fig. 6).
   const std::vector<std::string>& call_trace() const { return call_trace_; }
-  // Devices actually suspended in the last transition.
-  const std::vector<std::string>& last_suspended_devices() const {
-    return last_suspended_devices_;
-  }
 
  private:
   [[nodiscard]] Result<SleepState> PmSuspend(SleepState target);
@@ -70,7 +66,6 @@ class Ospm {
   SleepState current_state_ = SleepState::kS0;
   std::function<void()> pre_zombie_hook_;
   std::vector<std::string> call_trace_;
-  std::vector<std::string> last_suspended_devices_;
 };
 
 }  // namespace zombie::acpi

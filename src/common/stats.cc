@@ -1,6 +1,5 @@
 #include "src/common/stats.h"
 
-#include <cassert>
 #include <cstdio>
 
 namespace zombie {
@@ -71,45 +70,6 @@ PercentileSummary Percentiles::Summary() {
   summary.p99 = Percentile(99.0);
   summary.p999 = Percentile(99.9);
   return summary;
-}
-
-Histogram::Histogram(double lo, double hi, std::size_t buckets)
-    : lo_(lo), hi_(hi), width_((hi - lo) / static_cast<double>(buckets)), counts_(buckets, 0) {
-  assert(hi > lo && buckets > 0);
-}
-
-void Histogram::Add(double x) {
-  std::size_t idx = 0;
-  if (x >= hi_) {
-    idx = counts_.size() - 1;
-  } else if (x > lo_) {
-    idx = static_cast<std::size_t>((x - lo_) / width_);
-    if (idx >= counts_.size()) {
-      idx = counts_.size() - 1;
-    }
-  }
-  ++counts_[idx];
-  ++total_;
-}
-
-std::string Histogram::Render(std::size_t max_width) const {
-  std::uint64_t peak = 1;
-  for (auto c : counts_) {
-    peak = std::max(peak, c);
-  }
-  std::string out;
-  char line[160];
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    const auto bar_len =
-        static_cast<std::size_t>(static_cast<double>(counts_[i]) / static_cast<double>(peak) *
-                                 static_cast<double>(max_width));
-    std::snprintf(line, sizeof(line), "%12.3f | %-8llu ", bucket_low(i),
-                  static_cast<unsigned long long>(counts_[i]));
-    out += line;
-    out.append(bar_len, '#');
-    out += '\n';
-  }
-  return out;
 }
 
 }  // namespace zombie

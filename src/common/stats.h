@@ -85,29 +85,6 @@ class Percentiles {
   bool sorted_ = true;
 };
 
-// Fixed-width bucket histogram over [lo, hi); out-of-range values clamp into
-// the first/last bucket.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t buckets);
-
-  void Add(double x);
-  std::uint64_t bucket_count(std::size_t i) const { return counts_.at(i); }
-  std::size_t buckets() const { return counts_.size(); }
-  std::uint64_t total() const { return total_; }
-  double bucket_low(std::size_t i) const { return lo_ + width_ * static_cast<double>(i); }
-
-  // Simple ASCII rendering for bench output.
-  std::string Render(std::size_t max_width = 40) const;
-
- private:
-  double lo_;
-  double hi_;
-  double width_;
-  std::vector<std::uint64_t> counts_;
-  std::uint64_t total_ = 0;
-};
-
 }  // namespace zombie
 
 #endif  // ZOMBIELAND_SRC_COMMON_STATS_H_

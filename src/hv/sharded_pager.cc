@@ -10,17 +10,13 @@ ShardedPager::ShardedPager(std::uint64_t guest_pages, std::uint64_t local_frames
                            ShardedPagerConfig config)
     : config_(config),
       backend_("remote-batch", remote_latency),
-      shard_of_(guest_pages),
-      local_page_(guest_pages) {
+      guest_pages_(guest_pages) {
   config_.shards = std::max<std::uint32_t>(config_.shards, 1);
   lanes_.resize(config_.shards);
 
-  // Seeded partition: every page gets a home lane and a dense index in that
-  // lane's local page space (assigned in increasing global-page order).
+  // Seeded partition: every page gets a home lane.
   for (PageIndex p = 0; p < guest_pages; ++p) {
-    const std::uint32_t s = HomeShard(p, config_.seed, config_.shards);
-    shard_of_[p] = s;
-    local_page_[p] = lanes_[s].pages++;
+    ++lanes_[HomeShard(p, config_.seed, config_.shards)].pages;
   }
 
   // Frames split proportionally to owned pages, deterministically in shard
@@ -42,13 +38,11 @@ ShardedPager::ShardedPager(std::uint64_t guest_pages, std::uint64_t local_frames
         1, remaining_frames * lane.pages / std::max<std::uint64_t>(remaining_pages, 1));
     // Leave at least one frame for every lane still to be sized.
     f = std::min(f, remaining_frames - lanes_left);
-    lane.frames = f;
     remaining_frames -= f;
     remaining_pages -= lane.pages;
     lane.batcher = std::make_unique<RemoteFaultBatcher>(&ring_, remote_latency,
                                                         config_.fault_batch);
-    lane.pager = std::make_unique<HostPager>(lane.pages, lane.frames, MakePolicy(policy, {}),
-                                             &backend_);
+    lane.pager = std::make_unique<HostPager>(lane.pages, f, MakePolicy(policy, {}), &backend_);
     lane.pager->set_fault_batcher(lane.batcher.get());
   }
 }

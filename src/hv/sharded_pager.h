@@ -60,16 +60,10 @@ class ShardedPager {
                DeviceLatency remote_latency, ShardedPagerConfig config);
 
   std::uint32_t shards() const { return static_cast<std::uint32_t>(lanes_.size()); }
-  std::uint64_t guest_pages() const { return shard_of_.size(); }
+  std::uint64_t guest_pages() const { return guest_pages_; }
 
-  // The lane that owns a global page, and the page's dense index inside that
-  // lane's local page space.
-  std::uint32_t shard_of(PageIndex global) const { return shard_of_[global]; }
-  PageIndex local_page(PageIndex global) const { return local_page_[global]; }
-
-  // Pages / frames owned by lane s, and the seed of its RNG stream.
+  // Pages owned by lane s, and the seed of its RNG stream.
   std::uint64_t shard_pages(std::uint32_t s) const { return lanes_[s].pages; }
-  std::uint64_t shard_frames(std::uint32_t s) const { return lanes_[s].frames; }
   std::uint64_t shard_seed(std::uint32_t s) const { return config_.seed + s * kShardSeedGamma; }
 
   // Lane s's pager; null for a (degenerate) empty shard.
@@ -97,7 +91,6 @@ class ShardedPager {
  private:
   struct Lane {
     std::uint64_t pages = 0;
-    std::uint64_t frames = 0;
     std::unique_ptr<RemoteFaultBatcher> batcher;
     std::unique_ptr<HostPager> pager;
     Duration drain_cost = 0;
@@ -106,8 +99,7 @@ class ShardedPager {
   ShardedPagerConfig config_;
   DeviceBackend backend_;           // shared: stateless fixed-latency device
   rdma::ClientRing ring_;           // shared: lock-free slot hand-off
-  std::vector<std::uint32_t> shard_of_;   // global page -> owning lane
-  std::vector<PageIndex> local_page_;     // global page -> dense local index
+  std::uint64_t guest_pages_ = 0;
   std::vector<Lane> lanes_;
 };
 

@@ -44,8 +44,7 @@ Report RunTable3(const RunContext& ctx) {
   r.Text("== Table 3: machine energy per configuration (% of max) ==\n\n");
 
   const std::vector<MachineProfile> machines = {
-      MachineProfileFor(MachineKind::kHpCompaqElite8300),
-      MachineProfileFor(MachineKind::kDellPrecisionT5810)};
+      MachineProfile::HpCompaqElite8300(), MachineProfile::DellPrecisionT5810()};
 
   std::vector<std::string> header = {"machine"};
   for (std::size_t c = 0; c < acpi::kMeasuredConfigCount; ++c) {
@@ -124,7 +123,7 @@ Report RunFig10(const RunContext& ctx) {
   const std::vector<std::string> machines = ctx.Axis("machine");
   std::vector<std::string> machine_rows;
   for (const std::string& key : machines) {
-    machine_rows.push_back(MachineProfileFor(MachineKindFromKey(key)).name());
+    machine_rows.push_back(MachineProfileFromKey(key).name());
   }
 
   // One table per trace shape, created up front in shape-axis order (the
@@ -149,9 +148,8 @@ Report RunFig10(const RunContext& ctx) {
   ctx.ForEachSweepPoint(r, [&](const SweepPoint& pt, report::SweepPointRecord& rec) {
     const bool modified_shape = pt.Value("trace_shape") == "modified";
     report::SweepTable& table = tables[pt.AxisIndex("trace_shape")];
-    const MachineKind kind = MachineKindFromKey(pt.Value("machine"));
-    const std::vector<DcResult> results =
-        RunAllPolicies(modified_shape ? modified : original, MachineProfileFor(kind));
+    const std::vector<DcResult> results = RunAllPolicies(
+        modified_shape ? modified : original, MachineProfileFromKey(pt.Value("machine")));
     const std::size_t row = pt.AxisIndex("machine");
     for (std::size_t p = 0; p < 3; ++p) {
       table.Set(row, p, Report::Num(results[p + 1].saving_percent, 0) + "%");
@@ -162,7 +160,7 @@ Report RunFig10(const RunContext& ctx) {
     for (std::size_t p = 1; p < results.size(); ++p) {
       RecordDecisionMetrics(rec, results[p]);
     }
-    if (modified_shape && kind == MachineKind::kDellPrecisionT5810) {
+    if (modified_shape && pt.Value("machine") == "dell") {
       dell_modified = results;
     }
   });
@@ -177,8 +175,7 @@ Report RunFig10(const RunContext& ctx) {
   // the modified-trace table (re-simulated only if the sweep dropped Dell).
   std::vector<DcResult> results = std::move(dell_modified);
   if (results.empty()) {
-    results =
-        RunAllPolicies(modified, MachineProfileFor(MachineKind::kDellPrecisionT5810));
+    results = RunAllPolicies(modified, MachineProfile::DellPrecisionT5810());
   }
   const double vs_neat =
       100.0 * (results[3].saving_percent - results[1].saving_percent) /
@@ -236,7 +233,7 @@ Report RunExtCooling(const RunContext& ctx) {
 
   const Trace trace = WithMemoryRatio(GenerateTrace(ExtCoolingTrace()), 2.0);
 
-  const auto profile = MachineProfileFor(MachineKind::kDellPrecisionT5810);
+  const auto profile = acpi::MachineProfile::DellPrecisionT5810();
   auto& table = r.AddTable("facility", "",
                            {"policy", "IT saving", "facility saving", "wake-ups",
                             "delayed placements"});

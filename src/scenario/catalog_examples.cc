@@ -48,7 +48,7 @@ Result<Report> RunQuickstart(const RunContext& ctx) {
   // CI smoke pass).
   const Bytes server_memory = ctx.smoke() ? 1 * kGiB : 16 * kGiB;
   const Bytes extent_bytes = ctx.smoke() ? 256 * kMiB : 1 * kGiB;
-  const Bytes buff_size = ctx.smoke() ? 16 * kMiB : ctx.spec().topology.buff_size;
+  const Bytes buff_size = ctx.smoke() ? 16 * kMiB : 64 * kMiB;
 
   // 1. Assemble the rack.  materialize_memory=true so remote pages carry
   //    real bytes we can verify.
@@ -56,8 +56,8 @@ Result<Report> RunQuickstart(const RunContext& ctx) {
   config.buff_size = buff_size;
   config.materialize_memory = true;
   Rack rack(config);
-  auto profile = MachineProfileFor(ctx.spec().topology.machine);
-  const cloud::ServerCapacity capacity{ctx.spec().topology.server_cpus, server_memory};
+  auto profile = acpi::MachineProfile::HpCompaqElite8300();
+  const cloud::ServerCapacity capacity{.memory = server_memory};
   Server& ctr = rack.AddServer("global-ctr", profile, capacity);
   Server& ctr2 = rack.AddServer("secondary-ctr", profile, capacity);
   Server& user = rack.AddServer("server-A", profile, capacity);
@@ -132,7 +132,6 @@ ZOMBIE_REGISTER_SCENARIO(
         .Title("Quickstart: the zombieland API end to end")
         .Description("Rack assembly, Sz suspend, RAM-Extension allocation, "
                      "one-sided RDMA against a sleeping host, wake + reclaim")
-        .Topology({.buff_size = 64 * kMiB})
         .Runner(RunQuickstart));
 
 // ---------------------------------------------------------------------------
@@ -169,8 +168,7 @@ Report RunRackConsolidation(const RunContext& ctx) {
   cloud::Rack rack;
   for (int i = 0; i < 6; ++i) {
     rack.AddServer("node" + std::to_string(i + 1),
-                   MachineProfileFor(MachineKind::kDellPrecisionT5810),
-                   {ctx.spec().topology.server_cpus, ctx.spec().topology.server_memory});
+                   acpi::MachineProfile::DellPrecisionT5810(), {});
   }
 
   // A skewed load: two busy hosts, two lightly-loaded stragglers.
@@ -279,8 +277,8 @@ Report RunRemoteSwap(const RunContext& ctx) {
       {"swap device", "exec (s)", "penalty", "major faults", "writebacks"});
 
   // Remote RAM served by a zombie server, allocated via GS_alloc_ext.
-  auto testbed = ctx.MakeTestbed(profile.reserved_memory);
-  const RunResult remote = runner.RunExplicitSd(profile, fraction, testbed->backend());
+  Testbed testbed(profile.reserved_memory);
+  const RunResult remote = runner.RunExplicitSd(profile, fraction, testbed.backend());
   table.Row({"zombie remote RAM", Report::Num(remote.seconds(), 2),
              Report::Penalty(PenaltyPercent(remote, baseline)),
              std::to_string(remote.pager.major_faults),
@@ -301,8 +299,8 @@ Report RunRemoteSwap(const RunContext& ctx) {
              std::to_string(on_hdd.pager.writebacks)});
 
   // The RAM-Ext alternative for the same split, for contrast.
-  auto re_bed = ctx.MakeTestbed(profile.reserved_memory);
-  const RunResult ram_ext = runner.RunRamExt(profile, fraction, re_bed->backend());
+  Testbed re_bed(profile.reserved_memory);
+  const RunResult ram_ext = runner.RunRamExt(profile, fraction, re_bed.backend());
   r.Text(StrPrintf(
       "\nFor contrast, hypervisor-managed RAM Ext at the same 50%% split: %.2f s (%s)\n"
       "-- transparent paging beats a guest-visible swap device because the guest\n"
@@ -426,7 +424,7 @@ Report RunDatacenterEnergy(const RunContext& ctx) {
     r.Text(StrPrintf("memory bookings pinned to %.1fx CPU bookings\n\n", ratio));
   }
 
-  const auto profile = MachineProfileFor(MachineKind::kDellPrecisionT5810);
+  const auto profile = acpi::MachineProfile::DellPrecisionT5810();
   auto& table = r.AddTable("policies", "",
                            {"policy", "energy (Emax*h)", "saving", "peak suspended",
                             "migrations", "mean active", "mem servers"});

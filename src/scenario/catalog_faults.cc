@@ -23,8 +23,11 @@ namespace {
 using report::Report;
 using report::StrPrintf;
 
+constexpr std::size_t kFaultZombies = 4;
+
 // One rack wired for the fault experiments: a user server, a spare active
-// server (the AS_get_free_mem escalation target) and the spec's zombies.
+// server (the AS_get_free_mem escalation target) and kFaultZombies zombies
+// at a 64 MiB BUFF_SIZE.
 struct FaultBed {
   std::unique_ptr<cloud::Rack> rack;
   remotemem::ServerId user = remotemem::kNilServer;
@@ -35,23 +38,20 @@ struct FaultBed {
   bool ok() const { return error.empty(); }
 };
 
-FaultBed MakeFaultBed(const RunContext& ctx, std::size_t shards, Duration lease_ttl) {
+FaultBed MakeFaultBed(std::size_t shards, Duration lease_ttl) {
   FaultBed bed;
   cloud::RackConfig config;
-  config.buff_size = ctx.spec().topology.buff_size;
-  config.materialize_memory = ctx.spec().topology.materialize_memory;
+  config.buff_size = 64 * kMiB;
   config.controller_shards = shards;
   config.lease_ttl = lease_ttl;
   config.tick_period = 100 * kMillisecond;
   bed.rack = std::make_unique<cloud::Rack>(config);
 
-  const auto profile = MachineProfileFor(ctx.spec().topology.machine);
-  const cloud::ServerCapacity capacity{ctx.spec().topology.server_cpus,
-                                       ctx.spec().topology.server_memory};
-  bed.user = bed.rack->AddServer("user", profile, capacity).id();
-  bed.spare = bed.rack->AddServer("spare", profile, capacity).id();
-  for (std::size_t i = 0; i < ctx.spec().topology.zombies; ++i) {
-    auto& z = bed.rack->AddServer("z" + std::to_string(i + 1), profile, capacity);
+  const auto profile = acpi::MachineProfile::HpCompaqElite8300();
+  bed.user = bed.rack->AddServer("user", profile, {}).id();
+  bed.spare = bed.rack->AddServer("spare", profile, {}).id();
+  for (std::size_t i = 0; i < kFaultZombies; ++i) {
+    auto& z = bed.rack->AddServer("z" + std::to_string(i + 1), profile, {});
     Status pushed = bed.rack->PushToZombie(z.id());
     if (!pushed.ok()) {
       bed.error = "push to zombie failed: " + pushed.ToString();
@@ -81,7 +81,7 @@ Result<Report> RunFaultsControlPlane(const RunContext& ctx) {
       "Testbed: %zu zombies + user + spare; one fault fires at t=500ms; the\n"
       "rack then runs lease/heartbeat ticks of 100ms.  Health = guaranteed\n"
       "allocation succeeds, invariants hold, orphaned buffers == 0.\n\n",
-      ctx.spec().topology.zombies));
+      kFaultZombies));
 
   const std::vector<std::uint64_t> shard_axis = ctx.AxisU64s("shards");
   const std::vector<std::string> fault_axis = ctx.Axis("fault");
@@ -109,7 +109,7 @@ Result<Report> RunFaultsControlPlane(const RunContext& ctx) {
     const std::string& fault = pt.Value("fault");
     const Duration ttl = static_cast<Duration>(pt.U64("detect_ms")) * kMillisecond;
 
-    FaultBed bed = MakeFaultBed(ctx, shards, ttl);
+    FaultBed bed = MakeFaultBed(shards, ttl);
     if (!bed.ok()) {
       failures[pt.index()] = StrPrintf("  (%s: %s)\n", rows[pt.index()].c_str(),
                                        bed.error.c_str());
@@ -223,7 +223,6 @@ ZOMBIE_REGISTER_SCENARIO(
         .Description("Controller crash, host death, partition and heartbeat "
                      "flap vs shard count and lease TTL; recovery time, "
                      "failed allocations, orphaned buffers (must be 0)")
-        .Topology({.zombies = 4, .buff_size = 64 * kMiB})
         .Param({.name = "shards",
                 .type = ParamType::kU64,
                 .description = "controller shard count",
@@ -257,7 +256,7 @@ Result<Report> RunFaultsTimeline(const RunContext& ctx) {
 
   const std::size_t shards = static_cast<std::size_t>(ctx.ParamU64("shards", 2));
   const Duration ttl = static_cast<Duration>(ctx.ParamU64("detect_ms", 300)) * kMillisecond;
-  FaultBed bed = MakeFaultBed(ctx, shards, ttl);
+  FaultBed bed = MakeFaultBed(shards, ttl);
   if (!bed.ok()) {
     return Status(ErrorCode::kFailedPrecondition, bed.error);
   }
@@ -351,7 +350,6 @@ ZOMBIE_REGISTER_SCENARIO(
         .Description("Controller crash, host death, partition and heartbeat "
                      "flap on one rack, narrated tick by tick (tests may "
                      "inject their own FaultPlan)")
-        .Topology({.zombies = 4, .buff_size = 64 * kMiB})
         .Param({.name = "shards",
                 .type = ParamType::kU64,
                 .default_value = "2",

@@ -78,7 +78,6 @@ ZOMBIE_REGISTER_SCENARIO(
         .Title("Threaded hot loop: per-vCPU shards, batched remote faults")
         .Description("Sharded paging sweep over threads x policy x pattern "
                      "(simulated counters only; deterministic)")
-        .SmokeScale(20'000)
         .Param({.name = "threads",
                 .type = ParamType::kU64,
                 .description = "shard/worker count (one paging lane per vCPU)",

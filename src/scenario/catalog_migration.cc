@@ -100,14 +100,11 @@ Report RunAblationBuffSize(const RunContext& ctx) {
     const Bytes buff = pt.U64("buff_mib") * kMiB;
     cloud::RackConfig config;
     config.buff_size = buff;
-    config.materialize_memory = ctx.spec().topology.materialize_memory;
     cloud::Rack rack(config);
-    const auto profile = MachineProfileFor(ctx.spec().topology.machine);
-    const cloud::ServerCapacity capacity{ctx.spec().topology.server_cpus,
-                                         ctx.spec().topology.server_memory};
-    auto& user = rack.AddServer("user", profile, capacity);
-    auto& z1 = rack.AddServer("z1", profile, capacity);
-    auto& z2 = rack.AddServer("z2", profile, capacity);
+    const auto profile = acpi::MachineProfile::HpCompaqElite8300();
+    auto& user = rack.AddServer("user", profile, {});
+    auto& z1 = rack.AddServer("z1", profile, {});
+    auto& z2 = rack.AddServer("z2", profile, {});
     if (!rack.PushToZombie(z1.id()).ok() || !rack.PushToZombie(z2.id()).ok()) {
       return;
     }

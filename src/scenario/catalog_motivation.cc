@@ -30,7 +30,7 @@ Report RunFig01(const RunContext& ctx) {
 
   Report r = ctx.MakeReport();
   r.Text("== Figure 1: energy vs. utilisation (percent of max power) ==\n\n");
-  const acpi::MachineProfile hp = MachineProfileFor(MachineKind::kHpCompaqElite8300);
+  const acpi::MachineProfile hp = acpi::MachineProfile::HpCompaqElite8300();
 
   auto& table = r.AddTable("curve", "", {"util %", "actual %", "ideal %"});
   for (int u = 0; u <= 100; u += 10) {

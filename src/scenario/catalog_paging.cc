@@ -73,11 +73,11 @@ Report RunFig08(const RunContext& ctx) {
   ctx.ForEachSweepPoint(r, [&](const SweepPoint& pt, report::SweepPointRecord& rec) {
     const std::size_t p = pt.AxisIndex("policy");
     const std::size_t f = pt.AxisIndex("local_fraction");
-    auto testbed = ctx.MakeTestbed(profile.reserved_memory);
+    Testbed testbed(profile.reserved_memory);
     WorkloadRunner runner(
         workloads::RunnerOptions{.policy = PolicyKindFromName(pt.Value("policy"))});
     const RunResult run =
-        runner.RunRamExt(profile, pt.Double("local_fraction"), testbed->backend());
+        runner.RunRamExt(profile, pt.Double("local_fraction"), testbed.backend());
     top.Set(f, p, Report::Num(run.seconds(), 2));
     mid.Set(f, p, Report::Num(static_cast<double>(run.pager.faults) / 1000.0, 1));
     bottom.Set(f, p, std::to_string(run.pager.PolicyCyclesPerFault()));
@@ -165,9 +165,9 @@ Report RunTable1(const RunContext& ctx) {
     for (std::size_t a = 0; a < apps.size(); ++a) {
       const AppProfile profile = ctx.Profile(apps[a]);
       WorkloadRunner runner;
-      auto testbed = ctx.MakeTestbed(profile.reserved_memory);
+      Testbed testbed(profile.reserved_memory);
       const RunResult run =
-          runner.RunRamExt(profile, pt.Double("local_fraction"), testbed->backend());
+          runner.RunRamExt(profile, pt.Double("local_fraction"), testbed.backend());
       const double penalty = PenaltyPercent(run, baselines.at(apps[a]));
       table.Set(pt.AxisIndex("local_fraction"), a, Report::Penalty(penalty));
       rec.Metric("penalty_percent_" + std::string(AppName(apps[a])), penalty);
@@ -236,16 +236,16 @@ Report RunTable2(const RunContext& ctx) {
     const double fraction = pt.Double("local_fraction");
     const std::size_t row = pt.AxisIndex("local_fraction");
 
-    auto re_bed = ctx.MakeTestbed(profile.reserved_memory);
+    Testbed re_bed(profile.reserved_memory);
     const double re = PenaltyPercent(
-        runner.RunRamExt(profile, fraction, re_bed->backend()), baseline);
+        runner.RunRamExt(profile, fraction, re_bed.backend()), baseline);
     table.Set(row, 0, Report::Penalty(re));
 
     // Explicit SD over remote RAM: the swap device is a GS_alloc_ext
     // extent on the zombie server.
-    auto esd_bed = ctx.MakeTestbed(profile.reserved_memory);
+    Testbed esd_bed(profile.reserved_memory);
     const double esd = PenaltyPercent(
-        runner.RunExplicitSd(profile, fraction, esd_bed->backend()), baseline);
+        runner.RunExplicitSd(profile, fraction, esd_bed.backend()), baseline);
     table.Set(row, 1, Report::Penalty(esd));
 
     auto ssd = hv::MakeLocalSsdBackend();
@@ -316,11 +316,11 @@ Report RunTable2b(const RunContext& ctx) {
     const AppProfile profile = ctx.Profile(AppFromName(pt.Value("app")));
     WorkloadRunner runner;
 
-    auto re_bed = ctx.MakeTestbed(profile.reserved_memory);
-    const RunResult re = runner.RunRamExt(profile, fraction, re_bed->backend());
+    Testbed re_bed(profile.reserved_memory);
+    const RunResult re = runner.RunRamExt(profile, fraction, re_bed.backend());
 
-    auto esd_bed = ctx.MakeTestbed(profile.reserved_memory);
-    const RunResult esd = runner.RunExplicitSd(profile, fraction, esd_bed->backend());
+    Testbed esd_bed(profile.reserved_memory);
+    const RunResult esd = runner.RunExplicitSd(profile, fraction, esd_bed.backend());
 
     const auto v1 = RemotePages(re);
     const auto v2 = RemotePages(esd);
@@ -397,9 +397,9 @@ Report RunAblationLocalFloor(const RunContext& ctx) {
       profile.accesses = ctx.ScaledAccesses(profile.accesses / 2);
       WorkloadRunner runner;
       const auto baseline = runner.RunLocalOnly(profile);
-      auto testbed = ctx.MakeTestbed(profile.reserved_memory);
+      Testbed testbed(profile.reserved_memory);
       const double penalty =
-          PenaltyPercent(runner.RunRamExt(profile, floor, testbed->backend()), baseline);
+          PenaltyPercent(runner.RunRamExt(profile, floor, testbed.backend()), baseline);
       if (penalty > worst) {
         worst = penalty;
         worst_app = app;

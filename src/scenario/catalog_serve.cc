@@ -31,14 +31,11 @@ using report::StrPrintf;
 // Shared topology of the serving experiments: two awake hosts take VMs, four
 // zombies lend their memory to the pool (and are woken under queue
 // pressure).  Kept deliberately small so a sweep point stays sub-second.
+// Server shape, BUFF_SIZE and machine are the ServeConfig defaults.
 serve::ServeConfig MakeServeConfig(const RunContext& ctx) {
   serve::ServeConfig config;
   config.hosts = ctx.ParamU64("hosts", 2);
   config.zombies = ctx.ParamU64("zombies", 4);
-  config.host_capacity = {ctx.spec().topology.server_cpus,
-                          ctx.spec().topology.server_memory};
-  config.buff_size = ctx.spec().topology.buff_size;
-  config.profile = MachineProfileFor(ctx.spec().topology.machine);
   config.queue_depth = ctx.ParamU64("queue_depth", 64);
   config.queue_timeout =
       static_cast<Duration>(ctx.ParamU64("queue_timeout_ms", 2000)) * kMillisecond;
@@ -108,6 +105,51 @@ void RecordPointMetrics(report::SweepPointRecord& rec, serve::ServeMetrics& m) {
   rec.Metric("avg_power_pct", m.power_pct.mean());
 }
 
+// The daemon and stream parameters all three serving scenarios declare, after
+// their own.  The fields below are the only values that differ between them.
+struct ServeParamDefaults {
+  std::string tenant_quota_gib;
+  std::string tenant_quota_description = "per-tenant memory quota (GiB; 0 = unlimited)";
+  std::string throttle_rps;
+  double min_zombies = 0;
+};
+
+ScenarioBuilder& WithServeParams(ScenarioBuilder& builder, ServeParamDefaults defaults) {
+  return builder
+      .Param({.name = "seed", .type = ParamType::kU64, .default_value = "42",
+              .description = "request-stream seed"})
+      .Param({.name = "horizon_ms",
+              .type = ParamType::kU64,
+              .default_value = "10000",
+              .description = "arrival window (ms); smoke default 2500",
+              .range = ParamRange{.min = 500}})
+      .Param({.name = "hosts", .type = ParamType::kU64, .default_value = "2",
+              .description = "awake hosts taking VMs",
+              .range = ParamRange{.min = 1}})
+      .Param({.name = "zombies", .type = ParamType::kU64, .default_value = "4",
+              .description = "zombie servers lending memory",
+              .range = ParamRange{.min = defaults.min_zombies}})
+      .Param({.name = "queue_depth",
+              .type = ParamType::kU64,
+              .default_value = "64",
+              .description = "backpressure queue bound",
+              .range = ParamRange{.min = 1}})
+      .Param({.name = "queue_timeout_ms",
+              .type = ParamType::kU64,
+              .default_value = "2000",
+              .description = "queued-booking deadline (ms)",
+              .range = ParamRange{.min = 100}})
+      .Param({.name = "tenant_quota_gib",
+              .type = ParamType::kU64,
+              .default_value = std::move(defaults.tenant_quota_gib),
+              .description = std::move(defaults.tenant_quota_description)})
+      .Param({.name = "throttle_rps",
+              .type = ParamType::kDouble,
+              .default_value = std::move(defaults.throttle_rps),
+              .description = "admission token-bucket rate (0 = off)",
+              .range = ParamRange{.min = 0.0}});
+}
+
 // ---------------------------------------------------------------------------
 // serve_steady: arrival rate x local floor under a steady arrival process.
 // ---------------------------------------------------------------------------
@@ -165,13 +207,12 @@ Result<Report> RunServeSteady(const RunContext& ctx) {
   return r;
 }
 
-ZOMBIE_REGISTER_SCENARIO(
+ZOMBIE_REGISTER_SCENARIO(WithServeParams(
     ScenarioBuilder("serve_steady")
         .Title("Online serving: steady arrivals, admission + backpressure")
         .Description("Long-running daemon under Poisson/diurnal VM arrivals; "
                      "p50/p99/p999 admission and placement latency, shed rate "
                      "vs arrival rate and local-memory floor")
-        .Topology({.buff_size = 64 * kMiB})
         .Param({.name = "rate",
                 .type = ParamType::kU64,
                 .description = "mean VM arrival rate (VMs/s)",
@@ -185,40 +226,9 @@ ZOMBIE_REGISTER_SCENARIO(
                 .default_value = "poisson",
                 .description = "arrival process",
                 .choices = {"poisson", "diurnal", "flash"}})
-        .Param({.name = "seed", .type = ParamType::kU64, .default_value = "42",
-                .description = "request-stream seed"})
-        .Param({.name = "horizon_ms",
-                .type = ParamType::kU64,
-                .default_value = "10000",
-                .description = "arrival window (ms); smoke default 2500",
-                .range = ParamRange{.min = 500}})
-        .Param({.name = "hosts", .type = ParamType::kU64, .default_value = "2",
-                .description = "awake hosts taking VMs",
-                .range = ParamRange{.min = 1}})
-        .Param({.name = "zombies", .type = ParamType::kU64, .default_value = "4",
-                .description = "zombie servers lending memory",
-                .range = ParamRange{.min = 0}})
-        .Param({.name = "queue_depth",
-                .type = ParamType::kU64,
-                .default_value = "64",
-                .description = "backpressure queue bound",
-                .range = ParamRange{.min = 1}})
-        .Param({.name = "queue_timeout_ms",
-                .type = ParamType::kU64,
-                .default_value = "2000",
-                .description = "queued-booking deadline (ms)",
-                .range = ParamRange{.min = 100}})
-        .Param({.name = "tenant_quota_gib",
-                .type = ParamType::kU64,
-                .default_value = "16",
-                .description = "per-tenant memory quota (GiB; 0 = unlimited)"})
-        .Param({.name = "throttle_rps",
-                .type = ParamType::kDouble,
-                .default_value = "0",
-                .description = "admission token-bucket rate (0 = off)",
-                .range = ParamRange{.min = 0.0}})
         .Sweep({.axes = {{"rate", {"5", "15"}}, {"floor", {"0.5", "1.0"}}}})
-        .Runner(RunServeSteady));
+        .Runner(RunServeSteady),
+    {.tenant_quota_gib = "16", .throttle_rps = "0"}));
 
 // ---------------------------------------------------------------------------
 // serve_spike: flash crowd vs arrival rate x admission headroom.
@@ -251,7 +261,6 @@ Result<Report> RunServeSpike(const RunContext& ctx) {
   ctx.ForEachSweepPoint(r, [&](const SweepPoint& pt, report::SweepPointRecord& rec) {
     serve::ServeConfig config = MakeServeConfig(ctx);
     config.admission.memory_headroom = pt.Double("headroom");
-    config.throttle.rate_per_s = ctx.ParamDouble("throttle_rps", 40.0);
     serve::StreamConfig stream =
         MakeStreamConfig(ctx, static_cast<double>(pt.U64("rate")));
     stream.process = serve::ArrivalProcess::kFlashCrowd;
@@ -280,13 +289,12 @@ Result<Report> RunServeSpike(const RunContext& ctx) {
   return r;
 }
 
-ZOMBIE_REGISTER_SCENARIO(
+ZOMBIE_REGISTER_SCENARIO(WithServeParams(
     ScenarioBuilder("serve_spike")
         .Title("Online serving: flash crowd, tail latency and shed rate")
         .Description("Flash-crowd arrivals vs admission headroom: p50/p99/p999 "
                      "admission and placement latency, shed breakdown, zombie "
                      "wakes under the burst")
-        .Topology({.buff_size = 64 * kMiB})
         .Param({.name = "rate",
                 .type = ParamType::kU64,
                 .description = "base arrival rate (VMs/s); burst multiplies it",
@@ -300,41 +308,12 @@ ZOMBIE_REGISTER_SCENARIO(
                 .default_value = "5",
                 .description = "flash-crowd rate multiplier",
                 .range = ParamRange{.min = 1.0}})
-        .Param({.name = "seed", .type = ParamType::kU64, .default_value = "42",
-                .description = "request-stream seed"})
-        .Param({.name = "horizon_ms",
-                .type = ParamType::kU64,
-                .default_value = "10000",
-                .description = "arrival window (ms); smoke default 2500",
-                .range = ParamRange{.min = 500}})
-        .Param({.name = "hosts", .type = ParamType::kU64, .default_value = "2",
-                .description = "awake hosts taking VMs",
-                .range = ParamRange{.min = 1}})
-        .Param({.name = "zombies", .type = ParamType::kU64, .default_value = "4",
-                .description = "zombie servers lending memory",
-                .range = ParamRange{.min = 0}})
-        .Param({.name = "queue_depth",
-                .type = ParamType::kU64,
-                .default_value = "64",
-                .description = "backpressure queue bound",
-                .range = ParamRange{.min = 1}})
-        .Param({.name = "queue_timeout_ms",
-                .type = ParamType::kU64,
-                .default_value = "2000",
-                .description = "queued-booking deadline (ms)",
-                .range = ParamRange{.min = 100}})
-        .Param({.name = "tenant_quota_gib",
-                .type = ParamType::kU64,
-                .default_value = "0",
-                .description = "per-tenant memory quota (GiB; 0 = unlimited; "
-                               "off here so the headroom axis is what binds)"})
-        .Param({.name = "throttle_rps",
-                .type = ParamType::kDouble,
-                .default_value = "40",
-                .description = "admission token-bucket rate (0 = off)",
-                .range = ParamRange{.min = 0.0}})
         .Sweep({.axes = {{"rate", {"6", "12"}}, {"headroom", {"0.7", "0.9"}}}})
-        .Runner(RunServeSpike));
+        .Runner(RunServeSpike),
+    {.tenant_quota_gib = "0",
+     .tenant_quota_description = "per-tenant memory quota (GiB; 0 = unlimited; "
+                                 "off here so the headroom axis is what binds)",
+     .throttle_rps = "40"}));
 
 // ---------------------------------------------------------------------------
 // serve_faults: the flash crowd with a fault firing mid-burst.  Every sweep
@@ -367,7 +346,6 @@ Result<Report> RunServeFaults(const RunContext& ctx) {
   ctx.ForEachSweepPoint(r, [&](const SweepPoint& pt, report::SweepPointRecord& rec) {
     serve::ServeConfig config = MakeServeConfig(ctx);
     config.controller_shards = static_cast<std::size_t>(pt.U64("shards"));
-    config.throttle.rate_per_s = ctx.ParamDouble("throttle_rps", 40.0);
     serve::StreamConfig stream =
         MakeStreamConfig(ctx, ctx.ParamDouble("rate", 10.0));
     stream.process = serve::ArrivalProcess::kFlashCrowd;
@@ -460,13 +438,12 @@ Result<Report> RunServeFaults(const RunContext& ctx) {
   return r;
 }
 
-ZOMBIE_REGISTER_SCENARIO(
+ZOMBIE_REGISTER_SCENARIO(WithServeParams(
     ScenarioBuilder("serve_faults")
         .Title("Online serving under faults: mid-burst failure recovery")
         .Description("Flash crowd with a controller crash, zombie death, "
                      "partition or heartbeat flap mid-burst; every point must "
                      "end healthy with zero orphaned buffers")
-        .Topology({.buff_size = 64 * kMiB})
         .Param({.name = "fault",
                 .type = ParamType::kString,
                 .description = "which fault fires mid-burst",
@@ -480,42 +457,11 @@ ZOMBIE_REGISTER_SCENARIO(
                 .default_value = "10",
                 .description = "base arrival rate (VMs/s)",
                 .range = ParamRange{.min = 1.0}})
-        .Param({.name = "seed", .type = ParamType::kU64, .default_value = "42",
-                .description = "request-stream seed"})
-        .Param({.name = "horizon_ms",
-                .type = ParamType::kU64,
-                .default_value = "10000",
-                .description = "arrival window (ms); smoke default 2500",
-                .range = ParamRange{.min = 500}})
-        .Param({.name = "hosts", .type = ParamType::kU64, .default_value = "2",
-                .description = "awake hosts taking VMs",
-                .range = ParamRange{.min = 1}})
-        .Param({.name = "zombies", .type = ParamType::kU64, .default_value = "4",
-                .description = "zombie servers lending memory",
-                .range = ParamRange{.min = 1}})
-        .Param({.name = "queue_depth",
-                .type = ParamType::kU64,
-                .default_value = "64",
-                .description = "backpressure queue bound",
-                .range = ParamRange{.min = 1}})
-        .Param({.name = "queue_timeout_ms",
-                .type = ParamType::kU64,
-                .default_value = "2000",
-                .description = "queued-booking deadline (ms)",
-                .range = ParamRange{.min = 100}})
-        .Param({.name = "tenant_quota_gib",
-                .type = ParamType::kU64,
-                .default_value = "16",
-                .description = "per-tenant memory quota (GiB; 0 = unlimited)"})
-        .Param({.name = "throttle_rps",
-                .type = ParamType::kDouble,
-                .default_value = "25",
-                .description = "admission token-bucket rate (0 = off)",
-                .range = ParamRange{.min = 0.0}})
         .Sweep({.axes = {{"fault",
                           {"ctrl_crash", "host_crash", "partition", "hb_drop"}},
                          {"shards", {"2", "4"}}}})
-        .Runner(RunServeFaults));
+        .Runner(RunServeFaults),
+    {.tenant_quota_gib = "16", .throttle_rps = "25", .min_zombies = 1}));
 
 }  // namespace
 }  // namespace zombie::scenario

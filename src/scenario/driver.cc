@@ -531,10 +531,7 @@ int CmdParams(const ParsedArgs& parsed) {
       }
     }
     if (!spec.sweep.empty()) {
-      auto& axes = report.AddTable(
-          "sweep", report::StrPrintf("\nSweep axes (%s):",
-                                     std::string(SweepModeName(spec.sweep.mode)).c_str()),
-          {"axis", "values"});
+      auto& axes = report.AddTable("sweep", "\nSweep axes (cross):", {"axis", "values"});
       for (const SweepAxis& axis : spec.sweep.axes) {
         std::string values;
         for (const std::string& value : axis.values) {

@@ -8,36 +8,15 @@
 #include "src/common/logging.h"
 #include "src/common/report.h"
 #include "src/common/work_queue.h"
-#include "src/scenario/testbed.h"
 
 namespace zombie::scenario {
 
-acpi::MachineProfile MachineProfileFor(MachineKind kind) {
-  switch (kind) {
-    case MachineKind::kHpCompaqElite8300:
-      return acpi::MachineProfile::HpCompaqElite8300();
-    case MachineKind::kDellPrecisionT5810:
-      return acpi::MachineProfile::DellPrecisionT5810();
-  }
-  std::abort();
-}
-
-std::string_view MachineKindName(MachineKind kind) {
-  switch (kind) {
-    case MachineKind::kHpCompaqElite8300:
-      return "HP Compaq Elite 8300";
-    case MachineKind::kDellPrecisionT5810:
-      return "Dell Precision T5810";
-  }
-  return "unknown";
-}
-
-MachineKind MachineKindFromKey(std::string_view key) {
+acpi::MachineProfile MachineProfileFromKey(std::string_view key) {
   if (key == "hp") {
-    return MachineKind::kHpCompaqElite8300;
+    return acpi::MachineProfile::HpCompaqElite8300();
   }
   if (key == "dell") {
-    return MachineKind::kDellPrecisionT5810;
+    return acpi::MachineProfile::DellPrecisionT5810();
   }
   FatalMessage("scenario", "unknown machine key '" + std::string(key) + "'");
 }
@@ -66,16 +45,6 @@ std::string_view ParamTypeName(ParamType type) {
       return "double";
     case ParamType::kString:
       return "string";
-  }
-  return "unknown";
-}
-
-std::string_view SweepModeName(SweepMode mode) {
-  switch (mode) {
-    case SweepMode::kCross:
-      return "cross";
-    case SweepMode::kZip:
-      return "zip";
   }
   return "unknown";
 }
@@ -124,7 +93,10 @@ bool ParsesAsU64(std::string_view value, std::uint64_t* out) {
 }
 
 bool ParsesAsDouble(std::string_view value, double* out) {
-  if (value.empty()) {
+  // Decimal forms only: strtod would also take leading whitespace and hex
+  // floats, which then render as point keys no --filter value can match.
+  if (value.empty() ||
+      value.find_first_not_of("0123456789+-.eE") != std::string_view::npos) {
     return false;
   }
   char* end = nullptr;
@@ -211,49 +183,15 @@ std::vector<std::string> BaseAxisValues(const SweepAxis& axis,
 }
 
 // The per-axis values a sweep takes at run time: `--set` replacement first,
-// then `--filter` narrowing — kept in base order, so a filter is a pure
-// subset of the unfiltered grid.  Cross sweeps filter each axis
-// independently; zipped sweeps filter lockstep *rows* (a row survives when
-// every filtered axis's value at that row is listed), so a filter can never
-// fabricate an (a, b) combination that was not a point of the original zip.
-// The single source of truth behind RunContext::Axis/SweepPoints and
-// ValidateRunParams.
+// then `--filter` narrowing of each axis — kept in base order, so a filter
+// is a pure subset of the unfiltered grid.  The single source of truth
+// behind RunContext::Axis/SweepPoints.
 std::vector<std::vector<std::string>> EffectiveAxes(const SweepSpec& sweep,
                                                     const RunOptions& options) {
   std::vector<std::vector<std::string>> axes;
   axes.reserve(sweep.axes.size());
   for (const SweepAxis& axis : sweep.axes) {
     axes.push_back(BaseAxisValues(axis, options));
-  }
-  if (options.filters.empty()) {
-    return axes;
-  }
-  if (sweep.mode == SweepMode::kZip) {
-    // Row filtering: equal base lengths are validated before the run.
-    const std::size_t rows = axes.empty() ? 0 : axes[0].size();
-    std::vector<std::size_t> keep_rows;
-    for (std::size_t row = 0; row < rows; ++row) {
-      bool keep = true;
-      for (std::size_t a = 0; a < sweep.axes.size() && keep; ++a) {
-        auto it = options.filters.find(sweep.axes[a].param);
-        if (it == options.filters.end()) {
-          continue;
-        }
-        const std::vector<std::string> listed = SplitList(it->second);
-        keep = std::find(listed.begin(), listed.end(), axes[a][row]) != listed.end();
-      }
-      if (keep) {
-        keep_rows.push_back(row);
-      }
-    }
-    std::vector<std::vector<std::string>> filtered(axes.size());
-    for (std::size_t a = 0; a < axes.size(); ++a) {
-      filtered[a].reserve(keep_rows.size());
-      for (std::size_t row : keep_rows) {
-        filtered[a].push_back(std::move(axes[a][row]));
-      }
-    }
-    return filtered;
   }
   for (std::size_t a = 0; a < sweep.axes.size(); ++a) {
     auto it = options.filters.find(sweep.axes[a].param);
@@ -383,32 +321,6 @@ Status ValidateRunParams(const ScenarioSpec& spec, const RunOptions& options) {
       }
     }
   }
-  // --set replacements must not break a zipped sweep's equal-length
-  // invariant (filters select lockstep rows, so they cannot break it — but
-  // they must leave at least one row).
-  if (spec.sweep.mode == SweepMode::kZip && !spec.sweep.empty()) {
-    std::size_t length = 0;
-    bool first = true;
-    for (const SweepAxis& axis : spec.sweep.axes) {
-      const std::size_t n = BaseAxisValues(axis, options).size();
-      if (first) {
-        length = n;
-        first = false;
-      } else if (n != length) {
-        return Status(ErrorCode::kInvalidArgument,
-                      "scenario '" + spec.name + "': zipped sweep axes must have "
-                          "equal lengths after --set overrides");
-      }
-    }
-    if (!options.filters.empty()) {
-      const auto axes = EffectiveAxes(spec.sweep, options);
-      if (!axes.empty() && axes[0].empty()) {
-        return Status(ErrorCode::kInvalidArgument,
-                      "scenario '" + spec.name + "': the --filter combination "
-                          "matches no row of the zipped sweep");
-      }
-    }
-  }
   return Status::Ok();
 }
 
@@ -519,17 +431,13 @@ report::Report RunContext::MakeReport() const {
 }
 
 std::uint64_t RunContext::ScaledAccesses(std::uint64_t full) const {
-  return smoke() ? std::min(full, spec_.smoke_scale) : full;
+  return smoke() ? std::min(full, kSmokeAccesses) : full;
 }
 
 workloads::AppProfile RunContext::Profile(workloads::App app) const {
   workloads::AppProfile profile = workloads::ProfileFor(app);
   profile.accesses = ScaledAccesses(profile.accesses);
   return profile;
-}
-
-std::unique_ptr<Testbed> RunContext::MakeTestbed(Bytes remote_bytes) const {
-  return std::make_unique<Testbed>(spec_.topology, remote_bytes);
 }
 
 bool RunContext::HasParam(std::string_view key) const {
@@ -631,41 +539,17 @@ std::vector<SweepPoint> RunContext::SweepPoints() const {
   }
   const std::vector<std::vector<std::string>> axes = EffectiveAxes(sweep, options_);
 
+  // Cross product, first axis outermost (odometer order).
   std::vector<SweepPoint> points;
-  auto make_point = [&](const std::vector<std::size_t>& indices) {
-    SweepPoint point;
+  std::vector<std::size_t> indices(axes.size(), 0);
+  while (true) {
+    SweepPoint& point = points.emplace_back();
     point.sweep_ = &sweep;
-    point.index_ = points.size();
+    point.index_ = points.size() - 1;
     point.axis_indices_ = indices;
     for (std::size_t a = 0; a < axes.size(); ++a) {
       point.values_.push_back(axes[a][indices[a]]);
     }
-    points.push_back(std::move(point));
-  };
-
-  if (sweep.mode == SweepMode::kZip) {
-    // Equal lengths are enforced by ValidateSpec for spec values; a CLI
-    // override that breaks the zip is caught here rather than crashing.
-    std::size_t length = axes[0].size();
-    for (const auto& axis : axes) {
-      if (axis.size() != length) {
-        FatalMessage("scenario", "scenario '" + spec_.name +
-                                     "': zipped axes have unequal lengths "
-                                     "after --set overrides");
-      }
-    }
-    std::vector<std::size_t> indices(axes.size(), 0);
-    for (std::size_t i = 0; i < length; ++i) {
-      std::fill(indices.begin(), indices.end(), i);
-      make_point(indices);
-    }
-    return points;
-  }
-
-  // Cross product, first axis outermost (odometer order).
-  std::vector<std::size_t> indices(axes.size(), 0);
-  while (true) {
-    make_point(indices);
     std::size_t a = axes.size();
     while (a > 0) {
       --a;
@@ -742,15 +626,6 @@ Status Invalid(const std::string& message) {
   return Status(ErrorCode::kInvalidArgument, message);
 }
 
-bool ValidMachine(MachineKind kind) {
-  switch (kind) {
-    case MachineKind::kHpCompaqElite8300:
-    case MachineKind::kDellPrecisionT5810:
-      return true;
-  }
-  return false;
-}
-
 }  // namespace
 
 Status ValidateSpec(const ScenarioSpec& spec) {
@@ -762,27 +637,6 @@ Status ValidateSpec(const ScenarioSpec& spec) {
   }
   if (spec.title.empty()) {
     return Invalid("scenario '" + spec.name + "': title must not be empty");
-  }
-  if (spec.smoke_scale == 0) {
-    return Invalid("scenario '" + spec.name + "': smoke_scale must be nonzero");
-  }
-
-  const TopologySpec& topology = spec.topology;
-  if (topology.zombies == 0) {
-    return Invalid("scenario '" + spec.name + "': topology needs at least one zombie");
-  }
-  if (topology.server_cpus == 0) {
-    return Invalid("scenario '" + spec.name + "': topology server_cpus must be nonzero");
-  }
-  if (topology.server_memory == 0) {
-    return Invalid("scenario '" + spec.name + "': topology server_memory must be nonzero");
-  }
-  if (topology.buff_size == 0 || topology.buff_size > topology.server_memory) {
-    return Invalid("scenario '" + spec.name +
-                   "': buff_size must be in (0, server_memory]");
-  }
-  if (!ValidMachine(topology.machine)) {
-    return Invalid("scenario '" + spec.name + "': unknown topology machine kind");
   }
 
   for (std::size_t p = 0; p < spec.params.size(); ++p) {
@@ -832,11 +686,6 @@ Status ValidateSpec(const ScenarioSpec& spec) {
     }
     ZOMBIE_RETURN_IF_ERROR(CheckDistinctValues(
         "scenario '" + spec.name + "': sweep axis '" + axis.param + "'", axis.values));
-    if (sweep.mode == SweepMode::kZip &&
-        axis.values.size() != sweep.axes[0].values.size()) {
-      return Invalid("scenario '" + spec.name +
-                     "': zipped sweep axes must have equal lengths");
-    }
   }
 
   return Status::Ok();

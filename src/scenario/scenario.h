@@ -1,8 +1,7 @@
 // The scenario API: Scenario (a validated spec plus its run function),
 // ScenarioBuilder (fluent construction with validation), and RunContext (the
 // composition surface a run function uses: profiles with smoke scaling
-// applied, testbeds from the topology spec, typed CLI parameters and sweep
-// points).
+// applied, typed CLI parameters and sweep points).
 //
 // Registering a new experiment:
 //
@@ -23,7 +22,6 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -43,7 +41,9 @@ class WorkQueue;
 
 namespace zombie::scenario {
 
-class Testbed;
+// Smoke mode (--smoke) caps every access stream at this many accesses so a
+// full catalog run stays executable in CI.
+inline constexpr std::uint64_t kSmokeAccesses = 20'000;
 
 struct RunOptions {
   bool smoke = false;
@@ -110,16 +110,12 @@ class RunContext {
   report::Report MakeReport() const;
 
   // Smoke scaling: `full` accesses in a normal run, capped at
-  // spec.smoke_scale under --smoke.  The one implementation of what every
+  // kSmokeAccesses under --smoke.  The one implementation of what every
   // bench binary used to re-implement via ZOMBIE_BENCH_SMOKE.
   std::uint64_t ScaledAccesses(std::uint64_t full) const;
 
   // The calibrated profile for `app` with smoke scaling applied.
   workloads::AppProfile Profile(workloads::App app) const;
-
-  // Section 6.1 testbed built from the topology spec, with a `remote_bytes`
-  // extension allocated to the user server.
-  std::unique_ptr<Testbed> MakeTestbed(Bytes remote_bytes) const;
 
   // CLI parameter overrides.  HasParam is true only for keys set on the CLI;
   // the Param* getters resolve CLI value -> declared default -> `fallback`.
@@ -142,9 +138,8 @@ class RunContext {
   std::vector<double> AxisDoubles(std::string_view param) const;
   std::vector<std::uint64_t> AxisU64s(std::string_view param) const;
 
-  // The expanded grid: cross product (first axis outermost) or zipped,
-  // honouring CLI axis overrides and filters.  Empty when the spec declares
-  // no sweep.
+  // The expanded grid: cross product (first axis outermost), honouring CLI
+  // axis overrides and filters.  Empty when the spec declares no sweep.
   std::vector<SweepPoint> SweepPoints() const;
 
   // Runs `fn` over every sweep point, on RunOptions::work_queue when one is
@@ -200,14 +195,6 @@ class ScenarioBuilder {
     spec_.description = std::move(description);
     return *this;
   }
-  ScenarioBuilder& SmokeScale(std::uint64_t cap) {
-    spec_.smoke_scale = cap;
-    return *this;
-  }
-  ScenarioBuilder& Topology(TopologySpec topology) {
-    spec_.topology = std::move(topology);
-    return *this;
-  }
   // Declares a `--set` parameter (validated key, typed value, introspectable
   // via `zombieland params <name>`).
   ScenarioBuilder& Param(ParamSpec param) {
@@ -249,8 +236,7 @@ class ScenarioBuilder {
 // declared type, and comma lists (axis replacement) are only allowed on
 // sweep-axis parameters — a list on a scalar parameter gets a dedicated
 // axis-vs-scalar diagnostic.  Every `--filter` key must name a sweep axis
-// and every filter value must be on the effective axis (strict subset; on a
-// zipped sweep filters select lockstep rows and must match at least one).
+// and every filter value must be on the effective axis (strict subset).
 [[nodiscard]] Status ValidateRunParams(const ScenarioSpec& spec, const RunOptions& options);
 
 // Per-scenario RunOptions for a (possibly multi-scenario) run, validated.

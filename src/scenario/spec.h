@@ -1,12 +1,11 @@
 // ScenarioSpec: the declarative experiment description of the scenario API.
 //
-// A spec is pure data — a name and title, the topology of the Section 6.1
-// testbed (rack shape, zombie count, buffer size), the typed `--set`
-// parameters a run reads and the sweep grid built from them — validated by
+// A spec is pure data — a name and title, the typed `--set` parameters a
+// run reads and the cross-product sweep grid built from them — validated by
 // ScenarioBuilder and interpreted by a Scenario's run function.  Constants
-// a scenario does not expose as parameters live in its run function.  New
-// NituTTIH18 configurations are registry entries built from these values,
-// not new binaries.
+// a scenario does not expose as parameters, its rack shape included, live in
+// its run function.  New NituTTIH18 configurations are registry entries
+// built from these values, not new binaries.
 #ifndef ZOMBIELAND_SRC_SCENARIO_SPEC_H_
 #define ZOMBIELAND_SRC_SCENARIO_SPEC_H_
 
@@ -18,39 +17,19 @@
 #include <vector>
 
 #include "src/acpi/energy_model.h"
-#include "src/common/units.h"
 #include "src/hv/replacement.h"
 #include "src/workloads/app_models.h"
 
 namespace zombie::scenario {
 
-// The two Table-3 testbed machines.
-enum class MachineKind : std::uint8_t {
-  kHpCompaqElite8300 = 0,
-  kDellPrecisionT5810,
-};
-
-acpi::MachineProfile MachineProfileFor(MachineKind kind);
-std::string_view MachineKindName(MachineKind kind);
-
-// Lookups from sweep-axis values to the enums the run functions need
-// ("hp" / "dell" machine keys, PolicyKindName / AppName strings).  They
+// Lookups from sweep-axis values to what the run functions need ("hp" /
+// "dell" Table-3 machine keys, PolicyKindName / AppName strings).  They
 // abort on unknown names — axis values are validated against the
 // parameter's choices before a run starts, so reaching one with a bad name
 // is a programming error.
-MachineKind MachineKindFromKey(std::string_view key);
+acpi::MachineProfile MachineProfileFromKey(std::string_view key);
 hv::PolicyKind PolicyKindFromName(std::string_view name);
 workloads::App AppFromName(std::string_view name);
-
-// Rack shape for scenarios that instantiate the Section 6.1 testbed.
-struct TopologySpec {
-  std::size_t zombies = 1;          // servers pushed to Sz lending their RAM
-  MachineKind machine = MachineKind::kHpCompaqElite8300;
-  std::uint32_t server_cpus = 8;
-  Bytes server_memory = 16 * kGiB;
-  Bytes buff_size = 4 * kMiB;       // the rack-uniform BUFF_SIZE
-  bool materialize_memory = false;  // real bytes vs accounting-only
-};
 
 // ---------------------------------------------------------------------------
 // Typed parameters and sweeps.
@@ -59,8 +38,8 @@ struct TopologySpec {
 // CLI `--set key=value` must name a declared parameter and parse as its
 // type (`zombieland params <name>` lists them).  A SweepSpec turns declared
 // parameters into axes of a parameter grid: the framework expands the grid
-// (cross product or zipped) and the run function iterates the resulting
-// SweepPoints instead of hand-writing nested loops.
+// (cross product, first axis outermost) and the run function iterates the
+// resulting SweepPoints instead of hand-writing nested loops.
 // ---------------------------------------------------------------------------
 
 enum class ParamType : std::uint8_t { kU64 = 0, kDouble, kString };
@@ -90,14 +69,6 @@ struct ParamSpec {
   std::optional<ParamRange> range;
 };
 
-// How a multi-axis sweep combines its axes.
-enum class SweepMode : std::uint8_t {
-  kCross = 0,  // cartesian product, first axis outermost
-  kZip,        // axes advance in lockstep (all must have equal length)
-};
-
-std::string_view SweepModeName(SweepMode mode);
-
 // One axis of the grid: a declared parameter plus the distinct values it
 // takes.  Values are in rendered form and validated against the parameter's
 // type; `--set <param>=v1,v2,...` replaces them at run time.
@@ -107,7 +78,6 @@ struct SweepAxis {
 };
 
 struct SweepSpec {
-  SweepMode mode = SweepMode::kCross;
   std::vector<SweepAxis> axes;
 
   bool empty() const { return axes.empty(); }
@@ -117,12 +87,6 @@ struct ScenarioSpec {
   std::string name;         // registry key, e.g. "fig08"
   std::string title;        // one-line human title
   std::string description;  // a sentence for `zombieland list`
-
-  // Smoke mode (--smoke) caps every access stream at
-  // this many accesses so a full catalog run stays executable in CI.
-  std::uint64_t smoke_scale = 20'000;
-
-  TopologySpec topology;
 
   // Declared `--set` parameters (validated, introspectable) and the sweep
   // grid built from them (empty = not a swept scenario).

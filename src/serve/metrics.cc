@@ -1,7 +1,5 @@
 #include "src/serve/metrics.h"
 
-#include "src/common/report.h"
-
 namespace zombie::serve {
 
 std::uint64_t ServeMetrics::TotalShed() const {
@@ -17,42 +15,6 @@ double ServeMetrics::ShedRate() const {
     return 0.0;
   }
   return static_cast<double>(TotalShed()) / static_cast<double>(arrivals);
-}
-
-std::string FormatServeSummary(ServeMetrics& metrics) {
-  using report::StrPrintf;
-  std::string out;
-  out += StrPrintf(
-      "arrivals %llu  admitted %llu  placed %llu  departed %llu  cancelled %llu\n",
-      static_cast<unsigned long long>(metrics.arrivals),
-      static_cast<unsigned long long>(metrics.admitted),
-      static_cast<unsigned long long>(metrics.placed),
-      static_cast<unsigned long long>(metrics.departed),
-      static_cast<unsigned long long>(metrics.cancelled));
-  out += StrPrintf("resized %llu (rejected %llu)  zombie wakes %llu\n",
-                   static_cast<unsigned long long>(metrics.resized),
-                   static_cast<unsigned long long>(metrics.resize_rejected),
-                   static_cast<unsigned long long>(metrics.zombie_wakes));
-  out += StrPrintf("shed %llu (%.1f%% of arrivals):",
-                   static_cast<unsigned long long>(metrics.TotalShed()),
-                   metrics.ShedRate() * 100.0);
-  for (std::size_t i = 0; i < kShedReasonCount; ++i) {
-    out += StrPrintf("  %s %llu", ShedReasonName(static_cast<ShedReason>(i)),
-                     static_cast<unsigned long long>(metrics.shed[i]));
-  }
-  out += "\n";
-  out += "admission wait (ms):  " +
-         FormatPercentileSummary(metrics.admission_wait_ms.Summary()) + "\n";
-  out += "placement (ms):       " +
-         FormatPercentileSummary(metrics.placement_ms.Summary()) + "\n";
-  out += "fault service (us):   " +
-         FormatPercentileSummary(metrics.fault_service_us.Summary()) + "\n";
-  out += "migration stall (ms): " +
-         FormatPercentileSummary(metrics.migration_stall_ms.Summary()) + "\n";
-  out += StrPrintf("SLO violations %llu  avg rack power %.1f%% of max\n",
-                   static_cast<unsigned long long>(metrics.slo_violations),
-                   metrics.power_pct.mean());
-  return out;
 }
 
 }  // namespace zombie::serve

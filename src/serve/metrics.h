@@ -16,7 +16,6 @@
 
 #include <array>
 #include <cstdint>
-#include <string>
 
 #include "src/common/stats.h"
 #include "src/common/units.h"
@@ -55,9 +54,6 @@ struct ServeMetrics {
   // Shed requests as a fraction of arrivals (0 when nothing arrived).
   double ShedRate() const;
 };
-
-// The standard serving block: counts, shed breakdown, latency summaries.
-std::string FormatServeSummary(ServeMetrics& metrics);
 
 }  // namespace zombie::serve
 

@@ -439,18 +439,5 @@ TEST(Percentiles, SummaryMatchesIndividualQueries) {
   EXPECT_FALSE(FormatPercentileSummary(s).empty());
 }
 
-TEST(Histogram, BucketsAndClamping) {
-  Histogram h(0.0, 10.0, 10);
-  h.Add(0.5);
-  h.Add(5.5);
-  h.Add(-3.0);   // clamps low
-  h.Add(100.0);  // clamps high
-  EXPECT_EQ(h.bucket_count(0), 2u);
-  EXPECT_EQ(h.bucket_count(5), 1u);
-  EXPECT_EQ(h.bucket_count(9), 1u);
-  EXPECT_EQ(h.total(), 4u);
-  EXPECT_FALSE(h.Render().empty());
-}
-
 }  // namespace
 }  // namespace zombie

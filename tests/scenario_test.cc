@@ -63,27 +63,6 @@ TEST(ScenarioBuilderTest, RejectsMissingRunner) {
   EXPECT_NE(scenario.status().message().find("run function"), std::string::npos);
 }
 
-TEST(ScenarioBuilderTest, RejectsZeroSmokeScale) {
-  auto scenario =
-      ScenarioBuilder("t").Title("t").SmokeScale(0).Runner(NopRunner()).Build();
-  EXPECT_FALSE(scenario.ok());
-}
-
-TEST(ScenarioBuilderTest, RejectsZeroServerMemoryAndOversizedBuff) {
-  auto zero_mem = ScenarioBuilder("t")
-                      .Title("t")
-                      .Topology({.server_memory = 0})
-                      .Runner(NopRunner())
-                      .Build();
-  EXPECT_FALSE(zero_mem.ok());
-  auto big_buff = ScenarioBuilder("t")
-                      .Title("t")
-                      .Topology({.server_memory = 1 * kGiB, .buff_size = 2 * kGiB})
-                      .Runner(NopRunner())
-                      .Build();
-  EXPECT_FALSE(big_buff.ok());
-}
-
 // ---------------------------------------------------------------------------
 // Sweep combinator: builder validation.
 // ---------------------------------------------------------------------------
@@ -144,16 +123,6 @@ TEST(SweepSpecTest, RejectsMistypedAxisValue) {
             std::string::npos);
 }
 
-TEST(SweepSpecTest, RejectsUnequalZipLengths) {
-  auto scenario = SweptBuilder()
-                      .Sweep({.mode = SweepMode::kZip,
-                              .axes = {{"policy", {"FIFO", "Mixed"}},
-                                       {"fraction", {"0.2"}}}})
-                      .Build();
-  ASSERT_FALSE(scenario.ok());
-  EXPECT_NE(scenario.status().message().find("equal lengths"), std::string::npos);
-}
-
 TEST(SweepSpecTest, RejectsValueOutsideChoices) {
   auto scenario = ScenarioBuilder("t")
                       .Title("t")
@@ -188,20 +157,19 @@ TEST(SweepSpecTest, RejectsDuplicateAndMistypedParams) {
 // Sweep combinator: expansion.
 // ---------------------------------------------------------------------------
 
-ScenarioSpec SweptSpec(SweepMode mode) {
+ScenarioSpec SweptSpec() {
   ScenarioSpec spec;
   spec.name = "swept";
   spec.title = "t";
   spec.params = {{"policy", ParamType::kString, "", "", {}},
                  {"fraction", ParamType::kDouble, "", "", {}}};
-  spec.sweep = {mode,
-                {{"policy", {"FIFO", "Clock", "Mixed"}},
+  spec.sweep = {{{"policy", {"FIFO", "Clock", "Mixed"}},
                  {"fraction", {"0.2", "0.5", "0.8"}}}};
   return spec;
 }
 
 TEST(SweepExpansionTest, CrossProductCountAndOrder) {
-  const ScenarioSpec spec = SweptSpec(SweepMode::kCross);
+  const ScenarioSpec spec = SweptSpec();
   RunOptions options;
   RunContext ctx(spec, options);
   const auto points = ctx.SweepPoints();
@@ -218,20 +186,6 @@ TEST(SweepExpansionTest, CrossProductCountAndOrder) {
   EXPECT_EQ(points[4].Double("fraction"), 0.5);
 }
 
-TEST(SweepExpansionTest, ZipCountAndLockstep) {
-  const ScenarioSpec spec = SweptSpec(SweepMode::kZip);
-  RunOptions options;
-  RunContext ctx(spec, options);
-  const auto points = ctx.SweepPoints();
-  ASSERT_EQ(points.size(), 3u);  // zipped, not 9
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    EXPECT_EQ(points[i].AxisIndex("policy"), i);
-    EXPECT_EQ(points[i].AxisIndex("fraction"), i);
-  }
-  EXPECT_EQ(points[1].Value("policy"), "Clock");
-  EXPECT_EQ(points[1].Value("fraction"), "0.5");
-}
-
 TEST(SweepExpansionTest, NoSweepMeansNoPoints) {
   ScenarioSpec spec;
   RunOptions options;
@@ -239,7 +193,7 @@ TEST(SweepExpansionTest, NoSweepMeansNoPoints) {
 }
 
 TEST(SweepExpansionTest, SetOverrideReplacesAxisValues) {
-  const ScenarioSpec spec = SweptSpec(SweepMode::kCross);
+  const ScenarioSpec spec = SweptSpec();
   RunOptions options;
   options.params["fraction"] = "0.1,0.9";
   RunContext ctx(spec, options);
@@ -255,7 +209,7 @@ TEST(SweepExpansionTest, U64AxisParses) {
   spec.name = "t";
   spec.title = "t";
   spec.params = {{"depth", ParamType::kU64, "", "", {}}};
-  spec.sweep = {SweepMode::kCross, {{"depth", {"1", "16", "256"}}}};
+  spec.sweep = {{{"depth", {"1", "16", "256"}}}};
   RunOptions options;
   RunContext ctx(spec, options);
   EXPECT_EQ(ctx.AxisU64s("depth"), (std::vector<std::uint64_t>{1, 16, 256}));
@@ -267,7 +221,7 @@ TEST(SweepExpansionTest, U64AxisParses) {
 // ---------------------------------------------------------------------------
 
 TEST(RunParamsTest, RejectsUndeclaredKeyNamingDeclaredOnes) {
-  const ScenarioSpec spec = SweptSpec(SweepMode::kCross);
+  const ScenarioSpec spec = SweptSpec();
   RunOptions options;
   options.params["polcy"] = "FIFO";
   const Status status = ValidateRunParams(spec, options);
@@ -285,6 +239,14 @@ TEST(RunParamsTest, RejectsNonFiniteOverflowAndOutOfRangeValues) {
   EXPECT_FALSE(CheckParamValue(fraction, "1.5").ok());
   EXPECT_TRUE(CheckParamValue(fraction, "1").ok());      // inclusive max
   EXPECT_TRUE(CheckParamValue(fraction, "0.25").ok());
+  EXPECT_TRUE(CheckParamValue(fraction, ".5").ok());
+  EXPECT_TRUE(CheckParamValue(fraction, "5e-1").ok());
+  // strtod would take these, and they would render as point keys that no
+  // --filter value matches.
+  EXPECT_FALSE(CheckParamValue(fraction, " 0.5").ok());  // leading whitespace
+  EXPECT_FALSE(CheckParamValue(fraction, "0x1p-1").ok());  // hex float
+  EXPECT_NE(CheckParamValue(fraction, "0x1p-1").message().find("is not a finite number"),
+            std::string::npos);
   ParamSpec depth{"d", ParamType::kU64, "", "", {}, ParamRange{.min = 1}};
   EXPECT_FALSE(CheckParamValue(depth, "0").ok());
   EXPECT_FALSE(CheckParamValue(depth, "18446744073709551617").ok());  // > 2^64-1
@@ -292,22 +254,13 @@ TEST(RunParamsTest, RejectsNonFiniteOverflowAndOutOfRangeValues) {
 }
 
 TEST(RunParamsTest, RejectsMistypedValueAndAcceptsAxisList) {
-  const ScenarioSpec spec = SweptSpec(SweepMode::kCross);
+  const ScenarioSpec spec = SweptSpec();
   RunOptions bad;
   bad.params["fraction"] = "0.2,zero";
   EXPECT_FALSE(ValidateRunParams(spec, bad).ok());
   RunOptions good;
   good.params["fraction"] = "0.25,0.75";
   EXPECT_TRUE(ValidateRunParams(spec, good).ok());
-}
-
-TEST(RunParamsTest, RejectsZipBreakingOverride) {
-  const ScenarioSpec spec = SweptSpec(SweepMode::kZip);
-  RunOptions options;
-  options.params["fraction"] = "0.25,0.75";  // policy axis still has 3 values
-  const Status status = ValidateRunParams(spec, options);
-  ASSERT_FALSE(status.ok());
-  EXPECT_NE(status.message().find("equal lengths"), std::string::npos);
 }
 
 TEST(RunParamsTest, RunFailsCleanlyOnUnknownSetKey) {
@@ -370,21 +323,20 @@ TEST(SweepTableTest, HandleSurvivesLaterTableAdditions) {
 
 TEST(RunContextTest, ScaledAccessesCapsOnlyInSmokeMode) {
   ScenarioSpec spec;
-  spec.smoke_scale = 1000;
   RunOptions full;
   EXPECT_EQ(RunContext(spec, full).ScaledAccesses(5'000'000), 5'000'000u);
   RunOptions smoke;
   smoke.smoke = true;
-  EXPECT_EQ(RunContext(spec, smoke).ScaledAccesses(5'000'000), 1000u);
+  EXPECT_EQ(kSmokeAccesses, 20'000u);
+  EXPECT_EQ(RunContext(spec, smoke).ScaledAccesses(5'000'000), kSmokeAccesses);
   EXPECT_EQ(RunContext(spec, smoke).ScaledAccesses(500), 500u);
 }
 
 TEST(RunContextTest, ProfileAppliesOverridesAndSmoke) {
   // The calibrated profile, with only the smoke cap applied.
   ScenarioSpec spec;
-  spec.smoke_scale = 1000;
   const auto calibrated = workloads::ProfileFor(workloads::App::kElasticsearch);
-  ASSERT_GT(calibrated.accesses, spec.smoke_scale);
+  ASSERT_GT(calibrated.accesses, kSmokeAccesses);
   RunOptions full;
   EXPECT_EQ(RunContext(spec, full).Profile(workloads::App::kElasticsearch).accesses,
             calibrated.accesses);
@@ -394,7 +346,7 @@ TEST(RunContextTest, ProfileAppliesOverridesAndSmoke) {
       RunContext(spec, smoke).Profile(workloads::App::kElasticsearch);
   EXPECT_EQ(profile.reserved_memory, calibrated.reserved_memory);
   EXPECT_EQ(profile.working_set, calibrated.working_set);
-  EXPECT_EQ(profile.accesses, spec.smoke_scale);
+  EXPECT_EQ(profile.accesses, kSmokeAccesses);
 }
 
 TEST(RunContextTest, ParamsParseAndFallBack) {

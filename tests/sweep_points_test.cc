@@ -35,8 +35,7 @@ ScenarioSpec TwoAxisSpec() {
   spec.title = "t";
   spec.params = {{"policy", ParamType::kString, "", "", {}},
                  {"fraction", ParamType::kDouble, "", "", {}}};
-  spec.sweep = {SweepMode::kCross,
-                {{"policy", {"FIFO", "Clock", "Mixed"}},
+  spec.sweep = {{{"policy", {"FIFO", "Clock", "Mixed"}},
                  {"fraction", {"0.2", "0.5", "0.8"}}}};
   return spec;
 }
@@ -203,45 +202,6 @@ TEST(FilterTest, RejectsRepeatedValuesOnSetAndFilterLists) {
                                   "value 'Clock' is listed twice"),
             std::string::npos)
       << status.message();
-}
-
-TEST(FilterTest, ZipSweepFilterSelectsLockstepRows) {
-  // Zip rows: (FIFO, 0.2), (Clock, 0.5), (Mixed, 0.8).  Filtering one axis
-  // keeps whole rows — the other axes shrink in lockstep, and no (policy,
-  // fraction) pair that was never a row can appear.
-  ScenarioSpec spec = TwoAxisSpec();
-  spec.sweep.mode = SweepMode::kZip;
-  RunOptions options;
-  options.filters["fraction"] = "0.2,0.8";
-  ASSERT_TRUE(ValidateRunParams(spec, options).ok());
-  RunContext ctx(spec, options);
-  EXPECT_EQ(ctx.Axis("policy"), (std::vector<std::string>{"FIFO", "Mixed"}));
-  EXPECT_EQ(ctx.Axis("fraction"), (std::vector<std::string>{"0.2", "0.8"}));
-  const auto points = ctx.SweepPoints();
-  ASSERT_EQ(points.size(), 2u);
-  EXPECT_EQ(points[0].Value("policy"), "FIFO");
-  EXPECT_EQ(points[1].Value("policy"), "Mixed");
-  EXPECT_EQ(points[1].Value("fraction"), "0.8");
-}
-
-TEST(FilterTest, ZipSweepCannotFabricateCombinations) {
-  // Filters on two axes intersect rows; picking values from different rows
-  // matches nothing and fails validation instead of inventing a point.
-  ScenarioSpec spec = TwoAxisSpec();
-  spec.sweep.mode = SweepMode::kZip;
-  RunOptions options;
-  options.filters["policy"] = "Mixed";    // row 2
-  options.filters["fraction"] = "0.2";    // row 0
-  const Status status = ValidateRunParams(spec, options);
-  ASSERT_FALSE(status.ok());
-  EXPECT_NE(status.message().find("matches no row"), std::string::npos);
-  // Same-row values select exactly that row.
-  options.filters["fraction"] = "0.8";
-  ASSERT_TRUE(ValidateRunParams(spec, options).ok());
-  const auto points = RunContext(spec, options).SweepPoints();
-  ASSERT_EQ(points.size(), 1u);
-  EXPECT_EQ(points[0].Value("policy"), "Mixed");
-  EXPECT_EQ(points[0].Value("fraction"), "0.8");
 }
 
 TEST(FilterTest, RegistryRunExecutesStrictSubset) {
