@@ -85,8 +85,7 @@ BENCHMARK(BM_BufferDbAllocateRelease);
 void BM_PlaneAllocExtRelease(benchmark::State& state) {
   constexpr Bytes kBuff = 64 * zombie::kMiB;
   constexpr ServerId kUser = 17;
-  ShardedControlPlane plane(PlaneConfig{.buff_size = kBuff, .shards = 1, .lease = {},
-                                        .secondary = {}});
+  ShardedControlPlane plane(PlaneConfig{.buff_size = kBuff, .shards = 1, .lease = {}});
   for (ServerId host = 1; host <= kUser; ++host) {
     plane.RegisterServer(host);
   }

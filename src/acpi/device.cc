@@ -61,17 +61,10 @@ DeviceTree DeviceTree::StandardServer() {
   return tree;
 }
 
-std::vector<std::string> DeviceTree::SuspendAll(SleepState target) {
-  std::vector<std::string> suspended;
+void DeviceTree::SuspendAll(SleepState target) {
   for (auto it = devices_.rbegin(); it != devices_.rend(); ++it) {
-    AcpiDevice& dev = **it;
-    const DeviceState before = dev.state();
-    dev.PmSuspend(target);
-    if (dev.state() != before) {
-      suspended.push_back(dev.name());
-    }
+    (*it)->PmSuspend(target);
   }
-  return suspended;
 }
 
 void DeviceTree::ResumeAll() {

@@ -73,9 +73,8 @@ class DeviceTree {
   static DeviceTree StandardServer();
 
   // Suspends all devices for `target` in reverse order; keep-up devices are
-  // skipped when target == Sz.  Returns the names of devices actually
-  // suspended (for trace assertions).
-  std::vector<std::string> SuspendAll(SleepState target);
+  // skipped when target == Sz.
+  void SuspendAll(SleepState target);
   void ResumeAll();
 
  private:

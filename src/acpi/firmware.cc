@@ -2,31 +2,16 @@
 
 namespace zombie::acpi {
 
-Duration TransitionLatencies::EnterLatency(SleepState s) const {
+Duration ExitLatency(SleepState s) {
   switch (s) {
     case SleepState::kS3:
-      return s3_enter;
+      return kS3ExitLatency;
     case SleepState::kS4:
-      return s4_enter;
+      return kS4ExitLatency;
     case SleepState::kSz:
-      return sz_enter;
+      return kSzExitLatency;
     case SleepState::kS5:
-      return s4_enter;  // shutdown path, disk flush dominated
-    default:
-      return 0;
-  }
-}
-
-Duration TransitionLatencies::ExitLatency(SleepState s) const {
-  switch (s) {
-    case SleepState::kS3:
-      return s3_exit;
-    case SleepState::kS4:
-      return s4_exit;
-    case SleepState::kSz:
-      return sz_exit;
-    case SleepState::kS5:
-      return s5_exit;
+      return kS5ExitLatency;
     default:
       return 0;
   }
@@ -49,7 +34,6 @@ Result<SleepState> Firmware::LatchAndSleep() {
   if (!plane_->ApplyState(target)) {
     return Status(ErrorCode::kFailedPrecondition, "power plane refused state transition");
   }
-  platform_state_ = target;
   pm1_.pm1a.ClearSlpEn();
   pm1_.pm1b.ClearSlpEn();
   return target;
@@ -58,7 +42,6 @@ Result<SleepState> Firmware::LatchAndSleep() {
 void Firmware::Wake() {
   // Re-initialise chipset state, reopen every rail, hand control to the OS.
   plane_->ApplyState(SleepState::kS0);
-  platform_state_ = SleepState::kS0;
 }
 
 }  // namespace zombie::acpi

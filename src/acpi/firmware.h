@@ -17,21 +17,16 @@
 
 namespace zombie::acpi {
 
-// Transition latencies of the testbed-class machines (enter, exit).  Values
-// follow commodity-server magnitudes; Sz tracks S3 ("similar to
-// suspend-to-RAM in latency").
-struct TransitionLatencies {
-  Duration s3_enter = 3 * kSecond;
-  Duration s3_exit = 4 * kSecond;
-  Duration s4_enter = 12 * kSecond;
-  Duration s4_exit = 25 * kSecond;
-  Duration s5_exit = 90 * kSecond;  // full boot
-  Duration sz_enter = 3 * kSecond;  // same path as S3 plus keep-up work
-  Duration sz_exit = 4 * kSecond;
+// Exit (wake) latencies of the testbed-class machines.  Values follow
+// commodity-server magnitudes; Sz tracks S3 ("similar to suspend-to-RAM in
+// latency").
+inline constexpr Duration kS3ExitLatency = 4 * kSecond;
+inline constexpr Duration kS4ExitLatency = 25 * kSecond;
+inline constexpr Duration kS5ExitLatency = 90 * kSecond;  // full boot
+inline constexpr Duration kSzExitLatency = kS3ExitLatency;
 
-  Duration EnterLatency(SleepState s) const;
-  Duration ExitLatency(SleepState s) const;
-};
+// The wake latency out of `s` (0 for S0).
+Duration ExitLatency(SleepState s);
 
 class Firmware {
  public:
@@ -53,14 +48,9 @@ class Firmware {
   // Wake path: re-initialises the chipset state and re-opens rails for S0.
   void Wake();
 
-  const TransitionLatencies& latencies() const { return latencies_; }
-  SleepState platform_state() const { return platform_state_; }
-
  private:
   PowerPlane* plane_;
   Pm1Block pm1_;
-  TransitionLatencies latencies_;
-  SleepState platform_state_ = SleepState::kS0;
   bool sz_configured_ = false;
 };
 

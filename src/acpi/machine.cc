@@ -34,7 +34,7 @@ Duration Machine::WakeOnLan() {
     return 0;  // nothing listening; a real S5 box needs operator power-on
   }
   ospm_.Wake();
-  return firmware_.latencies().ExitLatency(from);
+  return ExitLatency(from);
 }
 
 bool Machine::ServesRemoteMemory() const {

@@ -24,7 +24,6 @@ class PowerMeter {
     observed_ += dt;
   }
 
-  EnergyMj energy_mj() const { return energy_; }
   double energy_joules() const { return MjToJoules(energy_); }
   Duration observed() const { return observed_; }
 

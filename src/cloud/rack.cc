@@ -7,13 +7,11 @@ namespace zombie::cloud {
 
 Rack::Rack(RackConfig config)
     : config_(config),
-      fabric_(config.fabric),
       verbs_(&fabric_),
       plane_(remotemem::PlaneConfig{
           .buff_size = config.buff_size,
           .shards = config.controller_shards == 0 ? 1 : config.controller_shards,
-          .lease = {.ttl = config.lease_ttl},
-          .secondary = {}}),
+          .lease = {.ttl = config.lease_ttl}}),
       agents_(this) {
   plane_.set_agents(&agents_);
   // One fabric node per controller shard.  The node is always reachable: it
@@ -76,7 +74,7 @@ Status Rack::PushToZombie(remotemem::ServerId id) {
   // suspend path, when OSPM signals the remote-mem-mgr.
   remotemem::RemoteMemoryManager* mgr = managers_.at(id).get();
   const Bytes lendable = static_cast<Bytes>(
-      config_.delegate_fraction * static_cast<double>(server->FreeLocalMemory()));
+      kDelegateFraction * static_cast<double>(server->FreeLocalMemory()));
   Status delegation_status = Status::Ok();
   server->machine().ospm().set_pre_zombie_hook([this, mgr, lendable, server,
                                                 &delegation_status] {

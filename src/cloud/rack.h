@@ -31,15 +31,15 @@
 
 namespace zombie::cloud {
 
+// Fraction of a server's free memory delegated when it goes zombie (the
+// rest covers kernel/firmware state kept in RAM).
+inline constexpr double kDelegateFraction = 0.9;
+
 struct RackConfig {
   Bytes buff_size = remotemem::kDefaultBuffSize;
-  // Fraction of a server's free memory delegated when it goes zombie (the
-  // rest covers kernel/firmware state kept in RAM).
-  double delegate_fraction = 0.9;
   // Register real (materialized) memory regions; disable for large-scale
   // accounting-only simulation.
   bool materialize_memory = false;
-  rdma::FabricParams fabric;
   // Number of control-plane shards (1 = the classic single controller).
   std::size_t controller_shards = 1;
   // Missed-heartbeat deadline before a host's lease lapses.

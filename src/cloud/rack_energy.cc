@@ -21,30 +21,30 @@ std::string_view ArchitectureName(Architecture a) {
 
 namespace {
 
-double ComponentPower(double fraction, double idle_scale, double utilization) {
-  return fraction * (idle_scale + (1.0 - idle_scale) * std::clamp(utilization, 0.0, 1.0));
+double ComponentPower(double fraction, double utilization) {
+  return fraction * (kIdleScale + (1.0 - kIdleScale) * std::clamp(utilization, 0.0, 1.0));
 }
 
 // Full server power at the given cpu/memory utilisation.
-double ServerPower(const RackEnergyParams& p, double cpu, double mem) {
-  return p.other_fraction + ComponentPower(p.cpu_board_fraction, p.idle_scale, cpu) +
-         ComponentPower(p.mem_board_fraction, p.idle_scale, mem);
+double ServerPower(double cpu, double mem) {
+  return kOtherFraction + ComponentPower(kCpuBoardFraction, cpu) +
+         ComponentPower(kMemBoardFraction, mem);
 }
 
-double ServerCentric(const std::vector<SlotDemand>& demand, const RackEnergyParams& p) {
+double ServerCentric(const std::vector<SlotDemand>& demand) {
   double total = 0.0;
   for (const auto& slot : demand) {
     if (slot.cpu <= 0.0 && slot.memory <= 0.0) {
-      total += p.suspend_fraction;  // nothing needed: suspend the server
+      total += kSuspendFraction;  // nothing needed: suspend the server
     } else {
       // Any demand — even memory-only — keeps the whole board powered.
-      total += ServerPower(p, slot.cpu, slot.memory);
+      total += ServerPower(slot.cpu, slot.memory);
     }
   }
   return total;
 }
 
-double IdealDisaggregated(const std::vector<SlotDemand>& demand, const RackEnergyParams& p) {
+double IdealDisaggregated(const std::vector<SlotDemand>& demand) {
   // Every resource lives on its own board; unused boards power off, used
   // boards are energy-proportional.  One rack-level interconnect/platform
   // share remains.
@@ -54,33 +54,32 @@ double IdealDisaggregated(const std::vector<SlotDemand>& demand, const RackEnerg
     cpu_total += slot.cpu;
     mem_total += slot.memory;
   }
-  return p.cpu_board_fraction * cpu_total + p.mem_board_fraction * mem_total +
-         p.other_fraction;
+  return kCpuBoardFraction * cpu_total + kMemBoardFraction * mem_total + kOtherFraction;
 }
 
-double MicroServers(const std::vector<SlotDemand>& demand, const RackEnergyParams& p) {
+double MicroServers(const std::vector<SlotDemand>& demand) {
   // Each slot is N micro-servers of 1/N capacity; a micro-server serving any
   // cpu or memory must be on, the rest suspend.  Memory cannot leave its
   // micro-server, which is exactly the limitation the paper calls out.
-  const int n = std::max(1, p.microservers_per_slot);
+  constexpr int n = kMicroserversPerSlot;
   double total = 0.0;
   for (const auto& slot : demand) {
     const double need = std::max(slot.cpu, slot.memory);
     const int on = std::min(n, static_cast<int>(std::ceil(need * n - 1e-9)));
     if (on == 0) {
-      total += p.suspend_fraction;
+      total += kSuspendFraction;
       continue;
     }
     const double scale = static_cast<double>(on) / n;
     const double cpu_eff = std::min(1.0, slot.cpu / scale);
     const double mem_eff = std::min(1.0, slot.memory / scale);
-    total += scale * ServerPower(p, cpu_eff, mem_eff);
-    total += static_cast<double>(n - on) / n * p.suspend_fraction;
+    total += scale * ServerPower(cpu_eff, mem_eff);
+    total += static_cast<double>(n - on) / n * kSuspendFraction;
   }
   return total;
 }
 
-double ZombieRack(const std::vector<SlotDemand>& demand, const RackEnergyParams& p) {
+double ZombieRack(const std::vector<SlotDemand>& demand) {
   // Consolidate CPU demand onto the fewest servers; those servers' memory is
   // used first.  Remaining memory demand is served by zombies; servers with
   // neither role suspend to S3.
@@ -99,35 +98,34 @@ double ZombieRack(const std::vector<SlotDemand>& demand, const RackEnergyParams&
   for (std::size_t i = 0; i < active; ++i) {
     const double cpu = std::min(1.0, cpu_left);
     const double mem = std::min(1.0, mem_left);
-    total += ServerPower(p, cpu, mem);
+    total += ServerPower(cpu, mem);
     cpu_left -= cpu;
     mem_left -= mem;
   }
   std::size_t remaining = servers - active;
   // Zombies serve the leftover memory demand.
   while (mem_left > 1e-9 && remaining > 0) {
-    total += p.zombie_fraction;
+    total += kZombieFraction;
     mem_left -= 1.0;
     --remaining;
   }
   // Everyone else suspends.
-  total += static_cast<double>(remaining) * p.suspend_fraction;
+  total += static_cast<double>(remaining) * kSuspendFraction;
   return total;
 }
 
 }  // namespace
 
-double RackEnergy(Architecture arch, const std::vector<SlotDemand>& demand,
-                  const RackEnergyParams& params) {
+double RackEnergy(Architecture arch, const std::vector<SlotDemand>& demand) {
   switch (arch) {
     case Architecture::kServerCentric:
-      return ServerCentric(demand, params);
+      return ServerCentric(demand);
     case Architecture::kIdealDisaggregated:
-      return IdealDisaggregated(demand, params);
+      return IdealDisaggregated(demand);
     case Architecture::kMicroServers:
-      return MicroServers(demand, params);
+      return MicroServers(demand);
     case Architecture::kZombie:
-      return ZombieRack(demand, params);
+      return ZombieRack(demand);
   }
   return 0.0;
 }

@@ -31,25 +31,22 @@ struct SlotDemand {
   double memory = 0.0;
 };
 
-struct RackEnergyParams {
-  // Component fractions of a server's full power (coarse, for the Fig. 4
-  // style first-order comparison).
-  double cpu_board_fraction = 0.65;     // CPU board / complex at full load
-  double mem_board_fraction = 0.12;     // memory board at full load (DRAM is
-                                        // a modest slice of server power)
-  double other_fraction = 0.23;         // NIC/storage/platform
-  double idle_scale = 0.30;             // idle draw of a powered component
-  double suspend_fraction = 0.05;       // suspended server (S3-class)
-  double zombie_fraction = 0.12;        // Sz draw (Table 3 magnitude)
-  // Micro-servers per commodity server slot.
-  int microservers_per_slot = 4;
-};
+// Component fractions of a server's full power (coarse, for the Fig. 4
+// style first-order comparison).
+inline constexpr double kCpuBoardFraction = 0.65;  // CPU board / complex at full load
+inline constexpr double kMemBoardFraction = 0.12;  // memory board at full load (DRAM is
+                                                   // a modest slice of server power)
+inline constexpr double kOtherFraction = 0.23;     // NIC/storage/platform
+inline constexpr double kIdleScale = 0.30;         // idle draw of a powered component
+inline constexpr double kSuspendFraction = 0.05;   // suspended server (S3-class)
+inline constexpr double kZombieFraction = 0.12;    // Sz draw (Table 3 magnitude)
+// Micro-servers per commodity server slot.
+inline constexpr int kMicroserversPerSlot = 4;
 
 // Rack energy in units of Emax (one server's full-load energy) for serving
 // `demand` under the given architecture.  The demand slots map onto servers
 // (or groups of micro-servers) 1:1.
-double RackEnergy(Architecture arch, const std::vector<SlotDemand>& demand,
-                  const RackEnergyParams& params = {});
+double RackEnergy(Architecture arch, const std::vector<SlotDemand>& demand);
 
 // The exact demand profile illustrated in Fig. 4: server 1 fully busy,
 // server 2 busy with spare memory, server 3 CPU-idle but memory needed.

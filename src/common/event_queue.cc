@@ -54,16 +54,6 @@ std::size_t EventQueue::Run() {
   return n;
 }
 
-std::size_t EventQueue::RunUntil(SimTime deadline) {
-  std::size_t n = 0;
-  // Cancelled entries are dropped without consuming the deadline.
-  while (NextEventTime() <= deadline && PopAndRun()) {
-    ++n;
-  }
-  AdvanceTo(deadline);
-  return n;
-}
-
 bool EventQueue::Step() { return PopAndRun(); }
 
 SimTime EventQueue::NextEventTime() {

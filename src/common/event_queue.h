@@ -49,9 +49,6 @@ class EventQueue {
 
   // Runs events until the queue drains.  Returns the number of events run.
   std::size_t Run();
-  // Runs events with timestamp <= deadline, then advances the clock to
-  // `deadline` (even if idle).  Returns the number of events run.
-  std::size_t RunUntil(SimTime deadline);
   // Runs at most one event.  Returns true if an event ran.
   bool Step();
 

@@ -1,12 +1,5 @@
-// Simulated clocks.
-//
-// Two flavours are used throughout zombieland:
-//  * SimClock       — the global discrete-event simulation time (owned by the
-//                     EventQueue; read-only elsewhere).
-//  * CostAccumulator — a per-workload "virtual stopwatch" that adds up the
-//                     simulated cost of memory accesses, page faults, RDMA
-//                     transfers etc.  Used by the workload runner so an
-//                     experiment's "execution time" is a deterministic sum.
+// The simulated clock: discrete-event simulation time, advanced by its
+// owner (an EventQueue, or a rack's Tick) and read-only elsewhere.
 #ifndef ZOMBIELAND_SRC_COMMON_SIM_CLOCK_H_
 #define ZOMBIELAND_SRC_COMMON_SIM_CLOCK_H_
 
@@ -16,7 +9,7 @@
 
 namespace zombie {
 
-// Monotonic simulated clock.  Only the event queue advances it.
+// Monotonic simulated clock.
 class SimClock {
  public:
   SimClock() = default;
@@ -37,24 +30,6 @@ class SimClock {
 
  private:
   SimTime now_ = 0;
-};
-
-// Accumulates simulated cost.  Cheap value type.
-class CostAccumulator {
- public:
-  void AddNs(Duration d) {
-    assert(d >= 0);
-    total_ += d;
-  }
-  void AddCycles(Cycles c) { AddNs(CyclesToDuration(c)); }
-
-  Duration total_ns() const { return total_; }
-  double total_seconds() const { return ToSeconds(total_); }
-
-  void Reset() { total_ = 0; }
-
- private:
-  Duration total_ = 0;
 };
 
 }  // namespace zombie

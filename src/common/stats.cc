@@ -1,7 +1,5 @@
 #include "src/common/stats.h"
 
-#include <cstdio>
-
 namespace zombie {
 
 void RunningStats::Add(double x) {
@@ -32,16 +30,6 @@ void RunningStats::Merge(const RunningStats& other) {
   sum_ += other.sum_;
   min_ = std::min(min_, other.min_);
   max_ = std::max(max_, other.max_);
-}
-
-std::string FormatPercentileSummary(const PercentileSummary& summary, int precision) {
-  if (summary.count == 0) {
-    return "no samples";
-  }
-  char buf[128];
-  std::snprintf(buf, sizeof(buf), "p50 %.*f / p99 %.*f / p999 %.*f", precision, summary.p50,
-                precision, summary.p99, precision, summary.p999);
-  return buf;
 }
 
 double Percentiles::Percentile(double p) {

@@ -1,5 +1,5 @@
-// Online statistics and fixed-bucket histograms used by the benchmark
-// harnesses and the DC simulator's utilisation accounting.
+// Online mean/variance and sample percentiles: the serving daemon's latency
+// and power metrics (src/serve/metrics.h).
 #ifndef ZOMBIELAND_SRC_COMMON_STATS_H_
 #define ZOMBIELAND_SRC_COMMON_STATS_H_
 
@@ -8,7 +8,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <limits>
-#include <string>
 #include <vector>
 
 namespace zombie {
@@ -47,10 +46,6 @@ struct PercentileSummary {
   double p99 = 0.0;
   double p999 = 0.0;
 };
-
-// Renders a summary as "p50 X / p99 Y / p999 Z" (or "no samples") — the one
-// formatting path shared by the serving reports and ad-hoc bench notes.
-std::string FormatPercentileSummary(const PercentileSummary& summary, int precision = 2);
 
 // Stores samples and answers percentile queries (used for latency reporting).
 //

@@ -10,10 +10,8 @@ RemoteFaultBatcher::RemoteFaultBatcher(rdma::ClientRing* ring, DeviceLatency lat
     : ring_(ring), latency_(latency), config_(config) {
   assert(ring_ != nullptr);
   config_.batch_pages = std::max<std::uint32_t>(config_.batch_pages, 1);
-  stream_read_ =
-      static_cast<Duration>(static_cast<double>(latency_.read) * config_.stream_fraction);
-  stream_write_ =
-      static_cast<Duration>(static_cast<double>(latency_.write) * config_.stream_fraction);
+  stream_read_ = static_cast<Duration>(static_cast<double>(latency_.read) * kStreamFraction);
+  stream_write_ = static_cast<Duration>(static_cast<double>(latency_.write) * kStreamFraction);
   pending_.reserve(config_.batch_pages);
 }
 

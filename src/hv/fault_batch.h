@@ -27,13 +27,14 @@
 
 namespace zombie::hv {
 
+// Marginal cost of a rider page on an already-paid round trip, as a
+// fraction of the full one-page latency.
+inline constexpr double kStreamFraction = 0.25;
+
 struct FaultBatchConfig {
   // Pages per simulated round trip.  1 = a round trip per page, bit-identical
   // to the unbatched fault path.
   std::uint32_t batch_pages = 1;
-  // Marginal cost of a rider page on an already-paid round trip, as a
-  // fraction of the full one-page latency.
-  double stream_fraction = 0.25;
 };
 
 // One lane's remote-fault coalescer.  NOT thread-safe: each shard owns one.

@@ -39,9 +39,6 @@ struct PagerStats {
   Cycles policy_cycles = 0;          // total cycles inside PickVictim
   Duration total_cost = 0;           // simulated time of all accesses
 
-  double FaultRate() const {
-    return accesses == 0 ? 0.0 : static_cast<double>(faults) / static_cast<double>(accesses);
-  }
   Cycles PolicyCyclesPerFault() const {
     return faults == 0 ? 0 : policy_cycles / static_cast<Cycles>(faults);
   }

@@ -28,9 +28,6 @@ struct VmSpec {
   // migration protocol.
   Bytes working_set = 512 * kMiB;
   MemoryMode mode = MemoryMode::kLocalOnly;
-
-  std::uint64_t reserved_pages() const { return PagesOf(reserved_memory); }
-  std::uint64_t working_set_pages() const { return PagesOf(working_set); }
 };
 
 }  // namespace zombie::hv

@@ -19,19 +19,18 @@
 
 namespace zombie::migration {
 
-struct MigrationConfig {
-  // Effective migration bandwidth between hosts (pre-copy streams and the
-  // stop-and-copy phase share it).
-  double bandwidth_bytes_per_ns = 1.2;  // ~1.2 GB/s effective
-  // Pre-copy rounds before the final stop-and-copy (fixed, per the paper).
-  int precopy_iterations = 5;
-  // Fraction of the WSS dirtied per second while the VM keeps running.
-  double dirty_wss_fraction_per_sec = 0.08;
-  // Per-buffer ownership-pointer update (an RPC to the global controller).
-  Duration ownership_update_cost = 40 * kMicrosecond;
-  // Fixed protocol setup cost (creating the listening VM etc.).
-  Duration setup_cost = 150 * kMillisecond;
-};
+// Effective migration bandwidth between hosts (pre-copy streams and the
+// stop-and-copy phase share it).
+inline constexpr double kMigrationBandwidthBytesPerNs = 1.2;  // ~1.2 GB/s effective
+// Pre-copy rounds before the final stop-and-copy (fixed, per the paper).
+inline constexpr int kPrecopyIterations = 5;
+// Per-buffer ownership-pointer update (an RPC to the global controller).
+inline constexpr Duration kOwnershipUpdateCost = 40 * kMicrosecond;
+// Fixed protocol setup cost (creating the listening VM etc.).
+inline constexpr Duration kMigrationSetupCost = 150 * kMillisecond;
+// Fraction of the WSS dirtied per second while the VM keeps running, unless
+// the caller states its own.
+inline constexpr double kDefaultDirtyWssFractionPerSec = 0.08;
 
 struct RoundRecord {
   Bytes transferred = 0;
@@ -47,15 +46,17 @@ struct MigrationEstimate {
   double seconds() const { return ToSeconds(total_time); }
 };
 
-// Vanilla iterative pre-copy of the full VM memory.
-MigrationEstimate PreCopyMigrate(const hv::VmSpec& vm, const MigrationConfig& config = {});
+// Vanilla iterative pre-copy of the full VM memory, while the VM dirties
+// `dirty_wss_fraction_per_sec` of its working set per second.
+MigrationEstimate PreCopyMigrate(
+    const hv::VmSpec& vm, double dirty_wss_fraction_per_sec = kDefaultDirtyWssFractionPerSec);
 
 // ZombieStack migration: `local_fraction` of the VM's reserved memory is
 // local (the hot part, bounded by the WSS); `remote_buffers` ownership
-// pointers are updated instead of moving remote pages.
+// pointers are updated instead of moving remote pages.  The VM is stopped
+// for its single copy, so its dirty rate does not matter.
 MigrationEstimate ZombieMigrate(const hv::VmSpec& vm, double local_fraction,
-                                std::size_t remote_buffers,
-                                const MigrationConfig& config = {});
+                                std::size_t remote_buffers);
 
 }  // namespace zombie::migration
 

@@ -66,7 +66,7 @@ Result<Duration> Fabric::PriceOneSided(NodeId initiator, NodeId target, Bytes by
                   "target " + NodeName(target) + " memory is not powered/reachable");
   }
   ZOMBIE_RETURN_IF_ERROR(CheckLink(initiator, target));
-  return params_.OneSidedCost(bytes);
+  return OneSidedCost(bytes);
 }
 
 }  // namespace zombie::rdma

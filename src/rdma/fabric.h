@@ -23,25 +23,21 @@ namespace zombie::rdma {
 using NodeId = std::uint32_t;
 inline constexpr NodeId kInvalidNode = 0;
 
-// Per-fabric timing parameters.  Defaults approximate FDR Infiniband with
-// ConnectX-3 adapters: ~1.2 us one-sided 4KiB read end-to-end, ~5.5 GB/s
-// per-link payload bandwidth.
-struct FabricParams {
-  Duration base_latency = 900;            // ns: NIC + switch + propagation
-  double bandwidth_bytes_per_ns = 5.5;    // ~5.5 GB/s
-  Duration initiator_post_cost = 250;     // ns: posting a WQE (outbound op)
-  Duration completion_poll_cost = 120;    // ns: polling a CQE (inbound read)
+// Fabric timing.  The values approximate FDR Infiniband with ConnectX-3
+// adapters: ~1.2 us one-sided 4KiB read end-to-end, ~5.5 GB/s per-link
+// payload bandwidth.
+inline constexpr Duration kFabricBaseLatency = 900;        // ns: NIC + switch + propagation
+inline constexpr double kFabricBandwidthBytesPerNs = 5.5;  // ~5.5 GB/s
+inline constexpr Duration kInitiatorPostCost = 250;        // ns: posting a WQE (outbound op)
+inline constexpr Duration kCompletionPollCost = 120;       // ns: polling a CQE (inbound read)
 
-  // Transfer time of `bytes` on one link, excluding base latency.
-  Duration SerializationDelay(Bytes bytes) const {
-    return static_cast<Duration>(static_cast<double>(bytes) / bandwidth_bytes_per_ns);
-  }
-  // End-to-end one-sided operation cost.
-  Duration OneSidedCost(Bytes bytes) const {
-    return initiator_post_cost + base_latency + SerializationDelay(bytes) +
-           completion_poll_cost;
-  }
-};
+// End-to-end one-sided operation cost: post, base latency, the transfer of
+// `bytes` on one link, poll.
+constexpr Duration OneSidedCost(Bytes bytes) {
+  return kInitiatorPostCost + kFabricBaseLatency +
+         static_cast<Duration>(static_cast<double>(bytes) / kFabricBandwidthBytesPerNs) +
+         kCompletionPollCost;
+}
 
 // What the fabric needs to know about an attached node.  The rack layer
 // implements this on top of acpi::Machine.
@@ -55,10 +51,6 @@ struct NodePort {
 
 class Fabric {
  public:
-  explicit Fabric(FabricParams params = {}) : params_(params) {}
-
-  const FabricParams& params() const { return params_; }
-
   // Attaches a node; returns its fabric-assigned id.
   NodeId Attach(NodePort port);
   void Detach(NodeId id);
@@ -105,7 +97,6 @@ class Fabric {
   // Returns an error (and fires the failure upcall) if the link is broken.
   [[nodiscard]] Status CheckLink(NodeId initiator, NodeId target) const;
 
-  FabricParams params_;
   std::unordered_map<NodeId, NodePort> ports_;
   std::unordered_set<std::uint64_t> broken_links_;
   std::function<void(NodeId, NodeId)> failure_upcall_;

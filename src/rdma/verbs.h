@@ -3,8 +3,8 @@
 //
 // Data really moves: a MemoryRegion owns bytes, and READ/WRITE copy between
 // local and remote regions, so higher layers (hypervisor paging, swap
-// devices) can verify page contents end-to-end.  Every verb returns the
-// simulated cost so callers charge their CostAccumulator.
+// devices) can verify page contents end-to-end.  Every verb returns its
+// simulated cost, which the caller adds to its own simulated time.
 #ifndef ZOMBIELAND_SRC_RDMA_VERBS_H_
 #define ZOMBIELAND_SRC_RDMA_VERBS_H_
 

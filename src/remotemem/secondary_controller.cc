@@ -47,7 +47,7 @@ bool SecondaryController::MonitorTick() {
     ++consecutive_misses_;
   }
   seq_at_last_tick_ = last_seen_seq_;
-  if (consecutive_misses_ >= config_.missed_beats_for_failover) {
+  if (consecutive_misses_ >= kMissedBeatsForFailover) {
     failed_over_ = true;
     return true;
   }

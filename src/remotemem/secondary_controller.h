@@ -5,8 +5,8 @@
 // synchronously mirrors all operations."
 //
 // The secondary keeps a full replica of the buffer database by applying the
-// primary's mirrored operations, watches heartbeats, and — after a
-// configurable number of missed beats — promotes its replica into a fresh
+// primary's mirrored operations, watches heartbeats, and — after
+// kMissedBeatsForFailover missed beats — promotes its replica into a fresh
 // GlobalMemoryController that takes over.
 #ifndef ZOMBIELAND_SRC_REMOTEMEM_SECONDARY_CONTROLLER_H_
 #define ZOMBIELAND_SRC_REMOTEMEM_SECONDARY_CONTROLLER_H_
@@ -15,24 +15,19 @@
 #include <memory>
 #include <vector>
 
-#include "src/common/units.h"
 #include "src/remotemem/global_controller.h"
 
 namespace zombie::remotemem {
 
-struct SecondaryConfig {
-  Duration heartbeat_period = 100 * kMillisecond;
-  int missed_beats_for_failover = 3;
-};
+// Consecutive missed heartbeats after which the secondary takes over.
+inline constexpr int kMissedBeatsForFailover = 3;
 
 class SecondaryController final : public MirrorSink {
  public:
   // `primary` is the mirrored controller's config; its id sequence sizes the
   // replica's lookup table.
-  explicit SecondaryController(SecondaryConfig config = {}, const ControllerConfig& primary = {})
-      : config_(config), replica_(primary.id_base, primary.id_stride) {}
-
-  const SecondaryConfig& config() const { return config_; }
+  explicit SecondaryController(const ControllerConfig& primary = {})
+      : replica_(primary.id_base, primary.id_stride) {}
 
   // ---- Mirroring ---------------------------------------------------------
   void ApplyMirrored(const MirrorOp& op) override;
@@ -56,7 +51,6 @@ class SecondaryController final : public MirrorSink {
   std::unique_ptr<GlobalMemoryController> Promote(ControllerConfig config = {});
 
  private:
-  SecondaryConfig config_;
   BufferDb replica_;
   ServerStateView servers_;
   std::uint64_t mirrored_ops_ = 0;

@@ -48,8 +48,7 @@ ShardedControlPlane::ShardedControlPlane(PlaneConfig config) : config_(config) {
   for (std::size_t k = 0; k < shards_.size(); ++k) {
     Shard& shard = shards_[k];
     shard.primary = std::make_unique<GlobalMemoryController>(ShardControllerConfig(k));
-    shard.secondary =
-        std::make_unique<SecondaryController>(config_.secondary, ShardControllerConfig(k));
+    shard.secondary = std::make_unique<SecondaryController>(ShardControllerConfig(k));
     shard.primary->set_mirror(shard.secondary.get());
   }
 }

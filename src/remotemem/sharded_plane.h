@@ -42,7 +42,6 @@ struct PlaneConfig {
   Bytes buff_size = kDefaultBuffSize;
   std::size_t shards = 1;
   LeaseConfig lease;
-  SecondaryConfig secondary;
 };
 
 // What a lease expiry cleaned up, per dead host.

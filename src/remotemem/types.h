@@ -115,7 +115,6 @@ class ServerStateView {
   std::size_t size() const { return entries_.size(); }
   // Sorted by ServerId — deterministic iteration for allocator loops.
   const std::vector<Entry>& entries() const { return entries_; }
-  void Clear() { entries_.clear(); }
 
  private:
   std::vector<Entry>::iterator LowerBound(ServerId server) {

@@ -324,7 +324,6 @@ ZOMBIE_REGISTER_SCENARIO(
 // ---------------------------------------------------------------------------
 
 Report RunVmMigrationDemo(const RunContext& ctx) {
-  using migration::MigrationConfig;
   using migration::MigrationEstimate;
   using migration::PreCopyMigrate;
   using migration::ZombieMigrate;
@@ -368,10 +367,8 @@ Report RunVmMigrationDemo(const RunContext& ctx) {
                            {"dirty WSS/s", "pre-copy (s)", "pre-copy downtime (ms)",
                             "zombiestack (s)"});
   for (double rate : {0.02, 0.08, 0.20, 0.40}) {
-    MigrationConfig config;
-    config.dirty_wss_fraction_per_sec = rate;
-    const auto pre = PreCopyMigrate(vm, config);
-    const auto zs = ZombieMigrate(vm, 0.5, 56, config);
+    const auto pre = PreCopyMigrate(vm, rate);
+    const auto zs = ZombieMigrate(vm, 0.5, 56);
     sweep.Row({Report::Num(rate, 2), Report::Num(pre.seconds(), 2),
                Report::Num(ToSeconds(pre.downtime) * 1000, 0),
                Report::Num(zs.seconds(), 2)});
@@ -411,15 +408,19 @@ Report RunDatacenterEnergy(const RunContext& ctx) {
   Report r = ctx.MakeReport();
 
   sim::TraceConfig config = DatacenterTrace();
-  config.servers = ctx.ParamU64("servers", config.servers);
-  config.tasks = ctx.ParamU64("tasks", config.tasks);
+  if (ctx.HasParam("servers")) {
+    config.servers = ctx.ParamU64("servers");
+  }
+  if (ctx.HasParam("tasks")) {
+    config.tasks = ctx.ParamU64("tasks");
+  }
 
   r.Text(StrPrintf("Datacenter energy study: %zu servers, %zu tasks, 1 simulated day\n\n",
                    config.servers, config.tasks));
 
   Trace trace = sim::GenerateTrace(config);
   if (ctx.HasParam("mem_ratio")) {
-    const double ratio = ctx.ParamDouble("mem_ratio", 1.0);
+    const double ratio = ctx.ParamDouble("mem_ratio");
     trace = sim::WithMemoryRatio(trace, ratio);
     r.Text(StrPrintf("memory bookings pinned to %.1fx CPU bookings\n\n", ratio));
   }

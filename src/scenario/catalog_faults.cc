@@ -103,7 +103,7 @@ Result<Report> RunFaultsControlPlane(const RunContext& ctx) {
   // loop, so -j N workers never append to the report concurrently.
   std::vector<std::string> failures(rows.size());
 
-  const std::uint64_t ticks = ctx.ParamU64("ticks", 30);
+  const std::uint64_t ticks = ctx.ParamU64("ticks");
   ctx.ForEachSweepPoint(r, [&](const SweepPoint& pt, report::SweepPointRecord& rec) {
     const std::size_t shards = static_cast<std::size_t>(pt.U64("shards"));
     const std::string& fault = pt.Value("fault");
@@ -254,8 +254,8 @@ Result<Report> RunFaultsTimeline(const RunContext& ctx) {
   Report r = ctx.MakeReport();
   r.Text("== Fault timeline: one rack through a scripted fault sequence ==\n\n");
 
-  const std::size_t shards = static_cast<std::size_t>(ctx.ParamU64("shards", 2));
-  const Duration ttl = static_cast<Duration>(ctx.ParamU64("detect_ms", 300)) * kMillisecond;
+  const std::size_t shards = static_cast<std::size_t>(ctx.ParamU64("shards"));
+  const Duration ttl = static_cast<Duration>(ctx.ParamU64("detect_ms")) * kMillisecond;
   FaultBed bed = MakeFaultBed(shards, ttl);
   if (!bed.ok()) {
     return Status(ErrorCode::kFailedPrecondition, bed.error);
@@ -285,7 +285,7 @@ Result<Report> RunFaultsTimeline(const RunContext& ctx) {
   std::uint64_t expiries = 0;
   std::uint64_t promotions = 0;
   std::uint64_t failed_allocs = 0;
-  const std::uint64_t ticks = ctx.ParamU64("ticks", 50);
+  const std::uint64_t ticks = ctx.ParamU64("ticks");
   for (std::uint64_t t = 0; t < ticks; ++t) {
     injector.AdvanceTo(rack.now() + tick_period);
     for (std::size_t k = 0; k < rack.plane().shard_count(); ++k) {

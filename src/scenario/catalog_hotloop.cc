@@ -23,7 +23,7 @@ Report RunHotloopThreaded(const RunContext& ctx) {
   Report r = ctx.MakeReport();
   r.Text("== Threaded hot loop: per-vCPU shards, batched remote faults ==\n\n");
   const std::uint64_t accesses = ctx.ScaledAccesses(2'000'000);
-  const std::uint64_t batch = ctx.ParamU64("batch_pages", 8);
+  const std::uint64_t batch = ctx.ParamU64("batch_pages");
   r.Text(StrPrintf("%llu accesses per point, remote faults batched %llu to a "
                    "round trip.\n",
                    static_cast<unsigned long long>(accesses),

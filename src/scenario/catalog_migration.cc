@@ -130,7 +130,7 @@ Report RunAblationBuffSize(const RunContext& ctx) {
 
     const double ownership_ms =
         static_cast<double>(extent.value()->buffer_count()) *
-        ToSeconds(zombie::migration::MigrationConfig{}.ownership_update_cost) * 1000;
+        ToSeconds(zombie::migration::kOwnershipUpdateCost) * 1000;
 
     const std::size_t row = pt.AxisIndex("buff_mib");
     table.Set(row, 0, std::to_string(extent.value()->buffer_count()));

@@ -305,7 +305,7 @@ std::uint64_t RemotePages(const RunResult& run) {
 Report RunTable2b(const RunContext& ctx) {
   Report r = ctx.MakeReport();
   r.Text("== Section 6.4: remote swap traffic, RAM Ext (v1) vs Explicit SD (v2) ==\n\n");
-  const double fraction = ctx.ParamDouble("local_fraction", 0.5);
+  const double fraction = ctx.ParamDouble("local_fraction");
   r.Text(StrPrintf("Both VMs run with %.0f%% of reserved memory local.\n\n",
                    fraction * 100));
   const std::vector<std::string> app_names = ctx.Axis("app");
@@ -446,7 +446,7 @@ Report RunAblationMixedDepth(const RunContext& ctx) {
   r.Text("== Ablation: Mixed policy depth x (paper default: 5) ==\n\n");
   AppProfile profile = workloads::Fig8MicroProfile();
   profile.accesses = ctx.ScaledAccesses(profile.accesses);
-  const double fraction = ctx.ParamDouble("local_fraction", 0.4);
+  const double fraction = ctx.ParamDouble("local_fraction");
   r.Text(StrPrintf(
       "Workload: Fig. 8 micro-benchmark, %.0f%% local memory, remote RAM backend.\n\n",
       fraction * 100));

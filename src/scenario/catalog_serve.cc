@@ -34,14 +34,13 @@ using report::StrPrintf;
 // Server shape, BUFF_SIZE and machine are the ServeConfig defaults.
 serve::ServeConfig MakeServeConfig(const RunContext& ctx) {
   serve::ServeConfig config;
-  config.hosts = ctx.ParamU64("hosts", 2);
-  config.zombies = ctx.ParamU64("zombies", 4);
-  config.queue_depth = ctx.ParamU64("queue_depth", 64);
+  config.hosts = ctx.ParamU64("hosts");
+  config.zombies = ctx.ParamU64("zombies");
+  config.queue_depth = ctx.ParamU64("queue_depth");
   config.queue_timeout =
-      static_cast<Duration>(ctx.ParamU64("queue_timeout_ms", 2000)) * kMillisecond;
-  config.tenant_memory_quota =
-      ctx.ParamU64("tenant_quota_gib", 16) * kGiB;  // 0 disables
-  config.throttle.rate_per_s = ctx.ParamDouble("throttle_rps", 0.0);
+      static_cast<Duration>(ctx.ParamU64("queue_timeout_ms")) * kMillisecond;
+  config.tenant_memory_quota = ctx.ParamU64("tenant_quota_gib") * kGiB;  // 0 disables
+  config.throttle.rate_per_s = ctx.ParamDouble("throttle_rps");
   config.throttle.burst = 4.0;
   // A verdict every 10ms: the serial gate saturates around 100 req/s, so
   // flash crowds produce real admission queueing, not just placement load.
@@ -51,11 +50,9 @@ serve::ServeConfig MakeServeConfig(const RunContext& ctx) {
 
 serve::StreamConfig MakeStreamConfig(const RunContext& ctx, double rate_per_s) {
   serve::StreamConfig stream;
-  stream.seed = ctx.ParamU64("seed", 42);
+  stream.seed = ctx.ParamU64("seed");
   stream.rate_per_s = rate_per_s;
-  stream.horizon = static_cast<Duration>(ctx.ParamU64(
-                       "horizon_ms", ctx.smoke() ? 2500 : 10000)) *
-                   kMillisecond;
+  stream.horizon = static_cast<Duration>(ctx.ParamU64("horizon_ms")) * kMillisecond;
   stream.tenants = 4;
   stream.mean_lifetime = 2 * kSecond;
   // Memory-bound VM shapes: one vCPU each, 2-6 GiB booked, so a 16 GiB /
@@ -121,7 +118,7 @@ ScenarioBuilder& WithServeParams(ScenarioBuilder& builder, ServeParamDefaults de
       .Param({.name = "horizon_ms",
               .type = ParamType::kU64,
               .default_value = "10000",
-              .description = "arrival window (ms); smoke default 2500",
+              .description = "arrival window (ms)",
               .range = ParamRange{.min = 500}})
       .Param({.name = "hosts", .type = ParamType::kU64, .default_value = "2",
               .description = "awake hosts taking VMs",
@@ -161,9 +158,9 @@ Result<Report> RunServeSteady(const RunContext& ctx) {
       "Daemon: %llu hosts + %llu zombies; VM stream %s; per-tenant quota and\n"
       "rack budget enforced at admission; unplaceable bookings queue (bounded)\n"
       "and wake zombies.  Latencies in simulated time.\n\n",
-      static_cast<unsigned long long>(ctx.ParamU64("hosts", 2)),
-      static_cast<unsigned long long>(ctx.ParamU64("zombies", 4)),
-      ctx.Param("process", "poisson").c_str()));
+      static_cast<unsigned long long>(ctx.ParamU64("hosts")),
+      static_cast<unsigned long long>(ctx.ParamU64("zombies")),
+      ctx.Param("process").c_str()));
 
   const std::vector<std::uint64_t> rate_axis = ctx.AxisU64s("rate");
   const std::vector<double> floor_axis = ctx.AxisDoubles("floor");
@@ -184,7 +181,7 @@ Result<Report> RunServeSteady(const RunContext& ctx) {
     config.local_floor = pt.Double("floor");
     serve::StreamConfig stream =
         MakeStreamConfig(ctx, static_cast<double>(pt.U64("rate")));
-    stream.process = serve::ArrivalProcessFromKey(ctx.Param("process", "poisson"));
+    stream.process = serve::ArrivalProcessFromKey(ctx.Param("process"));
 
     ServeRun run = RunServePoint(config, stream);
     serve::ServeMetrics& m = run.daemon->metrics();
@@ -242,7 +239,7 @@ Result<Report> RunServeSpike(const RunContext& ctx) {
       "throttles at %.0f req/s.  Lower headroom sheds more at the rack budget\n"
       "but keeps placement tails flatter; higher headroom admits deeper into\n"
       "the burst and pays for it in queueing.\n\n",
-      ctx.ParamDouble("burst", 5.0), ctx.ParamDouble("throttle_rps", 40.0)));
+      ctx.ParamDouble("burst"), ctx.ParamDouble("throttle_rps")));
 
   const std::vector<std::uint64_t> rate_axis = ctx.AxisU64s("rate");
   const std::vector<double> headroom_axis = ctx.AxisDoubles("headroom");
@@ -264,7 +261,7 @@ Result<Report> RunServeSpike(const RunContext& ctx) {
     serve::StreamConfig stream =
         MakeStreamConfig(ctx, static_cast<double>(pt.U64("rate")));
     stream.process = serve::ArrivalProcess::kFlashCrowd;
-    stream.burst_multiplier = ctx.ParamDouble("burst", 5.0);
+    stream.burst_multiplier = ctx.ParamDouble("burst");
 
     ServeRun run = RunServePoint(config, stream);
     serve::ServeMetrics& m = run.daemon->metrics();
@@ -346,8 +343,7 @@ Result<Report> RunServeFaults(const RunContext& ctx) {
   ctx.ForEachSweepPoint(r, [&](const SweepPoint& pt, report::SweepPointRecord& rec) {
     serve::ServeConfig config = MakeServeConfig(ctx);
     config.controller_shards = static_cast<std::size_t>(pt.U64("shards"));
-    serve::StreamConfig stream =
-        MakeStreamConfig(ctx, ctx.ParamDouble("rate", 10.0));
+    serve::StreamConfig stream = MakeStreamConfig(ctx, ctx.ParamDouble("rate"));
     stream.process = serve::ArrivalProcess::kFlashCrowd;
 
     auto daemon = std::make_unique<serve::ServeDaemon>(config);

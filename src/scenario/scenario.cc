@@ -444,7 +444,7 @@ bool RunContext::HasParam(std::string_view key) const {
   return options_.params.find(key) != options_.params.end();
 }
 
-std::string RunContext::Param(std::string_view key, std::string_view fallback) const {
+std::string RunContext::Param(std::string_view key) const {
   auto it = options_.params.find(key);
   if (it != options_.params.end()) {
     return it->second;
@@ -453,23 +453,16 @@ std::string RunContext::Param(std::string_view key, std::string_view fallback) c
       param != nullptr && !param->default_value.empty()) {
     return param->default_value;
   }
-  return std::string(fallback);
+  FatalMessage("scenario", spec_.name + ": parameter '" + std::string(key) +
+                               "' was not set and declares no default");
 }
 
-std::uint64_t RunContext::ParamU64(std::string_view key, std::uint64_t fallback) const {
-  const std::string value = Param(key, "");
-  if (value.empty()) {
-    return fallback;
-  }
-  return std::strtoull(value.c_str(), nullptr, 10);
+std::uint64_t RunContext::ParamU64(std::string_view key) const {
+  return std::strtoull(Param(key).c_str(), nullptr, 10);
 }
 
-double RunContext::ParamDouble(std::string_view key, double fallback) const {
-  const std::string value = Param(key, "");
-  if (value.empty()) {
-    return fallback;
-  }
-  return std::strtod(value.c_str(), nullptr);
+double RunContext::ParamDouble(std::string_view key) const {
+  return std::strtod(Param(key).c_str(), nullptr);
 }
 
 // ---------------------------------------------------------------------------

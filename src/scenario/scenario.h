@@ -117,12 +117,14 @@ class RunContext {
   // The calibrated profile for `app` with smoke scaling applied.
   workloads::AppProfile Profile(workloads::App app) const;
 
-  // CLI parameter overrides.  HasParam is true only for keys set on the CLI;
-  // the Param* getters resolve CLI value -> declared default -> `fallback`.
+  // CLI parameter values.  HasParam is true only for keys set on the CLI.
+  // The Param* getters return the CLI value, else the declared default, and
+  // abort when the parameter has neither: read a parameter that declares no
+  // default only behind HasParam.
   bool HasParam(std::string_view key) const;
-  std::string Param(std::string_view key, std::string_view fallback) const;
-  std::uint64_t ParamU64(std::string_view key, std::uint64_t fallback) const;
-  double ParamDouble(std::string_view key, double fallback) const;
+  std::string Param(std::string_view key) const;
+  std::uint64_t ParamU64(std::string_view key) const;
+  double ParamDouble(std::string_view key) const;
 
   // -------------------------------------------------------------------------
   // Sweep expansion (the combinator behind declarative parameter grids).

@@ -169,7 +169,7 @@ void ServeDaemon::Decide(const Request& req, SimTime arrived_at) {
   ++metrics_.admitted;
   const Duration wait = queue_.now() - arrived_at;
   metrics_.admission_wait_ms.Add(ToSeconds(wait) * 1e3);
-  if (wait > config_.slo.admission_target) {
+  if (wait > kSloAdmissionTarget) {
     ++metrics_.slo_violations;
   }
   if (!TryPlace(req, arrived_at, 0)) {
@@ -218,7 +218,7 @@ bool ServeDaemon::TryPlace(const Request& req, SimTime arrived_at, Duration stal
   ++metrics_.placed;
   const Duration latency = queue_.now() - arrived_at;
   metrics_.placement_ms.Add(ToSeconds(latency) * 1e3);
-  if (latency > config_.slo.placement_target) {
+  if (latency > kSloPlacementTarget) {
     ++metrics_.slo_violations;
   }
   if (stall > 0) {
@@ -227,8 +227,7 @@ bool ServeDaemon::TryPlace(const Request& req, SimTime arrived_at, Duration stal
   // Bimodal page-service cost: remote-backed placements pay a one-sided
   // fabric read per fault, purely local ones a DRAM-class access.
   if (extent != nullptr) {
-    metrics_.fault_service_us.Add(
-        ToSeconds(rack_->fabric().params().OneSidedCost(kPageSize)) * 1e6);
+    metrics_.fault_service_us.Add(ToSeconds(rdma::OneSidedCost(kPageSize)) * 1e6);
   } else {
     metrics_.fault_service_us.Add(kLocalFaultServiceUs);
   }

@@ -73,8 +73,6 @@ struct ServeConfig {
   // Placement.
   double local_floor = 0.5;
   cloud::PlacementStrategy strategy = cloud::PlacementStrategy::kStack;
-
-  SloConfig slo;
 };
 
 class ServeDaemon {

@@ -24,13 +24,11 @@
 namespace zombie::serve {
 
 // Tail-latency objectives.  A placed request violates the SLO when its
-// admission wait exceeds `admission_target` or its arrival-to-placed latency
-// exceeds `placement_target`; shed requests are tracked by the shed-rate
+// admission wait exceeds kSloAdmissionTarget or its arrival-to-placed latency
+// exceeds kSloPlacementTarget; shed requests are tracked by the shed-rate
 // metric instead (a shed is an explicit "no", not a silent SLO miss).
-struct SloConfig {
-  Duration admission_target = 50 * kMillisecond;
-  Duration placement_target = 500 * kMillisecond;
-};
+inline constexpr Duration kSloAdmissionTarget = 50 * kMillisecond;
+inline constexpr Duration kSloPlacementTarget = 500 * kMillisecond;
 
 struct ServeMetrics {
   std::uint64_t arrivals = 0;

@@ -73,8 +73,7 @@ double RequestStream::RateAt(SimTime t) const {
       const double phase = 2.0 * M_PI * static_cast<double>(t) /
                            static_cast<double>(config_.diurnal_period);
       const double swing = (1.0 - std::cos(phase)) / 2.0;  // 0 at t=0, 1 at mid-period
-      return config_.rate_per_s *
-             (config_.diurnal_floor + (1.0 - config_.diurnal_floor) * swing);
+      return config_.rate_per_s * (kDiurnalFloor + (1.0 - kDiurnalFloor) * swing);
     }
     case ArrivalProcess::kFlashCrowd: {
       const bool in_burst =
@@ -110,7 +109,7 @@ std::vector<Request> RequestStream::Generate() const {
           ? (config_.max_memory - config_.min_memory) / step + 1
           : 1;
 
-  std::uint64_t vm_id = config_.first_vm_id;
+  std::uint64_t vm_id = kFirstVmId;
   double t = 0.0;
   const auto horizon = static_cast<double>(config_.horizon);
   while (true) {
@@ -149,7 +148,7 @@ std::vector<Request> RequestStream::Generate() const {
     depart.kind = RequestKind::kDepart;
     depart.at = arrive.at + lifetime;
 
-    const bool resized = rng.NextBool(config_.resize_fraction);
+    const bool resized = rng.NextBool(kResizeFraction);
     timeline.push_back(arrive);
     if (resized) {
       // One mid-life resize, somewhere in the central 60% of the lifetime so
@@ -159,10 +158,9 @@ std::vector<Request> RequestStream::Generate() const {
       resize.at = arrive.at +
                   static_cast<Duration>(static_cast<double>(lifetime) *
                                         rng.NextDouble(0.2, 0.8));
-      resize.vm.reserved_memory = arrive.vm.reserved_memory +
-                                  static_cast<Bytes>(config_.resize_growth *
-                                                     static_cast<double>(
-                                                         arrive.vm.reserved_memory));
+      resize.vm.reserved_memory =
+          arrive.vm.reserved_memory +
+          static_cast<Bytes>(kResizeGrowth * static_cast<double>(arrive.vm.reserved_memory));
       resize.vm.working_set = resize.vm.reserved_memory / 2;
       timeline.push_back(resize);
     }

@@ -6,7 +6,7 @@
 //
 //   * kPoisson     — constant-rate Poisson arrivals (exponential gaps);
 //   * kDiurnal     — Poisson modulated by a raised-cosine day curve (load
-//                    swings between `diurnal_floor` and 1.0 of the rate);
+//                    swings between kDiurnalFloor and 1.0 of the rate);
 //   * kFlashCrowd  — Poisson at the base rate with a burst window during
 //                    which the rate multiplies (the load-spike scenario the
 //                    SLO study needs).
@@ -34,6 +34,15 @@ std::string_view ArrivalProcessName(ArrivalProcess process);
 // choices before a run starts.
 ArrivalProcess ArrivalProcessFromKey(std::string_view key);
 
+// Fraction of VMs resized once mid-life.
+inline constexpr double kResizeFraction = 0.1;
+// A resize grows the booking by this fraction.
+inline constexpr double kResizeGrowth = 0.5;
+// kDiurnal: the day curve's trough, as a fraction of the base rate.
+inline constexpr double kDiurnalFloor = 0.25;
+// Arrivals take ids kFirstVmId, +1, ...
+inline constexpr std::uint64_t kFirstVmId = 1;
+
 struct StreamConfig {
   std::uint64_t seed = 42;
   ArrivalProcess process = ArrivalProcess::kPoisson;
@@ -42,8 +51,6 @@ struct StreamConfig {
 
   std::uint32_t tenants = 4;         // tenant ids drawn uniformly from [0, tenants)
   Duration mean_lifetime = 4 * kSecond;  // exponential VM lifetime (>= 100ms)
-  double resize_fraction = 0.1;      // fraction of VMs resized once mid-life
-  double resize_growth = 0.5;        // resize grows the booking by this fraction
 
   // VM shape: reserved memory uniform over {min, min+step, ..., max},
   // working set at half the reservation.
@@ -52,17 +59,15 @@ struct StreamConfig {
   Bytes memory_step = 512 * kMiB;
   std::uint32_t vcpus = 2;
 
-  // kDiurnal: rate(t) = rate * (floor + (1-floor) * (1-cos(2pi t/period))/2).
+  // kDiurnal: rate(t) = rate * (floor + (1-floor) * (1-cos(2pi t/period))/2),
+  // with floor = kDiurnalFloor.
   Duration diurnal_period = 8 * kSecond;
-  double diurnal_floor = 0.25;
 
   // kFlashCrowd: rate multiplies by `burst_multiplier` inside the window
   // [burst_start, burst_start + burst_duration).
   Duration burst_start = 4 * kSecond;
   Duration burst_duration = 2 * kSecond;
   double burst_multiplier = 5.0;
-
-  std::uint64_t first_vm_id = 1;     // arrivals take ids first_vm_id, +1, ...
 };
 
 class RequestStream {

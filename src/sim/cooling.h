@@ -18,28 +18,25 @@
 
 namespace zombie::sim {
 
-struct CoolingParams {
-  // Always-on cooling overhead per IT watt (air handling floor).
-  double base_overhead = 0.10;
-  // Variable overhead at full thermal load (chillers + fan laws).
-  double variable_overhead = 0.25;
-  // Sub-linear exponent on the overhead *fraction*: overhead per watt grows
-  // with load, i.e. total cooling grows superlinearly in heat.
-  double exponent = 0.5;
-};
+// Always-on cooling overhead per IT watt (air handling floor).
+inline constexpr double kCoolingBaseOverhead = 0.10;
+// Variable overhead at full thermal load (chillers + fan laws).
+inline constexpr double kCoolingVariableOverhead = 0.25;
+// Sub-linear exponent on the overhead *fraction*: overhead per watt grows
+// with load, i.e. total cooling grows superlinearly in heat.
+inline constexpr double kCoolingExponent = 0.5;
 
 // Partial PUE at the given IT load (fraction of the facility's max IT
 // power, in [0,1]).  PUE(0) = 1 + base; PUE(1) = 1 + base + variable.
-inline double PueAt(double it_load_fraction, const CoolingParams& params = {}) {
+inline double PueAt(double it_load_fraction) {
   const double load = std::clamp(it_load_fraction, 0.0, 1.0);
-  return 1.0 + params.base_overhead +
-         params.variable_overhead * std::pow(load, params.exponent);
+  return 1.0 + kCoolingBaseOverhead +
+         kCoolingVariableOverhead * std::pow(load, kCoolingExponent);
 }
 
 // Facility energy for a given IT energy delivered at an average load.
-inline double FacilityEnergy(double it_energy, double average_load,
-                             const CoolingParams& params = {}) {
-  return it_energy * PueAt(average_load, params);
+inline double FacilityEnergy(double it_energy, double average_load) {
+  return it_energy * PueAt(average_load);
 }
 
 }  // namespace zombie::sim

@@ -50,9 +50,7 @@ struct World {
   std::size_t migrations = 0;
 };
 
-double WssOf(const TraceTask& task) {
-  return (task.cpu_usage_ratio < 0.01 ? 0.25 : 0.6) * task.booked_mem;
-}
+double WssOf(const TraceTask& task) { return WssFraction(task) * task.booked_mem; }
 
 // Local memory a task needs when first placed: ZombieStack keeps 50% of the
 // booking local (Section 5.1); the others place it whole (Oasis parks cold
@@ -64,13 +62,13 @@ double InitialLocal(Policy policy, const TraceTask& task) {
 // Local memory a task needs on a consolidation target: the full booking for
 // Neat, only the working set of an idle VM for Oasis (partial migration), and
 // kWssLocalFraction of the working set for ZombieStack (Section 5.2).
-double NeededIfMoved(Policy policy, const TraceTask& task, const DcConfig& config) {
+double NeededIfMoved(Policy policy, const TraceTask& task) {
   switch (policy) {
     case Policy::kAlwaysOn:
     case Policy::kNeat:
       return task.booked_mem;
     case Policy::kOasis:
-      return task.cpu_usage_ratio < config.idle_vm_threshold ? WssOf(task) : task.booked_mem;
+      return task.cpu_usage_ratio < kIdleCpuRatio ? WssOf(task) : task.booked_mem;
     case Policy::kZombieStack:
       return kWssLocalFraction * WssOf(task);
   }
@@ -84,14 +82,14 @@ bool Fits(const SimServer& server, const TraceTask& task, double local_needed) {
 }
 
 void HostVm(World& world, int host, std::uint32_t vm_idx, const TraceTask& task,
-            double local_mem, Policy policy, const DcConfig& config) {
+            double local_mem, Policy policy) {
   SimServer& server = world.servers[host];
   const double used_cpu = task.booked_cpu * task.cpu_usage_ratio;
   server.booked_cpu += task.booked_cpu;
   server.used_cpu += used_cpu;
   server.local_mem += local_mem;
   server.vms.push_back(
-      {vm_idx, task.booked_cpu, used_cpu, local_mem, NeededIfMoved(policy, task, config)});
+      {vm_idx, task.booked_cpu, used_cpu, local_mem, NeededIfMoved(policy, task)});
   SimVm& vm = world.vms[vm_idx];
   vm.task = &task;
   vm.host = host;
@@ -132,7 +130,7 @@ VmView UnhostVm(World& world, std::uint32_t vm_idx) {
 
 // Wakes the best suspended server (S3 first — cheapest to disturb — then the
 // zombie serving the least pool memory).  Returns its index or -1.
-int WakeOne(World& world, const DcConfig& config) {
+int WakeOne(World& world) {
   int best_s3 = -1;
   int best_zombie = -1;
   double best_lent = 0.0;
@@ -159,7 +157,7 @@ int WakeOne(World& world, const DcConfig& config) {
     // re-pointed to other pool buffers; if the pool goes negative the
     // controller would escalate — we clamp and let the next consolidation
     // round repair.)
-    world.zombie_pool_free -= s.lent_mem * config.delegate_fraction;
+    world.zombie_pool_free -= s.lent_mem * kDcDelegateFraction;
     s.lent_mem = 0.0;
   }
   s.state = acpi::SleepState::kS0;
@@ -196,7 +194,7 @@ int PlaceVm(World& world, const TraceTask& task, Policy policy) {
 // One consolidation round: the shared planner decides, this executes — VM
 // bookkeeping, Oasis parking, and the suspend to Sz (ZombieStack, delegating
 // the free RAM to the pool) or S3 (Neat, Oasis).
-void Consolidate(World& world, Policy policy, const DcConfig& config) {
+void Consolidate(World& world, Policy policy) {
   if (policy == Policy::kAlwaysOn) {
     return;
   }
@@ -210,14 +208,14 @@ void Consolidate(World& world, Policy policy, const DcConfig& config) {
     const double parked = policy == Policy::kOasis ? task.booked_mem - local : 0.0;
     world.vms[vm_idx].parked_mem = parked;
     world.parked_total += parked;
-    HostVm(world, static_cast<int>(move.to), vm_idx, task, local, policy, config);
+    HostVm(world, static_cast<int>(move.to), vm_idx, task, local, policy);
     ++world.migrations;
   }
   for (std::size_t i : plan.suspend) {
     SimServer& s = world.servers[i];
     if (policy == Policy::kZombieStack) {
       s.state = acpi::SleepState::kSz;
-      s.lent_mem = (1.0 - s.local_mem) * config.delegate_fraction;
+      s.lent_mem = (1.0 - s.local_mem) * kDcDelegateFraction;
       world.zombie_pool_free += s.lent_mem;
     } else {
       s.state = acpi::SleepState::kS3;
@@ -234,8 +232,7 @@ double ServerPowerPercent(const SimServer& s, const acpi::MachineProfile& profil
 
 }  // namespace
 
-DcResult RunPolicy(const Trace& trace, Policy policy, const acpi::MachineProfile& profile,
-                   const DcConfig& config) {
+DcResult RunPolicy(const Trace& trace, Policy policy, const acpi::MachineProfile& profile) {
   World world;
   world.servers.resize(trace.config.servers);
   world.vms.resize(trace.tasks.size());
@@ -258,7 +255,7 @@ DcResult RunPolicy(const Trace& trace, Policy policy, const acpi::MachineProfile
   std::vector<std::pair<SimTime, std::uint32_t>> endings;  // min-heap by time
   auto cmp = [](const auto& a, const auto& b) { return a.first > b.first; };
 
-  SimTime next_consolidation = config.consolidation_period;
+  SimTime next_consolidation = kConsolidationPeriod;
   double active_server_steps = 0.0;
   std::size_t steps = 0;
   const SimTime horizon = trace.config.horizon;
@@ -266,7 +263,7 @@ DcResult RunPolicy(const Trace& trace, Policy policy, const acpi::MachineProfile
   std::vector<std::uint32_t> pending;   // arrivals that did not fit yet
   std::vector<std::uint32_t> arriving;  // this step's arrivals (reused buffer)
 
-  for (SimTime now = 0; now < horizon; now += config.step) {
+  for (SimTime now = 0; now < horizon; now += kDcStep) {
     // Task departures.
     while (!endings.empty() && endings.front().first <= now) {
       std::pop_heap(endings.begin(), endings.end(), cmp);
@@ -289,7 +286,7 @@ DcResult RunPolicy(const Trace& trace, Policy policy, const acpi::MachineProfile
       }
       int host = PlaceVm(world, task, policy);
       if (host < 0) {
-        if (WakeOne(world, config) >= 0) {
+        if (WakeOne(world) >= 0) {
           ++result.wakeups;
           host = PlaceVm(world, task, policy);
         }
@@ -302,14 +299,14 @@ DcResult RunPolicy(const Trace& trace, Policy policy, const acpi::MachineProfile
       const double local = std::min(InitialLocal(policy, task),
                                     1.0 - world.servers[host].local_mem -
                                         world.servers[host].lent_mem);
-      HostVm(world, host, vm_idx, task, std::max(local, 0.0), policy, config);
+      HostVm(world, host, vm_idx, task, std::max(local, 0.0), policy);
       endings.emplace_back(task.end, vm_idx);
       std::push_heap(endings.begin(), endings.end(), cmp);
     }
     // Periodic consolidation.
     if (now >= next_consolidation) {
-      Consolidate(world, policy, config);
-      next_consolidation += config.consolidation_period;
+      Consolidate(world, policy);
+      next_consolidation += kConsolidationPeriod;
     }
     // Energy accounting for this step.
     std::size_t suspended = 0;
@@ -325,12 +322,11 @@ DcResult RunPolicy(const Trace& trace, Policy policy, const acpi::MachineProfile
     }
     // Oasis memory servers.
     const auto mem_servers = static_cast<std::size_t>(
-        std::ceil(world.parked_total / config.memory_server_capacity - 1e-9));
-    step_percent +=
-        static_cast<double>(mem_servers) * config.memory_server_power_fraction * 100.0;
+        std::ceil(world.parked_total / kMemoryServerCapacity - 1e-9));
+    step_percent += static_cast<double>(mem_servers) * kMemoryServerPowerFraction * 100.0;
     result.memory_servers_peak = std::max(result.memory_servers_peak, mem_servers);
     result.suspended_peak = std::max(result.suspended_peak, suspended);
-    const double step_units = step_percent / 100.0 * ToSeconds(config.step) / 3600.0;
+    const double step_units = step_percent / 100.0 * ToSeconds(kDcStep) / 3600.0;
     result.energy_units += step_units;
     // Footnote 1: cooling tracks dissipated heat through a load-dependent
     // partial PUE.
@@ -346,11 +342,10 @@ DcResult RunPolicy(const Trace& trace, Policy policy, const acpi::MachineProfile
   return result;
 }
 
-std::vector<DcResult> RunAllPolicies(const Trace& trace, const acpi::MachineProfile& profile,
-                                     const DcConfig& config) {
+std::vector<DcResult> RunAllPolicies(const Trace& trace, const acpi::MachineProfile& profile) {
   std::vector<DcResult> results;
   for (Policy p : {Policy::kAlwaysOn, Policy::kNeat, Policy::kOasis, Policy::kZombieStack}) {
-    results.push_back(RunPolicy(trace, p, profile, config));
+    results.push_back(RunPolicy(trace, p, profile));
   }
   const double baseline = results.front().energy_units;
   const double facility_baseline = results.front().facility_energy_units;

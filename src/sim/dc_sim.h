@@ -44,17 +44,15 @@ enum class Policy : std::uint8_t {
 
 std::string_view PolicyName(Policy p);
 
-struct DcConfig {
-  Duration step = 5 * kMinute;
-  Duration consolidation_period = 1 * kHour;
-  // Oasis: a VM below this CPU usage ratio is idle, and moves only its WSS.
-  double idle_vm_threshold = 0.01;
-  // Fraction of a zombie's free RAM actually delegated.
-  double delegate_fraction = 0.9;
-  // Oasis memory-server parameters.
-  double memory_server_power_fraction = 0.40;
-  double memory_server_capacity = 4.0;  // in server-memory units
-};
+// The replay's accounting step and consolidation round period.
+inline constexpr Duration kDcStep = 5 * kMinute;
+inline constexpr Duration kConsolidationPeriod = 1 * kHour;
+// Fraction of a zombie's free RAM actually delegated.
+inline constexpr double kDcDelegateFraction = 0.9;
+// Oasis memory servers: power as a fraction of a regular server, and
+// capacity in server-memory units.
+inline constexpr double kMemoryServerPowerFraction = 0.40;
+inline constexpr double kMemoryServerCapacity = 4.0;
 
 struct DcResult {
   Policy policy = Policy::kAlwaysOn;
@@ -76,12 +74,10 @@ struct DcResult {
 };
 
 // Runs one policy over the trace.  Deterministic.
-DcResult RunPolicy(const Trace& trace, Policy policy, const acpi::MachineProfile& profile,
-                   const DcConfig& config = {});
+DcResult RunPolicy(const Trace& trace, Policy policy, const acpi::MachineProfile& profile);
 
 // Runs all four policies and fills saving_percent against kAlwaysOn.
-std::vector<DcResult> RunAllPolicies(const Trace& trace, const acpi::MachineProfile& profile,
-                                     const DcConfig& config = {});
+std::vector<DcResult> RunAllPolicies(const Trace& trace, const acpi::MachineProfile& profile);
 
 }  // namespace zombie::sim
 

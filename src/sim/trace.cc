@@ -59,7 +59,7 @@ Trace GenerateTrace(const TraceConfig& config) {
     // the configured ratio.
     const double jitter = rng.NextDouble(1.0, 1.8);
     task.booked_mem = std::min(1.0, task.booked_cpu * config.mem_to_cpu_ratio * jitter);
-    task.cpu_usage_ratio = rng.NextBool(config.idle_task_fraction)
+    task.cpu_usage_ratio = rng.NextBool(kIdleTaskFraction)
                                ? rng.NextDouble(0.0, 0.008)  // idle population
                                : rng.NextDouble(0.25, 0.70);
     trace.tasks.push_back(task);
@@ -86,10 +86,8 @@ hv::VmSpec TaskToVm(const TraceTask& task, Bytes server_mem, std::uint32_t serve
   vm.vcpus = std::max<std::uint32_t>(
       1, static_cast<std::uint32_t>(std::lround(task.booked_cpu *
                                                 static_cast<double>(server_cpus))));
-  // Working set: the actively used part of the booking.  Idle tasks keep a
-  // small hot core; busy tasks use most of what they booked.
-  const double wss_fraction = task.cpu_usage_ratio < 0.01 ? 0.25 : 0.6;
-  vm.working_set = static_cast<Bytes>(wss_fraction * static_cast<double>(vm.reserved_memory));
+  vm.working_set =
+      static_cast<Bytes>(WssFraction(task) * static_cast<double>(vm.reserved_memory));
   return vm;
 }
 

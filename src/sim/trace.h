@@ -34,6 +34,20 @@ struct TraceTask {
   Duration duration() const { return end - start; }
 };
 
+// A task below this CPU usage ratio is idle (Oasis moves only an idle VM's
+// working set).
+inline constexpr double kIdleCpuRatio = 0.01;
+
+// Working set as a fraction of the booking: idle tasks keep a small hot
+// core; busy tasks use most of what they booked.
+inline double WssFraction(const TraceTask& task) {
+  return task.cpu_usage_ratio < kIdleCpuRatio ? 0.25 : 0.6;
+}
+
+// Fraction of tasks that sit idle (<1% CPU) for long stretches — the
+// population Oasis partially migrates.
+inline constexpr double kIdleTaskFraction = 0.3;
+
 struct TraceConfig {
   std::uint64_t seed = 1234;
   std::size_t servers = 200;           // paper replays 12,583; scaled down
@@ -44,9 +58,6 @@ struct TraceConfig {
   // Memory:CPU booking ratio: 1.0 reproduces the original trace shape, 2.0
   // the modified ("memory demand is twice the CPU demand") variant.
   double mem_to_cpu_ratio = 1.0;
-  // Fraction of tasks that sit idle (<1% CPU) for long stretches — the
-  // population Oasis partially migrates.
-  double idle_task_fraction = 0.3;
 };
 
 struct Trace {

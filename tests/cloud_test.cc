@@ -439,11 +439,8 @@ TEST(RackEnergy, Figure4OrderingHolds) {
 
 TEST(RackEnergy, ZeroDemandSuspendsEverything) {
   const std::vector<SlotDemand> idle(3, SlotDemand{0.0, 0.0});
-  RackEnergyParams params;
-  EXPECT_NEAR(RackEnergy(Architecture::kServerCentric, idle, params),
-              3 * params.suspend_fraction, 1e-9);
-  EXPECT_NEAR(RackEnergy(Architecture::kZombie, idle, params), 3 * params.suspend_fraction,
-              1e-9);
+  EXPECT_NEAR(RackEnergy(Architecture::kServerCentric, idle), 3 * kSuspendFraction, 1e-9);
+  EXPECT_NEAR(RackEnergy(Architecture::kZombie, idle), 3 * kSuspendFraction, 1e-9);
 }
 
 TEST(RackEnergy, FullDemandCostsFullRack) {

@@ -93,7 +93,7 @@ TEST(Result, CheckOkAbortsOnError) {
 }
 
 // ---------------------------------------------------------------------------
-// SimClock / CostAccumulator.
+// SimClock.
 // ---------------------------------------------------------------------------
 
 TEST(SimClock, AdvancesMonotonically) {
@@ -104,15 +104,6 @@ TEST(SimClock, AdvancesMonotonically) {
   EXPECT_EQ(clock.now(), 6 * kSecond);
   clock.Reset();
   EXPECT_EQ(clock.now(), 0);
-}
-
-TEST(CostAccumulator, SumsCosts) {
-  CostAccumulator acc;
-  acc.AddNs(100);
-  acc.AddCycles(kCyclesPerNs * 50);
-  EXPECT_EQ(acc.total_ns(), 150);
-  acc.Reset();
-  EXPECT_EQ(acc.total_ns(), 0);
 }
 
 // ---------------------------------------------------------------------------
@@ -179,17 +170,6 @@ TEST(EventQueue, EventScheduledAtNowRunsAfterAlreadyQueuedTies) {
   EXPECT_EQ(q.now(), 10);
 }
 
-TEST(EventQueue, RunUntilStopsAtDeadline) {
-  EventQueue q;
-  int fired = 0;
-  q.ScheduleAt(10, [&] { ++fired; });
-  q.ScheduleAt(100, [&] { ++fired; });
-  EXPECT_EQ(q.RunUntil(50), 1u);
-  EXPECT_EQ(fired, 1);
-  EXPECT_EQ(q.now(), 50);
-  EXPECT_EQ(q.pending(), 1u);
-}
-
 TEST(EventQueue, CancelSkipsEvent) {
   EventQueue q;
   int fired = 0;
@@ -208,21 +188,6 @@ TEST(EventQueue, CancelAfterRunRejected) {
   EXPECT_FALSE(q.Cancel(id));  // already executed: counts stay exact
   EXPECT_TRUE(q.empty());
   EXPECT_EQ(q.pending(), 0u);
-}
-
-TEST(EventQueue, CancelledHeadDoesNotBlockRunUntil) {
-  EventQueue q;
-  int fired = 0;
-  auto early = q.ScheduleAt(10, [&] { ++fired; });
-  q.ScheduleAt(100, [&] { ++fired; });
-  q.Cancel(early);
-  // The cancelled head must be discarded without pulling the 100-tick event
-  // across the 50-tick deadline.
-  EXPECT_EQ(q.RunUntil(50), 0u);
-  EXPECT_EQ(fired, 0);
-  EXPECT_EQ(q.pending(), 1u);
-  q.Run();
-  EXPECT_EQ(fired, 1);
 }
 
 TEST(EventQueue, EventsCanScheduleEvents) {
@@ -408,7 +373,6 @@ TEST(Percentiles, EmptySampleSetIsDefinedZero) {
   EXPECT_EQ(s.p50, 0.0);
   EXPECT_EQ(s.p99, 0.0);
   EXPECT_EQ(s.p999, 0.0);
-  EXPECT_EQ(FormatPercentileSummary(s), "no samples");
 }
 
 TEST(Percentiles, LinearInterpolationBetweenClosestRanks) {
@@ -436,7 +400,6 @@ TEST(Percentiles, SummaryMatchesIndividualQueries) {
   EXPECT_NEAR(s.p999, p.Percentile(99.9), 1e-9);
   EXPECT_LT(s.p50, s.p99);
   EXPECT_LT(s.p99, s.p999);
-  EXPECT_FALSE(FormatPercentileSummary(s).empty());
 }
 
 }  // namespace

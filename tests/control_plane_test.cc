@@ -416,8 +416,7 @@ class RefusingAgents final : public AgentDirectory {
 
 // A 1-shard plane with `hosts` registered and leased.
 ShardedControlPlane OneShardPlane(std::initializer_list<ServerId> hosts) {
-  ShardedControlPlane plane(
-      PlaneConfig{.buff_size = kBuff, .shards = 1, .lease = {}, .secondary = {}});
+  ShardedControlPlane plane(PlaneConfig{.buff_size = kBuff, .shards = 1, .lease = {}});
   for (ServerId s : hosts) {
     plane.RegisterServer(s);
     plane.GrantLease(s, 0);

@@ -101,7 +101,7 @@ TEST_F(FailureTest, WakeWithHomeShardDownLeavesZombieAsleep) {
   rack_.plane().ReviveShardPrimary(0);
   auto retried = rack_.WakeServer(zombie_->id());
   ASSERT_TRUE(retried.ok()) << retried.status().ToString();
-  EXPECT_EQ(retried.value(), zombie_->machine().firmware().latencies().sz_exit);
+  EXPECT_EQ(retried.value(), acpi::kSzExitLatency);
   EXPECT_EQ(zombie_->machine().state(), acpi::SleepState::kS0);
   EXPECT_EQ(zombie_->role(), cloud::Role::kActive);
   EXPECT_EQ(zombie_->lent_memory(), 0u);

@@ -94,7 +94,7 @@ TEST(Integration, WorkloadOverZombieMemoryMatchesDeviceModel) {
 
   // A device backend with the fabric's one-sided 4 KiB cost must price the
   // same workload within a few percent (the extent adds no data path cost).
-  const Duration page_cost = rack.fabric().params().OneSidedCost(kPageSize);
+  const Duration page_cost = rdma::OneSidedCost(kPageSize);
   hv::DeviceBackend device("model", {page_cost, page_cost});
   const auto over_model = runner.RunRamExt(app, 0.2, &device);
   EXPECT_EQ(over_rack.pager.faults, over_model.pager.faults);

@@ -34,9 +34,8 @@ TEST(PreCopy, TimeInsensitiveToWss) {
 }
 
 TEST(PreCopy, ConvergesWithLowDirtyRate) {
-  MigrationConfig config;
-  config.dirty_wss_fraction_per_sec = 0.01;
-  const auto est = PreCopyMigrate(MakeVm(1 * kGiB, 512 * kMiB), config);
+  const auto est =
+      PreCopyMigrate(MakeVm(1 * kGiB, 512 * kMiB), /*dirty_wss_fraction_per_sec=*/0.01);
   // With a near-idle VM the iterations converge before the cap.
   EXPECT_LT(est.rounds.size(), 6u);
   EXPECT_LT(est.downtime, 100 * kMillisecond);

@@ -465,7 +465,7 @@ TEST(BufferDbProperty, RandomBatchesMatchPerIdModel) {
     Rng rng(TestSeed(salt));
     const remotemem::ControllerConfig layout{.id_base = 2, .id_stride = 2};
     remotemem::BufferDb db(layout.id_base, layout.id_stride);
-    remotemem::SecondaryController secondary({}, layout);
+    remotemem::SecondaryController secondary(layout);
     std::map<BufferId, BufferRecord> model;
     BufferId next_id = layout.id_base;
     BufferId next_far_id = BufferId{1} << 40;

@@ -126,7 +126,7 @@ std::vector<BufferGrant> MakeGrants(std::size_t n, ServerId host, Bytes size = k
 }
 
 PlaneConfig OneShard() {
-  return PlaneConfig{.buff_size = kTestBuff, .shards = 1, .lease = {}, .secondary = {}};
+  return PlaneConfig{.buff_size = kTestBuff, .shards = 1, .lease = {}};
 }
 
 class ControllerTest : public ::testing::Test {
@@ -299,7 +299,8 @@ TEST(Secondary, MirrorsAllOperations) {
 }
 
 TEST(Secondary, HeartbeatMissesTriggerFailover) {
-  SecondaryController secondary(SecondaryConfig{100 * kMillisecond, 3});
+  static_assert(kMissedBeatsForFailover == 3, "Section 4: failover on the third missed beat");
+  SecondaryController secondary;
   secondary.ObserveHeartbeat(1);
   EXPECT_FALSE(secondary.MonitorTick());  // saw beat 1
   EXPECT_EQ(secondary.consecutive_misses(), 0);

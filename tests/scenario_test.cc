@@ -281,10 +281,33 @@ TEST(RunParamsTest, DeclaredDefaultBacksParamGetters) {
   RunOptions options;
   RunContext ctx(spec, options);
   EXPECT_FALSE(ctx.HasParam("ratio"));  // HasParam stays CLI-only
-  EXPECT_EQ(ctx.ParamDouble("ratio", 1.0), 2.5);
-  EXPECT_EQ(ctx.ParamU64("count", 1), 7u);
+  EXPECT_EQ(ctx.ParamDouble("ratio"), 2.5);
+  EXPECT_EQ(ctx.ParamU64("count"), 7u);
   options.params["ratio"] = "4.0";
-  EXPECT_EQ(RunContext(spec, options).ParamDouble("ratio", 1.0), 4.0);
+  EXPECT_EQ(RunContext(spec, options).ParamDouble("ratio"), 4.0);
+}
+
+// A run function reads the one declared default, in full and smoke runs
+// alike: no second default can hide in the run function.
+TEST(RunParamsTest, RunFunctionSeesDeclaredDefaultInSmokeAndFullRuns) {
+  std::uint64_t seen = 0;
+  auto scenario = ScenarioBuilder("t")
+                      .Title("t")
+                      .Param({.name = "horizon_ms", .type = ParamType::kU64,
+                              .default_value = "10000"})
+                      .Runner([&seen](const RunContext& ctx) {
+                        seen = ctx.ParamU64("horizon_ms");
+                        return ctx.MakeReport();
+                      })
+                      .Build();
+  ASSERT_TRUE(scenario.ok()) << scenario.status().ToString();
+  for (const bool smoke : {false, true}) {
+    seen = 0;
+    RunOptions options;
+    options.smoke = smoke;
+    ASSERT_TRUE(scenario.value().Run(options).ok());
+    EXPECT_EQ(seen, 10000u) << "smoke=" << smoke;
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -351,16 +374,20 @@ TEST(RunContextTest, ProfileAppliesOverridesAndSmoke) {
 
 TEST(RunContextTest, ParamsParseAndFallBack) {
   ScenarioSpec spec;
+  spec.params = {{"tasks", ParamType::kU64, "7", "", {}},
+                 {"policy", ParamType::kString, "Mixed", "", {}}};
   RunOptions options;
   options.params["servers"] = "42";
   options.params["ratio"] = "2.5";
   RunContext ctx(spec, options);
   EXPECT_TRUE(ctx.HasParam("servers"));
   EXPECT_FALSE(ctx.HasParam("tasks"));
-  EXPECT_EQ(ctx.ParamU64("servers", 7), 42u);
-  EXPECT_EQ(ctx.ParamU64("tasks", 7), 7u);
-  EXPECT_EQ(ctx.ParamDouble("ratio", 1.0), 2.5);
-  EXPECT_EQ(ctx.Param("missing", "x"), "x");
+  EXPECT_EQ(ctx.ParamU64("servers"), 42u);
+  EXPECT_EQ(ctx.ParamU64("tasks"), 7u);  // falls back to the declared default
+  EXPECT_EQ(ctx.ParamDouble("ratio"), 2.5);
+  EXPECT_EQ(ctx.Param("policy"), "Mixed");
+  // A parameter with neither a CLI value nor a declared default aborts.
+  EXPECT_DEATH(ctx.Param("missing"), "declares no default");
 }
 
 // ---------------------------------------------------------------------------

@@ -176,9 +176,9 @@ TEST(FaultBatchTest, RidersPayStreamShareCloserPaysFullTrip) {
   rdma::ClientRing ring;
   FaultBatchConfig config;
   config.batch_pages = 4;
-  config.stream_fraction = 0.25;
   RemoteFaultBatcher batcher(&ring, kLatency, config);
 
+  static_assert(kStreamFraction == 0.25);
   const Duration stream_read = kLatency.read / 4;
   EXPECT_EQ(batcher.OnLoad(1), stream_read);
   EXPECT_EQ(batcher.OnLoad(2), stream_read);
@@ -195,7 +195,6 @@ TEST(FaultBatchTest, DrainChargesTheOutstandingTrip) {
   rdma::ClientRing ring;
   FaultBatchConfig config;
   config.batch_pages = 4;
-  config.stream_fraction = 0.25;
   RemoteFaultBatcher batcher(&ring, kLatency, config);
 
   EXPECT_EQ(batcher.Drain(), 0);  // nothing pending
