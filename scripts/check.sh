@@ -232,9 +232,9 @@ for stage in "${stages[@]}"; do
       ;;
     tsan)
       echo "==> [${n}/${total}] TSan: configure + build + the concurrent surface (build-tsan/)"
-      # The race-detector lane for the per-vCPU data plane: shard workers,
-      # the ClientRing slot protocol, WorkQueue nesting, and the existing
-      # serve/faults threading all run instrumented.  perf_smoke is not
+      # The race-detector lane for the per-vCPU data plane: shard workers
+      # (four lanes at once, sharing no mutable state), WorkQueue nesting,
+      # and the existing serve/faults threading all run instrumented.  perf_smoke is not
       # registered under ZOMBIE_SANITIZE.
       cmake -B build-tsan -S . -DZOMBIE_SANITIZE=thread "${cmake_args[@]}"
       cmake --build build-tsan -j "${jobs}"

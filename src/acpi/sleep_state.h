@@ -49,6 +49,11 @@ constexpr bool MemoryRemotelyAccessible(SleepState s) {
   return s == SleepState::kS0 || s == SleepState::kSz;
 }
 
+// Fraction of a zombie's free RAM it delegates to the remote pool; the rest
+// covers kernel/firmware state kept in RAM.  The rack model and the
+// datacenter replay both lend this share.
+inline constexpr double kSzDelegateFraction = 0.9;
+
 // True for states the OS can be woken from via Wake-on-LAN.
 constexpr bool WakeCapable(SleepState s) {
   return s == SleepState::kS3 || s == SleepState::kS4 || s == SleepState::kSz;

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <utility>
 
+#include "src/acpi/sleep_state.h"
+
 namespace zombie::cloud {
 
 Rack::Rack(RackConfig config)
@@ -74,7 +76,7 @@ Status Rack::PushToZombie(remotemem::ServerId id) {
   // suspend path, when OSPM signals the remote-mem-mgr.
   remotemem::RemoteMemoryManager* mgr = managers_.at(id).get();
   const Bytes lendable = static_cast<Bytes>(
-      kDelegateFraction * static_cast<double>(server->FreeLocalMemory()));
+      acpi::kSzDelegateFraction * static_cast<double>(server->FreeLocalMemory()));
   Status delegation_status = Status::Ok();
   server->machine().ospm().set_pre_zombie_hook([this, mgr, lendable, server,
                                                 &delegation_status] {

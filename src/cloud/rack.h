@@ -31,10 +31,6 @@
 
 namespace zombie::cloud {
 
-// Fraction of a server's free memory delegated when it goes zombie (the
-// rest covers kernel/firmware state kept in RAM).
-inline constexpr double kDelegateFraction = 0.9;
-
 struct RackConfig {
   Bytes buff_size = remotemem::kDefaultBuffSize;
   // Register real (materialized) memory regions; disable for large-scale

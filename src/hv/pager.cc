@@ -38,7 +38,7 @@ Result<Duration> HostPager::EvictOne(Policy& policy) {
   } else if (victim.dirty) {
     // Transfer the content of the local frame to the backend.
     if (batcher_ != nullptr) {
-      cost += batcher_->OnStore(choice.page);
+      cost += batcher_->OnStore();
     } else if (backend_latency_ != nullptr) {
       cost += backend_latency_->write;
     } else {
@@ -73,7 +73,7 @@ Result<Duration> HostPager::AmplifiedWritebacks(PageIndex page, bool dirty) {
   Duration cost = 0;
   while (amplification_debt_ >= 1.0) {
     if (batcher_ != nullptr) {
-      cost += batcher_->OnStore(page);
+      cost += batcher_->OnStore();
     } else if (backend_latency_ != nullptr) {
       cost += backend_latency_->write;
     } else {
@@ -106,7 +106,7 @@ Result<Duration> HostPager::FaultIn(PageTableEntry& entry, PageIndex page, Polic
   if (entry.swapped) {
     // Reload the page from the backend into the fresh local frame.
     if (batcher_ != nullptr) {
-      cost += batcher_->OnLoad(page);
+      cost += batcher_->OnLoad();
     } else if (backend_latency_ != nullptr) {
       cost += backend_latency_->read;
     } else {

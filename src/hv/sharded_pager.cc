@@ -5,6 +5,13 @@
 
 namespace zombie::hv {
 
+ShardedPager::LaneState::LaneState(std::uint64_t pages, std::uint64_t frames, PolicyKind policy,
+                                   DeviceBackend* backend, DeviceLatency remote_latency,
+                                   FaultBatchConfig batch)
+    : batcher(remote_latency, batch), pager(pages, frames, MakePolicy(policy, {}), backend) {
+  pager.set_fault_batcher(&batcher);
+}
+
 ShardedPager::ShardedPager(std::uint64_t guest_pages, std::uint64_t local_frames,
                            PolicyKind policy, DeviceLatency remote_latency,
                            ShardedPagerConfig config)
@@ -40,42 +47,48 @@ ShardedPager::ShardedPager(std::uint64_t guest_pages, std::uint64_t local_frames
     f = std::min(f, remaining_frames - lanes_left);
     remaining_frames -= f;
     remaining_pages -= lane.pages;
-    lane.batcher = std::make_unique<RemoteFaultBatcher>(&ring_, remote_latency,
-                                                        config_.fault_batch);
-    lane.pager = std::make_unique<HostPager>(lane.pages, f, MakePolicy(policy, {}), &backend_);
-    lane.pager->set_fault_batcher(lane.batcher.get());
+    lane.state = std::make_unique<LaneState>(lane.pages, f, policy, &backend_, remote_latency,
+                                             config_.fault_batch);
   }
+}
+
+HostPager* ShardedPager::lane(std::uint32_t s) {
+  return lanes_[s].state != nullptr ? &lanes_[s].state->pager : nullptr;
+}
+
+const HostPager* ShardedPager::lane(std::uint32_t s) const {
+  return lanes_[s].state != nullptr ? &lanes_[s].state->pager : nullptr;
 }
 
 Duration ShardedPager::AccessShard(std::uint32_t s, std::span<const PageAccess> batch) {
-  assert(lanes_[s].pager != nullptr && "access to an empty shard");
-  return lanes_[s].pager->AccessBatch(batch);
+  assert(lanes_[s].state != nullptr && "access to an empty shard");
+  return lanes_[s].state->pager.AccessBatch(batch);
 }
 
 Duration ShardedPager::DrainShard(std::uint32_t s) {
-  Lane& lane = lanes_[s];
-  if (lane.batcher == nullptr) {
+  LaneState* state = lanes_[s].state.get();
+  if (state == nullptr) {
     return 0;
   }
-  const Duration cost = lane.batcher->Drain();
-  lane.drain_cost += cost;
+  const Duration cost = state->batcher.Drain();
+  state->drain_cost += cost;
   return cost;
 }
 
 PagerStats ShardedPager::MergedStats() const {
   PagerStats merged;
   for (const Lane& lane : lanes_) {
-    if (lane.pager == nullptr) {
+    if (lane.state == nullptr) {
       continue;
     }
-    const PagerStats& s = lane.pager->stats();
+    const PagerStats& s = lane.state->pager.stats();
     merged.accesses += s.accesses;
     merged.faults += s.faults;
     merged.major_faults += s.major_faults;
     merged.evictions += s.evictions;
     merged.writebacks += s.writebacks;
     merged.policy_cycles += s.policy_cycles;
-    merged.total_cost += s.total_cost + lane.drain_cost;
+    merged.total_cost += s.total_cost + lane.state->drain_cost;
   }
   return merged;
 }
@@ -83,7 +96,7 @@ PagerStats ShardedPager::MergedStats() const {
 std::uint64_t ShardedPager::round_trips() const {
   std::uint64_t n = 0;
   for (const Lane& lane : lanes_) {
-    n += lane.batcher != nullptr ? lane.batcher->round_trips() : 0;
+    n += lane.state != nullptr ? lane.state->batcher.round_trips() : 0;
   }
   return n;
 }
@@ -91,7 +104,7 @@ std::uint64_t ShardedPager::round_trips() const {
 std::uint64_t ShardedPager::rider_pages() const {
   std::uint64_t n = 0;
   for (const Lane& lane : lanes_) {
-    n += lane.batcher != nullptr ? lane.batcher->rider_pages() : 0;
+    n += lane.state != nullptr ? lane.state->batcher.rider_pages() : 0;
   }
   return n;
 }

@@ -56,7 +56,8 @@ Result<Duration> Verbs::Read(NodeId initiator, RKey rkey, Bytes remote_offset,
   if (!cost.ok()) {
     return cost;
   }
-  if (mr->materialized()) {
+  // An empty span may carry a null pointer, which memcpy must never see.
+  if (mr->materialized() && !dst.empty()) {
     std::memcpy(dst.data(), mr->bytes().data() + remote_offset, dst.size());
   }
   fabric_->NoteTransfer(dst.size());
@@ -73,7 +74,7 @@ Result<Duration> Verbs::Write(NodeId initiator, RKey rkey, Bytes remote_offset,
   if (!cost.ok()) {
     return cost;
   }
-  if (mr->materialized()) {
+  if (mr->materialized() && !src.empty()) {
     std::memcpy(mr->bytes().data() + remote_offset, src.data(), src.size());
   }
   fabric_->NoteTransfer(src.size());

@@ -157,7 +157,7 @@ int WakeOne(World& world) {
     // re-pointed to other pool buffers; if the pool goes negative the
     // controller would escalate — we clamp and let the next consolidation
     // round repair.)
-    world.zombie_pool_free -= s.lent_mem * kDcDelegateFraction;
+    world.zombie_pool_free -= s.lent_mem * acpi::kSzDelegateFraction;
     s.lent_mem = 0.0;
   }
   s.state = acpi::SleepState::kS0;
@@ -215,7 +215,7 @@ void Consolidate(World& world, Policy policy) {
     SimServer& s = world.servers[i];
     if (policy == Policy::kZombieStack) {
       s.state = acpi::SleepState::kSz;
-      s.lent_mem = (1.0 - s.local_mem) * kDcDelegateFraction;
+      s.lent_mem = (1.0 - s.local_mem) * acpi::kSzDelegateFraction;
       world.zombie_pool_free += s.lent_mem;
     } else {
       s.state = acpi::SleepState::kS3;

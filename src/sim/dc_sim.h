@@ -47,8 +47,6 @@ std::string_view PolicyName(Policy p);
 // The replay's accounting step and consolidation round period.
 inline constexpr Duration kDcStep = 5 * kMinute;
 inline constexpr Duration kConsolidationPeriod = 1 * kHour;
-// Fraction of a zombie's free RAM actually delegated.
-inline constexpr double kDcDelegateFraction = 0.9;
 // Oasis memory servers: power as a fraction of a regular server, and
 // capacity in server-memory units.
 inline constexpr double kMemoryServerPowerFraction = 0.40;

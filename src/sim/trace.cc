@@ -1,7 +1,6 @@
 #include "src/sim/trace.h"
 
 #include <algorithm>
-#include <cmath>
 
 namespace zombie::sim {
 
@@ -76,19 +75,6 @@ Trace WithMemoryRatio(const Trace& base, double ratio) {
     task.booked_mem = std::min(1.0, task.booked_cpu * ratio);
   }
   return out;
-}
-
-hv::VmSpec TaskToVm(const TraceTask& task, Bytes server_mem, std::uint32_t server_cpus) {
-  hv::VmSpec vm;
-  vm.id = task.id;
-  vm.name = "task-" + std::to_string(task.id);
-  vm.reserved_memory = static_cast<Bytes>(task.booked_mem * static_cast<double>(server_mem));
-  vm.vcpus = std::max<std::uint32_t>(
-      1, static_cast<std::uint32_t>(std::lround(task.booked_cpu *
-                                                static_cast<double>(server_cpus))));
-  vm.working_set =
-      static_cast<Bytes>(WssFraction(task) * static_cast<double>(vm.reserved_memory));
-  return vm;
 }
 
 }  // namespace zombie::sim

@@ -15,7 +15,6 @@
 
 #include "src/common/rng.h"
 #include "src/common/units.h"
-#include "src/hv/vm.h"
 
 namespace zombie::sim {
 
@@ -75,10 +74,6 @@ Trace GenerateTrace(const TraceConfig& config);
 // The paper's modified-trace transform applied to an existing trace:
 // memory bookings scaled so memory demand is `ratio` times CPU demand.
 Trace WithMemoryRatio(const Trace& base, double ratio);
-
-// Converts a task into a VM spec for the placement layer (1.0 booked ==
-// `server_mem` bytes / `server_cpus` vcpus).
-hv::VmSpec TaskToVm(const TraceTask& task, Bytes server_mem, std::uint32_t server_cpus);
 
 }  // namespace zombie::sim
 

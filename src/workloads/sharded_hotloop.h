@@ -3,10 +3,10 @@
 //
 // Each shard runs the classic single-threaded loop over its own slice of the
 // page space: its own AccessPattern stream (seeded shard_seed(s)), its own
-// HostPager lane, its own remote-fault batcher flushing into the shared
-// ClientRing.  Nothing mutable is shared between lanes except the lock-free
-// ring, so the simulated results are a pure function of
-// (seed, shards, batch size) — the thread count only changes wall-clock.
+// HostPager lane, its own remote-fault batcher counting its own round trips.
+// Nothing mutable is shared between lanes, so the simulated results are a
+// pure function of (seed, shards, batch size) — the thread count only
+// changes wall-clock.
 //
 // shards=1, batch=1 reproduces the historical micro_hotloop scenario loop
 // bit for bit: same stream, same pager state machine, same costs.
@@ -56,6 +56,8 @@ struct ShardedHotLoopResult {
   double wall_seconds = 0.0;
   std::uint64_t round_trips = 0;  // batched remote-fault RPCs issued
   std::uint64_t rider_pages = 0;  // pages that rode an already-paid trip
+  // Equal to round_trips: what the shared ring the lanes no longer use
+  // counted.  Kept for perfbench's fingerprint (ROADMAP item 3).
   std::uint64_t ring_acquisitions = 0;
 
   double accesses_per_sec() const {

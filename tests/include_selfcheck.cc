@@ -41,7 +41,6 @@
 #include "src/hv/vm.h"
 #include "src/migration/migration.h"
 #include "src/rdma/fabric.h"
-#include "src/rdma/rpc.h"
 #include "src/rdma/verbs.h"
 #include "src/remotemem/buffer_db.h"
 #include "src/remotemem/global_controller.h"

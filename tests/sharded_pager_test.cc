@@ -1,15 +1,13 @@
 // Tests for the concurrent data plane (per-vCPU paging shards with batched
 // remote faults): the shards=1 bit-identity contract against the plain
 // HostPager, determinism across thread counts, the rider/closer charging
-// model of RemoteFaultBatcher, seeded home-shard assignment, and the
-// lock-free ClientRing.
+// model of RemoteFaultBatcher, seeded home-shard assignment, and the lanes'
+// private state.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <memory>
-#include <set>
 #include <span>
-#include <thread>
 #include <vector>
 
 #include "src/common/units.h"
@@ -19,7 +17,6 @@
 #include "src/hv/pager.h"
 #include "src/hv/replacement.h"
 #include "src/hv/sharded_pager.h"
-#include "src/rdma/rpc.h"
 #include "src/workloads/sharded_hotloop.h"
 
 namespace zombie::hv {
@@ -149,6 +146,45 @@ TEST(ShardedPagerTest, ResultsIdenticalAcrossThreadCounts) {
   }
 }
 
+// The lanes count their own round trips; the count a shared ring of RPC
+// slots used to report (one acquisition per flush) is their shard-order sum,
+// whatever the thread count.
+TEST(ShardedPagerTest, RingCountIsTheLanesRoundTripsAtEveryThreadCount) {
+  const auto serial = RunSharded(PolicyKind::kMixed, 4, 1, 8);
+  EXPECT_GT(serial.round_trips, 0u);
+  for (const int threads : {1, 2, 4, 8}) {
+    SCOPED_TRACE(threads);
+    const auto run = RunSharded(PolicyKind::kMixed, 4, threads, 8);
+    EXPECT_EQ(run.ring_acquisitions, run.round_trips);
+    EXPECT_EQ(run.round_trips, serial.round_trips);
+  }
+}
+
+// What a lane writes while it runs (its pager and batcher) never shares a
+// cache line with another lane's.
+TEST(ShardedPagerTest, LanesWriteDisjointCacheLines) {
+  ShardedPagerConfig config;
+  config.shards = 8;
+  config.seed = kSeed;
+  config.fault_batch.batch_pages = 8;
+  ShardedPager pager(kPages, kFrames, PolicyKind::kMixed, kLatency, config);
+  struct Lines {
+    std::uintptr_t first, last;
+  };
+  std::vector<Lines> lines;
+  for (std::uint32_t s = 0; s < pager.shards(); ++s) {
+    const auto begin = reinterpret_cast<std::uintptr_t>(pager.lane(s));
+    ASSERT_NE(begin, 0u);
+    lines.push_back({begin / kLaneAlignment, (begin + sizeof(HostPager) - 1) / kLaneAlignment});
+  }
+  for (std::size_t a = 0; a < lines.size(); ++a) {
+    for (std::size_t b = a + 1; b < lines.size(); ++b) {
+      SCOPED_TRACE(testing::Message() << "lanes " << a << " and " << b);
+      EXPECT_TRUE(lines[a].last < lines[b].first || lines[b].last < lines[a].first);
+    }
+  }
+}
+
 TEST(ShardedPagerTest, MergedStatsIsShardOrderSumOfLanes) {
   const auto run = RunSharded(PolicyKind::kFifo, 4, 2, 8);
   PagerStats sum;
@@ -173,18 +209,17 @@ TEST(ShardedPagerTest, MergedStatsIsShardOrderSumOfLanes) {
 // ---------------------------------------------------------------------------
 
 TEST(FaultBatchTest, RidersPayStreamShareCloserPaysFullTrip) {
-  rdma::ClientRing ring;
   FaultBatchConfig config;
   config.batch_pages = 4;
-  RemoteFaultBatcher batcher(&ring, kLatency, config);
+  RemoteFaultBatcher batcher(kLatency, config);
 
   static_assert(kStreamFraction == 0.25);
   const Duration stream_read = kLatency.read / 4;
-  EXPECT_EQ(batcher.OnLoad(1), stream_read);
-  EXPECT_EQ(batcher.OnLoad(2), stream_read);
-  EXPECT_EQ(batcher.OnLoad(3), stream_read);
+  EXPECT_EQ(batcher.OnLoad(), stream_read);
+  EXPECT_EQ(batcher.OnLoad(), stream_read);
+  EXPECT_EQ(batcher.OnLoad(), stream_read);
   EXPECT_EQ(batcher.round_trips(), 0u);  // nothing flushed yet
-  EXPECT_EQ(batcher.OnLoad(4), kLatency.read);  // closes the batch
+  EXPECT_EQ(batcher.OnLoad(), kLatency.read);  // closes the batch
   EXPECT_EQ(batcher.round_trips(), 1u);
   EXPECT_EQ(batcher.rider_pages(), 3u);
   // Batch total: full + (n-1) * stream.
@@ -192,14 +227,13 @@ TEST(FaultBatchTest, RidersPayStreamShareCloserPaysFullTrip) {
 }
 
 TEST(FaultBatchTest, DrainChargesTheOutstandingTrip) {
-  rdma::ClientRing ring;
   FaultBatchConfig config;
   config.batch_pages = 4;
-  RemoteFaultBatcher batcher(&ring, kLatency, config);
+  RemoteFaultBatcher batcher(kLatency, config);
 
   EXPECT_EQ(batcher.Drain(), 0);  // nothing pending
-  batcher.OnLoad(1);
-  batcher.OnStore(2);  // last pending op prices the trip
+  batcher.OnLoad();
+  batcher.OnStore();  // last pending op prices the trip
   const Duration stream_write = kLatency.write / 4;
   EXPECT_EQ(batcher.Drain(), kLatency.write - stream_write);
   EXPECT_EQ(batcher.round_trips(), 1u);
@@ -207,14 +241,13 @@ TEST(FaultBatchTest, DrainChargesTheOutstandingTrip) {
 }
 
 TEST(FaultBatchTest, BatchOfOneIsBitIdenticalToUnbatchedCharges) {
-  rdma::ClientRing ring;
   FaultBatchConfig config;
   config.batch_pages = 1;
-  RemoteFaultBatcher batcher(&ring, kLatency, config);
+  RemoteFaultBatcher batcher(kLatency, config);
   // Every page closes its own batch and pays the full latency — exactly the
   // per-page backend charge of the unbatched path.
-  EXPECT_EQ(batcher.OnLoad(7), kLatency.read);
-  EXPECT_EQ(batcher.OnStore(8), kLatency.write);
+  EXPECT_EQ(batcher.OnLoad(), kLatency.read);
+  EXPECT_EQ(batcher.OnStore(), kLatency.write);
   EXPECT_EQ(batcher.Drain(), 0);
   EXPECT_EQ(batcher.round_trips(), 2u);
   EXPECT_EQ(batcher.rider_pages(), 0u);
@@ -252,56 +285,6 @@ TEST(HomeShardTest, RoughlyBalancedAcrossShards) {
   for (const std::uint64_t count : counts) {
     EXPECT_GT(count, kPages / kShards / 2);
     EXPECT_LT(count, kPages / kShards * 3 / 2);
-  }
-}
-
-// ---------------------------------------------------------------------------
-// ClientRing: the fixed ring of RPC slots shared by all lanes.
-// ---------------------------------------------------------------------------
-
-TEST(ClientRingTest, AcquireExhaustsThenReleaseRecycles) {
-  rdma::ClientRing ring;
-  std::set<std::size_t> held;
-  for (std::size_t i = 0; i < rdma::ClientRing::kSlots; ++i) {
-    std::size_t slot = 0;
-    ASSERT_TRUE(ring.TryAcquire(&slot));
-    EXPECT_TRUE(held.insert(slot).second) << "duplicate slot " << slot;
-  }
-  std::size_t slot = 0;
-  EXPECT_FALSE(ring.TryAcquire(&slot));  // all slots busy
-  ring.Release(*held.begin());
-  ASSERT_TRUE(ring.TryAcquire(&slot));
-  EXPECT_EQ(slot, *held.begin());
-  EXPECT_EQ(ring.acquisitions(), rdma::ClientRing::kSlots + 1);
-}
-
-TEST(ClientRingTest, ConcurrentAcquireReleaseNeverDoubleGrants) {
-  rdma::ClientRing ring;
-  constexpr int kThreads = 4;
-  constexpr int kRounds = 20'000;
-  std::vector<std::thread> threads;
-  threads.reserve(kThreads);
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&ring] {
-      for (int i = 0; i < kRounds; ++i) {
-        const std::size_t slot = ring.Acquire();
-        // Touch the slot payload while held: TSan would flag a double grant
-        // as a data race on the payload bytes.
-        rdma::PayloadWriter writer(&ring.slot(slot).request);
-        writer.Reset();
-        writer.PutU64(static_cast<std::uint64_t>(slot));
-        ring.Release(slot);
-      }
-    });
-  }
-  for (std::thread& thread : threads) {
-    thread.join();
-  }
-  EXPECT_EQ(ring.acquisitions(), static_cast<std::uint64_t>(kThreads) * kRounds);
-  // Every slot must be free again.
-  for (std::size_t i = 0; i < rdma::ClientRing::kSlots; ++i) {
-    std::size_t slot = 0;
-    ASSERT_TRUE(ring.TryAcquire(&slot));
   }
 }
 

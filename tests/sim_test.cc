@@ -71,19 +71,6 @@ TEST(Trace, ModifiedTransformPinsMemoryToTwiceCpu) {
   EXPECT_GT(modified.BookedMemAt(6 * kHour), 1.2 * base.BookedMemAt(6 * kHour));
 }
 
-TEST(Trace, TaskToVmConversion) {
-  TraceTask task;
-  task.id = 5;
-  task.booked_cpu = 0.25;
-  task.booked_mem = 0.5;
-  task.cpu_usage_ratio = 0.4;
-  const auto vm = TaskToVm(task, 16 * kGiB, 8);
-  EXPECT_EQ(vm.id, 5u);
-  EXPECT_EQ(vm.reserved_memory, 8 * kGiB);
-  EXPECT_EQ(vm.vcpus, 2u);
-  EXPECT_LT(vm.working_set, vm.reserved_memory);
-}
-
 class DcSimTest : public ::testing::Test {
  protected:
   DcSimTest()
