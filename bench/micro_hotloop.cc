@@ -29,12 +29,15 @@
 // ("hotloop_threaded_aggregate_accesses_per_sec").
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
+#include <ctime>
 #include <cstring>
 #include <span>
 #include <string>
 #include <thread>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "src/common/env.h"
@@ -57,6 +60,8 @@ using zombie::hv::MakePolicy;
 using zombie::hv::PagingParams;
 using zombie::hv::PolicyKind;
 using zombie::hv::PolicyKindName;
+using zombie::report::JsonValue;
+using zombie::report::WriteJson;
 using zombie::workloads::AccessPattern;
 using zombie::workloads::HotloopPattern;
 using zombie::workloads::PageAccess;
@@ -131,6 +136,10 @@ struct ThreadedResult {
   std::uint64_t faults = 0;
   std::uint64_t round_trips = 0;
   double elapsed_sec = 0.0;
+  // Process CPU seconds per wall second over the row's median pass: about
+  // min(threads, shards) when every lane had a core, well below it when the
+  // host starved them.
+  double cpu_per_wall = 0.0;
 
   double ns_per_access() const {
     return accesses > 0 ? elapsed_sec * 1e9 / static_cast<double>(accesses) : 0.0;
@@ -163,15 +172,25 @@ ShardedHotLoopOptions ThreadedOptions(PolicyKind kind, int threads, std::uint64_
   return options;
 }
 
+double ProcessCpuSeconds() {
+  timespec now{};
+  clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &now);
+  return static_cast<double>(now.tv_sec) + static_cast<double>(now.tv_nsec) * 1e-9;
+}
+
 ThreadedResult RunThreadedScenario(PolicyKind kind, int threads, std::uint64_t accesses) {
   const ShardedHotLoopOptions options = ThreadedOptions(kind, threads, accesses);
   ShardedHotLoopResult run;
-  std::vector<double> elapsed;
+  std::vector<std::pair<double, double>> passes;  // (wall seconds, cpu/wall)
   for (int pass = 0; pass < kThreadedPasses; ++pass) {
+    // The CPU clock also counts the pass's microseconds of shard setup,
+    // which the wall time leaves out.
+    const double cpu_start = ProcessCpuSeconds();
     run = RunShardedHotLoop(options);  // same simulated work every pass
-    elapsed.push_back(run.wall_seconds);
+    const double cpu = ProcessCpuSeconds() - cpu_start;
+    passes.emplace_back(run.wall_seconds, run.wall_seconds > 0.0 ? cpu / run.wall_seconds : 0.0);
   }
-  std::sort(elapsed.begin(), elapsed.end());
+  std::sort(passes.begin(), passes.end());
 
   ThreadedResult result;
   result.kind = kind;
@@ -180,7 +199,7 @@ ThreadedResult RunThreadedScenario(PolicyKind kind, int threads, std::uint64_t a
   result.accesses = run.accesses;
   result.faults = run.stats.faults;
   result.round_trips = run.round_trips;
-  result.elapsed_sec = elapsed[elapsed.size() / 2];
+  std::tie(result.elapsed_sec, result.cpu_per_wall) = passes[passes.size() / 2];
   result.accesses_per_sec = result.elapsed_sec > 0.0
                                 ? static_cast<double>(run.accesses) / result.elapsed_sec
                                 : 0.0;
@@ -391,15 +410,15 @@ int main(int argc, char** argv) {
 
   std::printf("\n== threaded hot loop (%u shards, tiered/ramext, %llu accesses/row) ==\n\n",
               kThreadedShards, static_cast<unsigned long long>(threaded_accesses));
-  std::printf("%-7s %8s %14s %10s %12s %10s %10s\n", "policy", "threads", "accesses/s",
-              "faults", "round_trips", "ns/access", "ns/fault");
+  std::printf("%-7s %8s %14s %10s %12s %10s %9s %10s\n", "policy", "threads", "accesses/s",
+              "faults", "round_trips", "ns/access", "cpu/wall", "ns/fault");
   double t1_accesses = 0.0, t1_elapsed = 0.0;
   double t4_accesses = 0.0, t4_elapsed = 0.0;
   for (const ThreadedResult& r : threaded) {
-    std::printf("%-7s %8d %14.0f %10llu %12llu %10.1f %10.1f\n", r.policy.c_str(), r.threads,
-                r.accesses_per_sec, static_cast<unsigned long long>(r.faults),
+    std::printf("%-7s %8d %14.0f %10llu %12llu %10.1f %9.2f %10.1f\n", r.policy.c_str(),
+                r.threads, r.accesses_per_sec, static_cast<unsigned long long>(r.faults),
                 static_cast<unsigned long long>(r.round_trips), r.ns_per_access(),
-                r.ns_per_fault());
+                r.cpu_per_wall, r.ns_per_fault());
     if (r.threads == 1) {
       t1_accesses += static_cast<double>(r.accesses);
       t1_elapsed += r.elapsed_sec;
@@ -415,45 +434,51 @@ int main(int argc, char** argv) {
               threaded_aggregate, speedup_4t);
 
   if (!json_path.empty()) {
+    // Rates to the access, speedup to 1/1000, costs to 0.1 ns, cpu/wall to 1/100.
+    auto rounded = [](double v, double per_unit) { return std::round(v * per_unit) / per_unit; };
+    JsonValue scenarios = JsonValue::Array();
+    for (const ScenarioResult& r : results) {
+      scenarios.items.push_back(JsonValue::Object()
+                                    .Add("policy", r.policy)
+                                    .Add("pattern", r.pattern)
+                                    .Add("config", r.config)
+                                    .Add("accesses_per_sec", std::round(r.accesses_per_sec))
+                                    .Add("faults", r.faults));
+    }
+    JsonValue threaded_rows = JsonValue::Array();
+    for (const ThreadedResult& r : threaded) {
+      threaded_rows.items.push_back(JsonValue::Object()
+                                        .Add("policy", r.policy)
+                                        .Add("pattern", "tiered")
+                                        .Add("config", "ramext")
+                                        .Add("threads", r.threads)
+                                        .Add("accesses_per_sec", std::round(r.accesses_per_sec))
+                                        .Add("faults", r.faults)
+                                        .Add("round_trips", r.round_trips)
+                                        .Add("ns_per_access", rounded(r.ns_per_access(), 10))
+                                        .Add("cpu_per_wall", rounded(r.cpu_per_wall, 100))
+                                        .Add("ns_per_fault", rounded(r.ns_per_fault(), 10)));
+    }
+    const JsonValue doc =
+        JsonValue::Object()
+            .Add("bench", "micro_hotloop")
+            .Add("mode", zombie::SmokeEnvEnabled() ? "smoke" : "full")
+            .Add("accesses_per_scenario", accesses)
+            .Add("aggregate_accesses_per_sec", std::round(aggregate))
+            .Add("scenarios", std::move(scenarios))
+            .Add("threaded_shards", kThreadedShards)
+            .Add("threaded_accesses_per_row", threaded_accesses)
+            .Add("threaded_aggregate_accesses_per_sec", std::round(threaded_aggregate))
+            .Add("threaded_speedup_4t", rounded(speedup_4t, 1000))
+            .Add("threaded", std::move(threaded_rows));
+    const std::string text = WriteJson(doc);
     std::FILE* out = std::fopen(json_path.c_str(), "w");
-    if (out == nullptr) {
+    const bool wrote = out != nullptr && std::fwrite(text.data(), 1, text.size(), out) == text.size();
+    // fclose flushes the buffer, so a full disk can first fail here.
+    if (out == nullptr || std::fclose(out) != 0 || !wrote) {
       std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
       return 1;
     }
-    std::fprintf(out, "{\n  \"bench\": \"micro_hotloop\",\n  \"mode\": \"%s\",\n",
-                 zombie::SmokeEnvEnabled() ? "smoke" : "full");
-    std::fprintf(out, "  \"accesses_per_scenario\": %llu,\n",
-                 static_cast<unsigned long long>(accesses));
-    std::fprintf(out, "  \"aggregate_accesses_per_sec\": %.0f,\n  \"scenarios\": [\n",
-                 aggregate);
-    for (std::size_t i = 0; i < results.size(); ++i) {
-      const ScenarioResult& r = results[i];
-      std::fprintf(out,
-                   "    {\"policy\": \"%s\", \"pattern\": \"%s\", \"config\": \"%s\", "
-                   "\"accesses_per_sec\": %.0f, \"faults\": %llu}%s\n",
-                   r.policy.c_str(), r.pattern.c_str(), r.config.c_str(), r.accesses_per_sec,
-                   static_cast<unsigned long long>(r.faults), i + 1 < results.size() ? "," : "");
-    }
-    std::fprintf(out, "  ],\n");
-    std::fprintf(out, "  \"threaded_shards\": %u,\n", kThreadedShards);
-    std::fprintf(out, "  \"threaded_accesses_per_row\": %llu,\n",
-                 static_cast<unsigned long long>(threaded_accesses));
-    std::fprintf(out, "  \"threaded_aggregate_accesses_per_sec\": %.0f,\n", threaded_aggregate);
-    std::fprintf(out, "  \"threaded_speedup_4t\": %.3f,\n", speedup_4t);
-    std::fprintf(out, "  \"threaded\": [\n");
-    for (std::size_t i = 0; i < threaded.size(); ++i) {
-      const ThreadedResult& r = threaded[i];
-      std::fprintf(out,
-                   "    {\"policy\": \"%s\", \"pattern\": \"tiered\", \"config\": \"ramext\", "
-                   "\"threads\": %d, \"accesses_per_sec\": %.0f, \"faults\": %llu, "
-                   "\"round_trips\": %llu, \"ns_per_access\": %.1f, \"ns_per_fault\": %.1f}%s\n",
-                   r.policy.c_str(), r.threads, r.accesses_per_sec,
-                   static_cast<unsigned long long>(r.faults),
-                   static_cast<unsigned long long>(r.round_trips), r.ns_per_access(),
-                   r.ns_per_fault(), i + 1 < threaded.size() ? "," : "");
-    }
-    std::fprintf(out, "  ]\n}\n");
-    std::fclose(out);
   }
 
   if (gate_floor > 0.0 && aggregate < gate_floor) {
@@ -463,11 +488,21 @@ int main(int argc, char** argv) {
                  aggregate, gate_floor);
     return 1;
   }
+  // What the threaded gates print beside a failure: the 4-thread rows'
+  // cpu/wall.  Well below 4 means the host starved the lanes; about 4 means
+  // the lanes had their cores and ran slowly.
+  std::string lane_cpu = "4-thread cpu/wall:";
+  for (const ThreadedResult& r : threaded) {
+    if (r.threads == 4) {
+      lane_cpu += zombie::report::StrPrintf(" %s %.2f", r.policy.c_str(), r.cpu_per_wall);
+    }
+  }
+  lane_cpu += " (well below 4 = starved lanes, about 4 = slow lanes)";
   if (threaded_gate_floor > 0.0 && threaded_aggregate < threaded_gate_floor) {
     std::fprintf(stderr,
                  "perf_smoke FAILURE: threaded aggregate %.0f accesses/sec is below the "
-                 "baseline-derived floor %.0f (see bench/tolerances.json)\n",
-                 threaded_aggregate, threaded_gate_floor);
+                 "baseline-derived floor %.0f (see bench/tolerances.json); %s\n",
+                 threaded_aggregate, threaded_gate_floor, lane_cpu.c_str());
     return 1;
   }
   // The scaling acceptance: 4 worker threads must at least double the
@@ -475,9 +510,8 @@ int main(int argc, char** argv) {
   // hardware threads exist — a 1-core container time-slices the lanes.
   const unsigned cores = std::thread::hardware_concurrency();
   if (!baseline_path.empty() && cores >= 4 && speedup_4t < 2.0) {
-    std::fprintf(stderr,
-                 "perf_smoke FAILURE: 4-thread speedup %.2fx < 2.0x on %u cores\n",
-                 speedup_4t, cores);
+    std::fprintf(stderr, "perf_smoke FAILURE: 4-thread speedup %.2fx < 2.0x on %u cores; %s\n",
+                 speedup_4t, cores, lane_cpu.c_str());
     return 1;
   }
   if (cores < 4) {

@@ -285,6 +285,8 @@ std::string Report::RenderCsv() const {
   return out;
 }
 
+namespace {
+
 std::string JsonEscape(std::string_view text) {
   std::string out;
   out.reserve(text.size());
@@ -318,101 +320,130 @@ std::string JsonEscape(std::string_view text) {
   return out;
 }
 
-std::string Report::RenderJson() const {
-  std::string out = "{\n";
-  out += "  \"schema\": \"zombieland.scenario.report/v1\",\n";
-  out += "  \"scenario\": \"" + JsonEscape(scenario_) + "\",\n";
-  out += "  \"title\": \"" + JsonEscape(title_) + "\",\n";
-  out += std::string("  \"smoke\": ") + (smoke_ ? "true" : "false") + ",\n";
-
-  out += "  \"tables\": [";
-  for (std::size_t t = 0; t < tables_.size(); ++t) {
-    const ReportTable& table = tables_[t];
-    out += t == 0 ? "\n" : ",\n";
-    out += "    {\"id\": \"" + JsonEscape(table.id()) + "\", \"title\": \"" +
-           JsonEscape(Trimmed(table.title())) + "\",\n     \"columns\": [";
-    for (std::size_t c = 0; c < table.columns().size(); ++c) {
-      if (c != 0) {
-        out += ", ";
-      }
-      out += "\"" + JsonEscape(table.columns()[c]) + "\"";
-    }
-    out += "],\n     \"rows\": [";
-    for (std::size_t r = 0; r < table.rows().size(); ++r) {
-      out += r == 0 ? "\n" : ",\n";
-      out += "       [";
-      const auto& row = table.rows()[r];
-      for (std::size_t c = 0; c < row.size(); ++c) {
-        if (c != 0) {
-          out += ", ";
-        }
-        out += "\"" + JsonEscape(row[c]) + "\"";
-      }
-      out += "]";
-    }
-    out += "\n     ]}";
+void Write(const JsonValue& value, int indent, std::string& out) {
+  switch (value.kind) {
+    case JsonValue::Kind::kNull:
+      out += "null";
+      return;
+    case JsonValue::Kind::kBool:
+      out += value.boolean ? "true" : "false";
+      return;
+    case JsonValue::Kind::kNumber:
+      out += JsonNumber(value.number);
+      return;
+    case JsonValue::Kind::kString:
+      out += '"' + JsonEscape(value.string) + '"';
+      return;
+    case JsonValue::Kind::kArray:
+    case JsonValue::Kind::kObject:
+      break;
   }
-  out += "\n  ],\n";
-
-  out += "  \"metrics\": {";
-  for (std::size_t m = 0; m < metrics_.size(); ++m) {
-    out += m == 0 ? "\n" : ",\n";
-    out += "    \"" + JsonEscape(metrics_[m].first) +
-           "\": " + JsonNumber(metrics_[m].second);
+  const bool object = value.is_object();
+  const std::size_t size = object ? value.members.size() : value.items.size();
+  // An object, or an array holding a container, writes one entry per line.
+  const bool one_line =
+      !object && std::all_of(value.items.begin(), value.items.end(), [](const JsonValue& item) {
+        return !item.is_array() && !item.is_object();
+      });
+  out += object ? '{' : '[';
+  for (std::size_t i = 0; i < size; ++i) {
+    if (i != 0) {
+      out += one_line ? ", " : ",";
+    }
+    if (!one_line) {
+      out += '\n' + std::string(static_cast<std::size_t>(indent + 2), ' ');
+    }
+    if (object) {
+      out += '"' + JsonEscape(value.members[i].first) + "\": ";
+    }
+    Write(object ? value.members[i].second : value.items[i], indent + 2, out);
   }
-  out += metrics_.empty() ? "},\n" : "\n  },\n";
+  if (!one_line && size > 0) {
+    out += '\n' + std::string(static_cast<std::size_t>(indent), ' ');
+  }
+  out += object ? '}' : ']';
+}
+
+template <typename T>
+JsonValue ObjectOf(const std::vector<std::pair<std::string, T>>& members) {
+  JsonValue object = JsonValue::Object();
+  for (const auto& [key, value] : members) {
+    object.Add(key, value);
+  }
+  return object;
+}
+
+JsonValue StringArray(const std::vector<std::string>& strings) {
+  JsonValue array = JsonValue::Array();
+  for (const std::string& s : strings) {
+    array.items.emplace_back(s);
+  }
+  return array;
+}
+
+}  // namespace
+
+std::string WriteJson(const JsonValue& value) {
+  std::string out;
+  Write(value, 0, out);
+  out += '\n';
+  return out;
+}
+
+JsonValue Report::ToJson() const {
+  JsonValue tables = JsonValue::Array();
+  for (const ReportTable& table : tables_) {
+    JsonValue rows = JsonValue::Array();
+    for (const auto& row : table.rows()) {
+      rows.items.push_back(StringArray(row));
+    }
+    tables.items.push_back(JsonValue::Object()
+                               .Add("id", table.id())
+                               .Add("title", Trimmed(table.title()))
+                               .Add("columns", StringArray(table.columns()))
+                               .Add("rows", std::move(rows)));
+  }
+
+  JsonValue doc = JsonValue::Object()
+                      .Add("schema", "zombieland.scenario.report/v1")
+                      .Add("scenario", scenario_)
+                      .Add("title", title_)
+                      .Add("smoke", smoke_)
+                      .Add("tables", std::move(tables))
+                      .Add("metrics", ObjectOf(metrics_));
 
   // Per-point records, grid order (swept scenarios only).  wall_seconds is
   // emitted only under --timings so determinism gates compare byte-stable
-  // documents.
+  // documents; it is rounded to the millisecond.
   if (!points_.empty()) {
-    out += "  \"points\": [";
-    for (std::size_t p = 0; p < points_.size(); ++p) {
-      const SweepPointRecord& point = points_[p];
-      out += p == 0 ? "\n" : ",\n";
-      out += "    {\"axes\": {";
-      for (std::size_t a = 0; a < point.axes.size(); ++a) {
-        if (a != 0) {
-          out += ", ";
-        }
-        out += "\"" + JsonEscape(point.axes[a].first) + "\": \"" +
-               JsonEscape(point.axes[a].second) + "\"";
-      }
-      out += "}, \"metrics\": {";
-      for (std::size_t m = 0; m < point.metrics.size(); ++m) {
-        if (m != 0) {
-          out += ", ";
-        }
-        out += "\"" + JsonEscape(point.metrics[m].first) +
-               "\": " + JsonNumber(point.metrics[m].second);
-      }
-      out += "}";
+    JsonValue points = JsonValue::Array();
+    for (const SweepPointRecord& point : points_) {
+      JsonValue record = JsonValue::Object()
+                             .Add("axes", ObjectOf(point.axes))
+                             .Add("metrics", ObjectOf(point.metrics));
       if (point_timings_) {
-        out += ", \"wall_seconds\": " + StrPrintf("%.3f", point.wall_seconds);
+        record.Add("wall_seconds", std::round(point.wall_seconds * 1000) / 1000);
       }
-      out += "}";
+      points.items.push_back(std::move(record));
     }
-    out += "\n  ],\n";
+    doc.Add("points", std::move(points));
   }
 
-  out += "  \"notes\": [";
-  bool first = true;
+  JsonValue notes = JsonValue::Array();
   for (const Item& item : items_) {
     if (item.kind != Item::Kind::kText) {
       continue;
     }
-    const std::string note = Trimmed(texts_[item.index]);
-    if (note.empty()) {
-      continue;
+    std::string note = Trimmed(texts_[item.index]);
+    if (!note.empty()) {
+      notes.items.emplace_back(std::move(note));
     }
-    out += first ? "\n" : ",\n";
-    first = false;
-    out += "    \"" + JsonEscape(note) + "\"";
   }
-  out += first ? "]\n" : "\n  ]\n";
-  out += "}\n";
-  return out;
+  doc.Add("notes", std::move(notes));
+  return doc;
 }
+
+std::string Report::RenderJson() const { return WriteJson(ToJson()); }
 
 std::string Report::Num(double v, int precision) {
   char buf[64];
@@ -739,19 +770,19 @@ Result<JsonValue> ParseJson(std::string_view text) {
   return JsonReader(text).Parse();
 }
 
-Status ValidateJson(std::string_view text) { return ParseJson(text).status(); }
-
 Status ValidateReportJson(std::string_view text) {
-  Status status = ValidateJson(text);
-  if (!status.ok()) {
-    return status;
+  auto doc = ParseJson(text);
+  if (!doc.ok()) {
+    return doc.status();
   }
-  for (std::string_view key :
-       {"\"schema\"", "\"scenario\"", "\"tables\""}) {
-    if (text.find(key) == std::string_view::npos) {
-      return Status(ErrorCode::kInvalidArgument,
-                    "report JSON missing required key " + std::string(key));
-    }
+  const JsonValue* schema = doc.value().Find("schema");
+  const JsonValue* scenario = doc.value().Find("scenario");
+  const JsonValue* tables = doc.value().Find("tables");
+  if (schema == nullptr || !schema->is_string() || scenario == nullptr ||
+      !scenario->is_string() || tables == nullptr || !tables->is_array()) {
+    return Status(ErrorCode::kInvalidArgument,
+                  "report JSON needs top-level string \"schema\" and \"scenario\" members "
+                  "and a \"tables\" array");
   }
   return Status::Ok();
 }

@@ -7,12 +7,23 @@
 //
 // All numeric cells go through the formatting helpers here (Num / Penalty /
 // Int) so precision/width conventions cannot drift between experiments.
+//
+// JSON has one document model, JsonValue, and one writer, WriteJson: a
+// report, the driver's combined document and micro_hotloop's results are all
+// built as values and written by it.  Its layout rule has no per-node style:
+// every object writes one member per line, an array of scalars writes on one
+// line, any other array one item per line; each level indents two spaces,
+// empty containers are {} / [], and the document ends with a newline.
+// ParseJson reads any writer output back to an equal value (non-finite
+// numbers read back as null).
 #ifndef ZOMBIELAND_SRC_COMMON_REPORT_H_
 #define ZOMBIELAND_SRC_COMMON_REPORT_H_
 
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "src/common/result.h"
@@ -27,6 +38,8 @@ std::string_view FormatName(Format format);
 
 // printf into a std::string (the note/banner helper of the scenario ports).
 std::string StrPrintf(const char* fmt, ...) __attribute__((format(printf, 1, 2)));
+
+struct JsonValue;
 
 // One named table inside a report.
 class ReportTable {
@@ -142,7 +155,10 @@ class Report {
   std::string Render(Format format) const;
   std::string RenderTableText() const;  // byte-compatible printf stream
   std::string RenderCsv() const;
-  std::string RenderJson() const;
+  std::string RenderJson() const;  // WriteJson(ToJson())
+  // The "zombieland.scenario.report/v1" document: schema, scenario, title,
+  // smoke, tables, metrics, points (swept scenarios only) and notes.
+  JsonValue ToJson() const;
 
   const std::string& scenario() const { return scenario_; }
   const std::string& title() const { return title_; }
@@ -181,27 +197,20 @@ class Report {
   std::vector<SweepPointRecord> points_;
 };
 
-// JSON syntax check used by the driver's --format=json self-check and the
-// tests: the status of ParseJson(text).
-[[nodiscard]] Status ValidateJson(std::string_view text);
-
-// Schema check for a rendered report document: syntactically valid JSON that
-// contains the required top-level keys ("schema", "scenario", "tables").
+// Schema check for a rendered report document: it parses, and its top level
+// is an object whose "schema" and "scenario" members are strings and whose
+// "tables" member is an array.
 [[nodiscard]] Status ValidateReportJson(std::string_view text);
-
-// JSON string escaping (exposed for the driver's aggregate documents).
-std::string JsonEscape(std::string_view text);
 
 // A finite double as its shortest decimal that parses back to the same
 // value (non-finite renders as "null" — JSON has no inf/nan).  Every number
-// in a rendered report goes through this, so equal values are byte-equal
-// across runs and cross-run diffs stay noise-free.
+// WriteJson writes goes through this, so equal values are byte-equal across
+// runs and cross-run diffs stay noise-free.
 std::string JsonNumber(double v);
 
 // ---------------------------------------------------------------------------
-// Minimal JSON document model, for tooling that reads report documents back
-// (`zombieland diff`).  Objects keep member order; lookups are linear — the
-// documents are small.
+// The JSON document model, which WriteJson writes and ParseJson reads.
+// Objects keep member order; lookups are linear — the documents are small.
 // ---------------------------------------------------------------------------
 
 struct JsonValue {
@@ -214,17 +223,44 @@ struct JsonValue {
   std::vector<JsonValue> items;                             // kArray
   std::vector<std::pair<std::string, JsonValue>> members;   // kObject
 
+  JsonValue() = default;  // null
+  JsonValue(bool value) : kind(Kind::kBool), boolean(value) {}
+  template <typename T>
+    requires std::is_arithmetic_v<T> && (!std::is_same_v<T, bool>)
+  JsonValue(T value) : kind(Kind::kNumber), number(static_cast<double>(value)) {}
+  JsonValue(std::string value) : kind(Kind::kString), string(std::move(value)) {}
+  JsonValue(const char* value) : JsonValue(std::string(value)) {}  // not bool
+
+  static JsonValue Array() { return JsonValue(Kind::kArray); }
+  static JsonValue Object() { return JsonValue(Kind::kObject); }
+
+  // Appends an object member (keys must stay unique: the reader rejects a
+  // repeated key); returns *this so members chain.
+  JsonValue& Add(std::string key, JsonValue value) {
+    members.emplace_back(std::move(key), std::move(value));
+    return *this;
+  }
+
   // Object member lookup; nullptr when absent or not an object.
   const JsonValue* Find(std::string_view key) const;
   bool is_object() const { return kind == Kind::kObject; }
   bool is_array() const { return kind == Kind::kArray; }
   bool is_number() const { return kind == Kind::kNumber; }
   bool is_string() const { return kind == Kind::kString; }
+
+  bool operator==(const JsonValue&) const = default;
+
+ private:
+  explicit JsonValue(Kind container) : kind(container) {}
 };
+
+// The one JSON writer, with the layout rule in the file comment.
+std::string WriteJson(const JsonValue& value);
 
 // Full parse into the document model; kInvalidArgument with an offset on the
 // first syntax error.  A repeated key within one object, a number outside
-// double range (1e999) and a leading zero (01) are errors too.
+// double range (1e999), a leading zero (01) and nesting deeper than 64
+// levels are errors too.
 [[nodiscard]] Result<JsonValue> ParseJson(std::string_view text);
 
 }  // namespace zombie::report

@@ -12,6 +12,7 @@
 // timelines, so reports are byte-identical under any sweep parallelism and
 // the diff gate pins the latency distributions down.
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -111,6 +112,14 @@ struct ServeParamDefaults {
   double min_zombies = 0;
 };
 
+// The largest horizon_ms and queue_timeout_ms: one simulated day.  Times
+// are int64 ns, so 86,400,000 ms is 8.64e13 ns, five orders of magnitude
+// below the 9.2e18 limit: the ms -> Duration conversion and the windows
+// derived from it (horizon * 4 / 5, a deadline past the horizon) cannot wrap.
+constexpr std::uint64_t kMaxServeMs = 86'400'000;
+static_assert(static_cast<Duration>(kMaxServeMs) * 4 <=
+              std::numeric_limits<Duration>::max() / kMillisecond);
+
 ScenarioBuilder& WithServeParams(ScenarioBuilder& builder, ServeParamDefaults defaults) {
   return builder
       .Param({.name = "seed", .type = ParamType::kU64, .default_value = "42",
@@ -118,8 +127,8 @@ ScenarioBuilder& WithServeParams(ScenarioBuilder& builder, ServeParamDefaults de
       .Param({.name = "horizon_ms",
               .type = ParamType::kU64,
               .default_value = "10000",
-              .description = "arrival window (ms)",
-              .range = ParamRange{.min = 500}})
+              .description = "arrival window (ms, max 86400000)",
+              .range = ParamRange{.min = 500, .max = kMaxServeMs}})
       .Param({.name = "hosts", .type = ParamType::kU64, .default_value = "2",
               .description = "awake hosts taking VMs",
               .range = ParamRange{.min = 1}})
@@ -134,8 +143,8 @@ ScenarioBuilder& WithServeParams(ScenarioBuilder& builder, ServeParamDefaults de
       .Param({.name = "queue_timeout_ms",
               .type = ParamType::kU64,
               .default_value = "2000",
-              .description = "queued-booking deadline (ms)",
-              .range = ParamRange{.min = 100}})
+              .description = "queued-booking deadline (ms, max 86400000)",
+              .range = ParamRange{.min = 100, .max = kMaxServeMs}})
       .Param({.name = "tenant_quota_gib",
               .type = ParamType::kU64,
               .default_value = std::move(defaults.tenant_quota_gib),

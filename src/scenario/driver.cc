@@ -5,6 +5,7 @@
 
 #include <cerrno>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -233,8 +234,8 @@ bool WriteOutput(const std::string& text, const std::string& out_path) {
 
 // Renders reports for several scenarios into one document.  When `timings`
 // is non-null (--timings, JSON only) the combined document gains a
-// "timings" object mapping scenario name -> wall-clock seconds, so the CI
-// artifact doubles as a perf trajectory.
+// "timings" object mapping scenario name -> wall-clock seconds (rounded to
+// the millisecond), so the CI artifact doubles as a perf trajectory.
 std::string Combine(const std::vector<report::Report>& reports,
                     const RunOptions& options,
                     const std::vector<double>* timings = nullptr) {
@@ -242,24 +243,22 @@ std::string Combine(const std::vector<report::Report>& reports,
     if (reports.size() == 1 && timings == nullptr) {
       return reports[0].RenderJson();
     }
-    std::string out = "{\n  \"schema\": \"zombieland.scenario.reports/v1\",\n";
-    out += std::string("  \"smoke\": ") + (options.smoke ? "true" : "false") + ",\n";
+    report::JsonValue doc = report::JsonValue::Object()
+                                .Add("schema", "zombieland.scenario.reports/v1")
+                                .Add("smoke", options.smoke);
     if (timings != nullptr) {
-      out += "  \"timings\": {";
+      report::JsonValue seconds = report::JsonValue::Object();
       for (std::size_t i = 0; i < reports.size(); ++i) {
-        out += i == 0 ? "\n" : ",\n";
-        out += "    \"" + report::JsonEscape(reports[i].scenario()) +
-               "\": " + report::StrPrintf("%.3f", (*timings)[i]);
+        seconds.Add(reports[i].scenario(), std::round((*timings)[i] * 1000) / 1000);
       }
-      out += reports.empty() ? "},\n" : "\n  },\n";
+      doc.Add("timings", std::move(seconds));
     }
-    out += "  \"reports\": [";
-    for (std::size_t i = 0; i < reports.size(); ++i) {
-      out += i == 0 ? "\n" : ",\n";
-      out += reports[i].RenderJson();
+    report::JsonValue documents = report::JsonValue::Array();
+    for (const report::Report& report : reports) {
+      documents.items.push_back(report.ToJson());
     }
-    out += "\n  ]\n}\n";
-    return out;
+    doc.Add("reports", std::move(documents));
+    return report::WriteJson(doc);
   }
   std::string out;
   for (std::size_t i = 0; i < reports.size(); ++i) {
@@ -402,7 +401,7 @@ int CmdRun(ParsedArgs& parsed) {
   std::string out = Combine(reports, parsed.options,
                             parsed.timings ? &report_seconds : nullptr);
   if (parsed.options.format == report::Format::kJson) {
-    if (Status status = report::ValidateJson(out); !status.ok()) {
+    if (Status status = report::ParseJson(out).status(); !status.ok()) {
       std::fprintf(stderr, "zombieland: combined JSON invalid: %s\n",
                    status.ToString().c_str());
       return 1;

@@ -1,7 +1,6 @@
 #include "src/serve/stream.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 #include <string>
 
@@ -96,7 +95,11 @@ double RequestStream::PeakRate() const {
 }
 
 std::vector<Request> RequestStream::Generate() const {
-  assert(config_.rate_per_s > 0.0 && config_.horizon > 0);
+  // Checked in every build type: a wrapped (negative) horizon would yield an
+  // empty timeline and a run that silently serves nothing.
+  if (!(config_.rate_per_s > 0.0 && config_.horizon > 0)) {
+    FatalMessage("serve", "request stream needs a positive rate and horizon");
+  }
   Rng rng(config_.seed);
   std::vector<Request> timeline;
 

@@ -9,10 +9,15 @@
 //  * the consolidation planner's moves execute in order within capacity,
 //    and it suspends exactly the awake hosts it leaves empty;
 //  * the JSON reader returns a value or an error, never crashes, on mutants
-//    of a rendered report and of bench/tolerances.json.
+//    of a rendered report and of bench/tolerances.json;
+//  * the JSON writer's output reads back to the value written, for random
+//    documents and for every scenario's smoke report.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
+#include <bit>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <cstdio>
@@ -38,6 +43,7 @@
 #include "src/remotemem/buffer_db.h"
 #include "src/remotemem/secondary_controller.h"
 #include "src/scenario/diff.h"
+#include "src/scenario/registry.h"
 #include "src/sim/consolidation.h"
 #include "src/workloads/app_models.h"
 #include "src/workloads/runner.h"
@@ -988,6 +994,106 @@ TEST(ParseJsonTest, MutantsNeverCrash) {
   }
   // The mutator must actually break documents, or the test proves nothing.
   EXPECT_GT(rejected, 10000u);
+}
+
+// ---------------------------------------------------------------------------
+// ParseJson(WriteJson(v)) == v.  Random documents nest up to the reader's
+// limit of 64 levels and carry every byte in keys and strings, integers
+// around 2^53, and any double bit pattern; non-finite numbers read back as
+// null, as documented.
+// ---------------------------------------------------------------------------
+
+report::JsonValue RandomJsonScalar(Rng& rng) {
+  switch (rng.NextBelow(6)) {
+    case 0:
+      return {};
+    case 1:
+      return rng.NextBool(0.5);
+    case 2:  // integers around 2^53, either sign
+      return (rng.NextBool(0.5) ? 1.0 : -1.0) *
+             (9007199254740992.0 + static_cast<double>(rng.NextBelow(9)) - 4.0);
+    case 3:  // tiny and negative doubles
+      return -std::ldexp(rng.NextDouble(), -static_cast<int>(rng.NextBelow(1075)));
+    case 4:  // any bit pattern: denormals, huge, inf and nan included
+      return std::bit_cast<double>(rng.Next());
+    default: {
+      constexpr std::string_view kSpecial = "\"\\/\n\r\t\b\f\x01\x1f\x7f";
+      std::string text;
+      for (std::uint64_t n = rng.NextBelow(8); n > 0; --n) {
+        text += rng.NextBool(0.5) ? kSpecial[rng.NextBelow(kSpecial.size())]
+                                  : static_cast<char>(rng.NextBelow(256));
+      }
+      return text;
+    }
+  }
+}
+
+// A value `depth` levels deep.  The first child of every container carries
+// the full remaining depth; its siblings stay shallow.
+report::JsonValue RandomJson(Rng& rng, int depth) {
+  if (depth == 1) {
+    return RandomJsonScalar(rng);
+  }
+  const bool object = rng.NextBool(0.5);
+  report::JsonValue value = object ? report::JsonValue::Object() : report::JsonValue::Array();
+  const std::uint64_t children = 1 + rng.NextBelow(4);
+  for (std::uint64_t i = 0; i < children; ++i) {
+    const int child_depth =
+        i == 0 ? depth - 1 : 1 + static_cast<int>(rng.NextBelow(std::min(depth - 1, 3)));
+    report::JsonValue child = RandomJson(rng, child_depth);
+    if (object) {
+      // A unique key per member (the reader rejects repeats), with the
+      // special bytes of a random string in front of the index.
+      const report::JsonValue prefix = RandomJsonScalar(rng);
+      value.Add((prefix.is_string() ? prefix.string : "") + "#" + std::to_string(i),
+                std::move(child));
+    } else {
+      value.items.push_back(std::move(child));
+    }
+  }
+  return value;
+}
+
+// What the reader yields for `value`: non-finite numbers become null.
+report::JsonValue AsRead(report::JsonValue value) {
+  if (value.is_number() && !std::isfinite(value.number)) {
+    return {};
+  }
+  for (report::JsonValue& item : value.items) {
+    item = AsRead(std::move(item));
+  }
+  for (auto& [key, member] : value.members) {
+    member = AsRead(std::move(member));
+  }
+  return value;
+}
+
+TEST(WriteJsonProperty, RandomDocumentsRoundTrip) {
+  ScopedSeedReporter seed_reporter;
+  Rng rng(TestSeed(5300));
+  for (int i = 0; i < 500; ++i) {
+    const int depth = i < 64 ? 64 - i : 1 + static_cast<int>(rng.NextBelow(64));
+    const report::JsonValue value = RandomJson(rng, depth);
+    const std::string text = report::WriteJson(value);
+    auto parsed = report::ParseJson(text);
+    ASSERT_TRUE(parsed.ok()) << parsed.status().ToString() << "\n" << text;
+    ASSERT_TRUE(parsed.value() == AsRead(value)) << text;
+    ASSERT_EQ(text.back(), '\n');
+  }
+}
+
+TEST(WriteJsonProperty, EveryScenarioSmokeReportRoundTrips) {
+  scenario::RunOptions options;
+  options.smoke = true;
+  for (const scenario::Scenario* scenario : scenario::ScenarioRegistry::Instance().List()) {
+    SCOPED_TRACE(scenario->name());
+    auto ran = scenario->Run(options);
+    ASSERT_TRUE(ran.ok()) << ran.status().ToString();
+    const report::JsonValue value = ran.value().ToJson();
+    auto parsed = report::ParseJson(report::WriteJson(value));
+    ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+    EXPECT_TRUE(parsed.value() == AsRead(value));
+  }
 }
 
 }  // namespace

@@ -481,8 +481,8 @@ Report SampleReport() {
 TEST(ReportTest, JsonIsSchemaValid) {
   const Report r = SampleReport();
   const std::string json = r.RenderJson();
-  EXPECT_TRUE(report::ValidateJson(json).ok())
-      << report::ValidateJson(json).ToString() << "\n" << json;
+  EXPECT_TRUE(report::ParseJson(json).ok())
+      << report::ParseJson(json).status().ToString() << "\n" << json;
   EXPECT_TRUE(report::ValidateReportJson(json).ok());
   // Escaped title and non-finite metric handling.
   EXPECT_NE(json.find("\\\"quoted\\\""), std::string::npos);
@@ -499,15 +499,25 @@ TEST(ReportTest, JsonRoundTripsCellsAndColumns) {
 }
 
 TEST(ReportTest, ValidatorRejectsMalformedJson) {
-  EXPECT_FALSE(report::ValidateJson("{\"a\": }").ok());
-  EXPECT_FALSE(report::ValidateJson("{\"a\": 1,}").ok());
-  EXPECT_FALSE(report::ValidateJson("{\"a\": \"unterminated}").ok());
-  EXPECT_FALSE(report::ValidateJson("[1, 2").ok());
-  EXPECT_FALSE(report::ValidateJson("{} trailing").ok());
-  EXPECT_TRUE(report::ValidateJson("[1, 2.5, -3e4, true, null, \"s\"]").ok());
-  EXPECT_TRUE(report::ValidateJson("{\"nested\": {\"a\": [{}]}}").ok());
+  EXPECT_FALSE(report::ParseJson("{\"a\": }").ok());
+  EXPECT_FALSE(report::ParseJson("{\"a\": 1,}").ok());
+  EXPECT_FALSE(report::ParseJson("{\"a\": \"unterminated}").ok());
+  EXPECT_FALSE(report::ParseJson("[1, 2").ok());
+  EXPECT_FALSE(report::ParseJson("{} trailing").ok());
+  EXPECT_TRUE(report::ParseJson("[1, 2.5, -3e4, true, null, \"s\"]").ok());
+  EXPECT_TRUE(report::ParseJson("{\"nested\": {\"a\": [{}]}}").ok());
   // Schema check needs the report keys.
   EXPECT_FALSE(report::ValidateReportJson("{\"schema\": 1}").ok());
+}
+
+// The schema check reads the parsed top-level members: a note that spells
+// the key names is not a report, and each key must have its kind.
+TEST(ReportTest, ValidatorChecksParsedMembersNotSubstrings) {
+  EXPECT_FALSE(report::ValidateReportJson(R"({"notes": ["\"schema\" \"scenario\" \"tables\""]})").ok());
+  EXPECT_FALSE(report::ValidateReportJson(R"({"schema": "s", "scenario": "x", "tables": 3})").ok());
+  EXPECT_FALSE(report::ValidateReportJson(R"({"schema": "s", "scenario": 7, "tables": []})").ok());
+  EXPECT_FALSE(report::ValidateReportJson(R"(["schema", "scenario", "tables"])").ok());
+  EXPECT_TRUE(report::ValidateReportJson(R"({"schema": "s", "scenario": "x", "tables": []})").ok());
 }
 
 // A tiny CSV reader for the round-trip check: splits `text` into rows of

@@ -101,7 +101,7 @@ TEST(ForEachSweepPointTest, WallSecondsOnlyEmittedUnderTimings) {
     Report r("s", "t");
     ctx.ForEachSweepPoint(r, [](const SweepPoint&, report::SweepPointRecord&) {});
     const std::string json = r.RenderJson();
-    EXPECT_TRUE(report::ValidateJson(json).ok());
+    EXPECT_TRUE(report::ParseJson(json).ok());
     EXPECT_EQ(json.find("wall_seconds") != std::string::npos, timings);
   }
 }
@@ -467,7 +467,7 @@ TEST(ParseJsonTest, RoundTripsARenderedReport) {
 // Cross-run diffing.
 // ---------------------------------------------------------------------------
 
-std::string DocWithPoints(double exec_at_02, double scenario_metric) {
+Report ReportWithPoints(double exec_at_02, double scenario_metric) {
   Report r("fig_x", "t");
   r.Metric("headline", scenario_metric);
   auto& points = r.MutablePoints();
@@ -476,7 +476,11 @@ std::string DocWithPoints(double exec_at_02, double scenario_metric) {
   points[0].Metric("exec_seconds", exec_at_02);
   points[1].axes = {{"policy", "FIFO"}, {"fraction", "0.5"}};
   points[1].Metric("exec_seconds", 2.0);
-  return r.RenderJson();
+  return r;
+}
+
+std::string DocWithPoints(double exec_at_02, double scenario_metric) {
+  return ReportWithPoints(exec_at_02, scenario_metric).RenderJson();
 }
 
 TEST(DiffReportDocsTest, ReportsPerPointAndScenarioDeltas) {
@@ -507,15 +511,16 @@ TEST(DiffReportDocsTest, IdenticalDocsDiffClean) {
 
 TEST(DiffReportDocsTest, HandlesCombinedDocumentsAndStructuralChanges) {
   auto render = [](bool with_extra) {
-    std::string out = "{\"schema\": \"zombieland.scenario.reports/v1\", \"reports\": [";
-    out += DocWithPoints(1.0, 10.0);
+    auto reports = report::JsonValue::Array();
+    reports.items.push_back(ReportWithPoints(1.0, 10.0).ToJson());
     if (with_extra) {
       Report extra("other", "t");
       extra.Metric("m", 1.0);
-      out += "," + extra.RenderJson();
+      reports.items.push_back(extra.ToJson());
     }
-    out += "]}";
-    return out;
+    return report::WriteJson(report::JsonValue::Object()
+                                 .Add("schema", "zombieland.scenario.reports/v1")
+                                 .Add("reports", std::move(reports)));
   };
   auto diff = DiffReportDocs(render(false), render(true));
   ASSERT_TRUE(diff.ok()) << diff.status().ToString();
